@@ -8,6 +8,7 @@ pairs, ``(f * g)(x) = sum_{x = y z} f(y) g(z)``; the involution is
 """
 from __future__ import annotations
 
+import cmath
 import json
 
 from .errors import BudgetError, ModelError
@@ -138,13 +139,21 @@ def length_weighted(model: GroupoidModel, alpha: float, k: int, budget=None) -> 
 # -- *-algebra operations ---------------------------------------------------
 
 def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
-    """Convolution product, summing over composable factorizations."""
+    """Convolution product, summing over composable factorizations.
+
+    ``budget`` bounds the number of pair products, which is checked
+    before any is made."""
     _same_model(f, g)
     model = f.model
     backend = model.backend
     by_range: dict[int, list] = {}
     for b, vb in g.data.items():
         by_range.setdefault(b.unit, []).append((b, vb))
+    if budget is not None:
+        pairs = sum(len(by_range.get(model.source_unit(a), ())) for a in f.data)
+        if pairs > budget:
+            raise BudgetError(f"convolution needs {pairs} pair products, budget is {budget}",
+                              required=pairs, budget=budget)
     acc: dict[GroupoidElement, complex] = {}
     for a, va in f.data.items():
         u = model.source_unit(a)
@@ -152,10 +161,6 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
             # composable by construction: source(a) == range(b)
             key = GroupoidElement(a.unit, backend.mul(a.word, b.word))
             acc[key] = acc.get(key, 0j) + va * vb
-        if budget is not None and len(acc) > budget:
-            raise BudgetError(
-                f"convolution support exceeded budget {budget}",
-                required=len(acc), budget=budget)
     result = CcFunction(model)
     result.data = {k: v for k, v in acc.items() if v != 0}
     return result
@@ -233,6 +238,8 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
             value = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed function entry {entry!r}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise ModelError(f"function entry {entry!r} has a non-finite value")
         if not 0 <= u < model.units:
             raise ModelError(f"unit {u} out of range")
         key = GroupoidElement(u, word)

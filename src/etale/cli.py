@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,20 +23,18 @@ import numpy as np
 from . import __version__
 from .algebra import (CcFunction, delta as delta_fn, function_from_json,
                       length_weighted, load_function, sphere_indicator)
-from .errors import (BudgetError, GrowthHypothesisError, KernelDomainError,
-                     KernelPositivityError, ModelError, PreconditionError)
-from .exotic import (certificate, extension_criteria, threshold_band,
-                     witness_ratio)
+from .errors import BudgetError, ModelError
+from .exotic import certificate, extension_criteria, threshold_band
 from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       kernel_from_json, psd_check)
 from .metric import (band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
-from .model import FreeGroup, GroupoidElement, GroupoidModel, MeasureContext, load_model
+from .model import GroupoidElement, GroupoidModel, MeasureContext, load_model
 from .spectral import power_sequence_norm, reduced_norm, reduced_norm_at_unit, verify_norm_bound
 
-USAGE_ERRORS = (ModelError, BudgetError, GrowthHypothesisError, PreconditionError,
-                KernelDomainError, KernelPositivityError, ValueError, KeyError,
-                OSError, json.JSONDecodeError)
+# malformed config values surface as TypeError/AttributeError from the
+# int()/float()/.get() coercions in the handlers
+USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, AttributeError)
 
 
 def _load_config(args) -> dict:
@@ -94,7 +93,7 @@ def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, max_len: int):
 
 
 # -- handlers ---------------------------------------------------------------
-# each returns (results, verdict, passed, tables)
+# each returns (results, verdict, passed, tables, resolved config)
 
 def _run_growth(model, mu, cfg, rng, budget):
     opts = _take(cfg, {"K": 8, "k_min": 1})
@@ -103,7 +102,7 @@ def _run_growth(model, mu, cfg, rng, budget):
     verdict = "pass" if ok else "fail"
     if rep.subexponential:
         verdict += " (subexponential: growth hypothesis unmet)"
-    return rep.to_dict(), verdict, ok, {"growth": rep.csv_rows()}, opts
+    return rep, verdict, ok, {"growth": rep.csv_rows()}, opts
 
 
 def _run_delta(model, mu, cfg, rng, budget):
@@ -114,9 +113,9 @@ def _run_delta(model, mu, cfg, rng, budget):
     for u in units:
         est = hyperbolicity_delta(model, u, int(opts["radius"]),
                                   quad_budget=int(opts["quad_budget"]))
-        reports.append(est.to_dict())
+        reports.append(est)
         rows.append((u, est.radius, est.delta, est.n_points, est.quadruples))
-    top = max(r["delta"] for r in reports)
+    top = max(r.delta for r in reports)
     results = {"per_unit": reports, "delta": top,
                "overlap_constant": overlap_constant(model, top)}
     return results, "pass", True, {"delta": rows}, opts
@@ -144,7 +143,7 @@ def _run_pdcheck(model, mu, cfg, rng, budget):
     ok = True
     for i, t in enumerate(tuples):
         res = psd_check(model, kern, t, tol=float(opts["tol"]))
-        results.append(res.to_dict())
+        results.append(res)
         rows.append((i, res.size, res.min_eig, res.passed))
         ok = ok and res.passed
     return ({"checks": results, "all_passed": ok}, "pass" if ok else "fail",
@@ -177,7 +176,7 @@ def _run_haagerup(model, mu, cfg, rng, budget):
     rows = [("n", "k", "sup_dev", "expected", "ok")]
     for r in rep.deviation_rows:
         rows.append((r["n"], r["k"], r["sup_dev"], r["expected"], r["ok"]))
-    return rep.to_dict(), "pass" if rep.passed else "fail", rep.passed, {"haagerup": rows}, opts
+    return rep, "pass" if rep.passed else "fail", rep.passed, {"haagerup": rows}, opts
 
 
 def _run_bandcheck(model, mu, cfg, rng, budget):
@@ -205,8 +204,7 @@ def _run_bandcheck(model, mu, cfg, rng, budget):
     g = random_sphere_function(n, bound_one=True)
     rep = band_check(f, g, k, n, u, C, tol=float(opts["tol"]))
     rows = [("m", "l1_mass", "bound", "ok")] + [list(r) for r in rep.rows]
-    results = rep.to_dict()
-    results["delta"] = est.delta
+    results = _plain(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {"bandcheck": rows}, opts
 
 
@@ -221,14 +219,14 @@ def _run_norm(model, mu, cfg, rng, budget):
     else:
         est = reduced_norm_at_unit(f, int(opts["unit"]), int(opts["L"]), **kwargs)
     ok = est.monotone
-    return est.to_dict(), "pass" if ok else "fail", ok, {"norm_trace": est.csv_rows()}, opts
+    return est, "pass" if ok else "fail", ok, {"norm_trace": est.csv_rows()}, opts
 
 
 def _run_powerseq(model, mu, cfg, rng, budget):
     opts = _take(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
     f = _resolve_function(model, opts["function"], budget)
     seq = power_sequence_norm(f, int(opts["n_max"]), mu, budget=int(opts["conv_budget"]))
-    return seq.to_dict(), "pass", True, {"powerseq": seq.csv_rows()}, opts
+    return seq, "pass", True, {"powerseq": seq.csv_rows()}, opts
 
 
 def _run_normbound(model, mu, cfg, rng, budget):
@@ -240,8 +238,7 @@ def _run_normbound(model, mu, cfg, rng, budget):
                             float(opts["p"]), C, L=int(opts["L"]),
                             max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
                             budget=budget)
-    results = rep.to_dict()
-    results["delta"] = est.delta
+    results = _plain(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {}, opts
 
 
@@ -254,14 +251,14 @@ def _run_extend(model, mu, cfg, rng, budget):
     rows = [("k", "cond2_ratio", "cond3_partial")]
     for (k, r2), (_, r3) in zip(rep.cond2_trace, rep.cond3_partials):
         rows.append((k, r2, r3))
-    return rep.to_dict(), rep.verdict, True, {"extension_trace": rows}, opts
+    return rep, rep.verdict, True, {"extension_trace": rows}, opts
 
 
 def _run_band(model, mu, cfg, rng, budget):
     opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "K": 8, "k_min": 1})
     growth = growth_stats(model, int(opts["K"]), k_min=int(opts["k_min"]))
     band = threshold_band(growth, float(opts["q"]), float(opts["p"]))
-    return band.to_dict(), "pass", True, {}, opts
+    return band, "pass", True, {}, opts
 
 
 def _run_certify(model, mu, cfg, rng, budget):
@@ -275,7 +272,7 @@ def _run_certify(model, mu, cfg, rng, budget):
                        witness_cap=int(opts["witness_cap"]))
     rows = [("k", "witness_ratio")] + [list(r) for r in cert.witness_rows]
     ok = cert.verdict == "Certified"
-    return cert.to_dict(), cert.verdict, ok, {"witness": rows}, opts
+    return cert, cert.verdict, ok, {"witness": rows}, opts
 
 
 HANDLERS = {
@@ -295,7 +292,12 @@ HANDLERS = {
 
 
 def _plain(obj):
-    """Coerce stray numpy scalars/arrays so reports stay JSON-clean."""
+    """Turn report dataclasses into dicts of their fields, recursively, and
+    coerce stray numpy scalars/arrays so reports stay JSON-clean."""
+    if obj is None or type(obj) in (str, int, float, bool):
+        return obj  # exact types: numpy scalars such as np.float64 subclass float
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

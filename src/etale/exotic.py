@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import GrowthHypothesisError
-from .metric import GrowthReport, hyperbolicity_delta, overlap_constant
+from .metric import (GrowthReport, exact_sphere_ratio, hyperbolicity_delta,
+                     overlap_constant)
 from .model import FreeGroup, GroupoidModel, MeasureContext
 
 DEFAULT_BETA_GRID = (0.9, 0.99, 0.999)
@@ -38,16 +38,6 @@ def phi_chi_lp(model: GroupoidModel, mu: MeasureContext, alpha: float,
     return math.exp(k * math.log(alpha) + math.log(count) / p)
 
 
-def _stable_ratio(counts) -> Fraction | None:
-    """Exact consecutive sphere-count ratio over k >= 1, or None."""
-    if len(counts) < 4 or any(c == 0 for c in counts[1:]):
-        return None
-    ratios = {Fraction(counts[k + 1], counts[k]) for k in range(1, len(counts) - 1)}
-    if len(ratios) == 1:
-        return next(iter(ratios))
-    return None
-
-
 @dataclass
 class ExtensionReport:
     """Certified verdict on extending the ``alpha^length`` state to the
@@ -63,13 +53,6 @@ class ExtensionReport:
     cond2_sup: float = 0.0
     cond3_partials: list = field(default_factory=list)  # (k, partial sum)
     cond4_grid: list = field(default_factory=list)    # (beta, tail_ratio, certified)
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["cond2_trace"] = [list(r) for r in self.cond2_trace]
-        out["cond3_partials"] = [list(r) for r in self.cond3_partials]
-        out["cond4_grid"] = [list(r) for r in self.cond4_grid]
-        return out
 
 
 def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
@@ -99,7 +82,7 @@ def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
                               + math.log(counts[k]))
         cond3.append((k, total))
 
-    ratio = _stable_ratio(counts)
+    ratio = exact_sphere_ratio(counts)
     saturated = any(c == 0 for c in counts[1:])
     rho = None if ratio is None else float(ratio)
 
@@ -148,9 +131,6 @@ class ThresholdBand:
     upper: float
     nonempty: bool
     sample_alpha: float | None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def threshold_band(growth: GrowthReport, q: float, p: float) -> ThresholdBand:
@@ -207,14 +187,6 @@ class Certificate:
     witness_rows: list
     verdict: str  # Certified | Inconclusive
     reason: str
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["band"] = self.band.to_dict()
-        out["extends_at_p"] = self.extends_at_p.to_dict()
-        out["fails_at_q"] = self.fails_at_q.to_dict()
-        out["witness_rows"] = [list(r) for r in self.witness_rows]
-        return out
 
 
 def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,

@@ -10,6 +10,7 @@ into pre-Hilbert spaces on which left translation acts isometrically.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ class TableKernel:
         for g, value in dict(entries).items():
             g = GroupoidElement(*g)
             value = complex(value)
+            if not cmath.isfinite(value):
+                raise ModelError(f"table kernel value at {g} is not finite")
             table[g] = value
         for g, value in list(table.items()):
             gi = model.inverse(g)
@@ -83,10 +86,6 @@ class TableKernel:
             raise KernelDomainError(
                 f"element of length {model.length(g)} outside table radius {self.radius}")
         return self.table.get(g, 0j)
-
-
-def eval_kernel(model: GroupoidModel, kernel, g: GroupoidElement) -> complex:
-    return kernel.evaluate(model, g)
 
 
 def kernel_from_json(model: GroupoidModel, data: dict):
@@ -149,10 +148,6 @@ class PsdResult:
     size: int
     min_eig: float
     passed: bool
-    fallback_used: bool = False
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def psd_check(model: GroupoidModel, kernel, elements, tol: float = 1e-9) -> PsdResult:
@@ -160,19 +155,8 @@ def psd_check(model: GroupoidModel, kernel, elements, tol: float = 1e-9) -> PsdR
     G = gram_matrix(model, kernel, elements)
     if G.shape[0] == 0:
         return PsdResult(size=0, min_eig=0.0, passed=True)
-    try:
-        min_eig = float(np.linalg.eigvalsh(G)[0])
-        return PsdResult(size=G.shape[0], min_eig=min_eig, passed=min_eig >= -tol)
-    except np.linalg.LinAlgError:
-        # pivoted-Cholesky style fallback: shifted factorization succeeds
-        # exactly when the spectrum sits above -tol
-        try:
-            np.linalg.cholesky(G + tol * np.eye(G.shape[0]))
-            return PsdResult(size=G.shape[0], min_eig=float("nan"),
-                             passed=True, fallback_used=True)
-        except np.linalg.LinAlgError:
-            return PsdResult(size=G.shape[0], min_eig=float("nan"),
-                             passed=False, fallback_used=True)
+    min_eig = float(np.linalg.eigvalsh(G)[0])
+    return PsdResult(size=G.shape[0], min_eig=min_eig, passed=min_eig >= -tol)
 
 
 # -- GNS data ---------------------------------------------------------------
@@ -274,9 +258,6 @@ class HaagerupReport:
     vanishing_rows: list
     passed: bool
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
                            spot_budget: int = 200_000) -> HaagerupReport:
@@ -350,9 +331,6 @@ class ProductCheckReport:
     rows: list
     closure_max_dev: float | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def pointwise_product_check(model: GroupoidModel, k1, k2, tuples,

@@ -22,10 +22,6 @@ from .model import GroupoidElement, GroupoidModel
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
 
 
-def length(model: GroupoidModel, g: GroupoidElement) -> int:
-    return model.length(g)
-
-
 def fiber_distance(model: GroupoidModel, x: GroupoidElement, y: GroupoidElement) -> int:
     """Distance ``length(x^-1 y)`` between elements of a common range fiber."""
     if x.unit != y.unit:
@@ -61,17 +57,22 @@ class GrowthReport:
     certified_upper: bool
     certified_lower: bool
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["sphere_counts"] = [int(c) for c in self.sphere_counts]
-        out["ball_counts"] = [int(c) for c in self.ball_counts]
-        return out
-
     def csv_rows(self):
         rows = [("k", "sup_sphere", "inf_ball")]
         for k in range(self.k_max + 1):
             rows.append((k, int(self.sphere_counts[k]), int(self.ball_counts[k])))
         return rows
+
+
+def exact_sphere_ratio(spheres, k_min: int = 1) -> Fraction | None:
+    """The ratio ``spheres[k+1] / spheres[k]`` in exact arithmetic when it is
+    one constant over ``k_min <= k < K`` (at least two ratios, no empty
+    sphere past k = 0), else None."""
+    K = len(spheres) - 1
+    if K - k_min < 2 or 0 in spheres[1:]:
+        return None
+    ratios = {Fraction(spheres[k + 1], spheres[k]) for k in range(k_min, K)}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
@@ -96,14 +97,9 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
         balls[k] >= fit_d * math.exp(slope * k) * (1 - 1e-9) for k in range(k_min, K + 1))
 
     saturated = any(spheres[k] == 0 for k in range(1, K + 1))
-    ratio_stabilized = False
-    sphere_ratio = None
-    lo = max(k_min, 1)
-    if not saturated and K - lo >= 2:
-        ratios = {Fraction(spheres[k + 1], spheres[k]) for k in range(lo, K)}
-        if len(ratios) == 1:
-            ratio_stabilized = True
-            sphere_ratio = float(next(iter(ratios)))
+    ratio = exact_sphere_ratio(spheres, k_min)
+    ratio_stabilized = ratio is not None
+    sphere_ratio = None if ratio is None else float(ratio)
 
     subexponential = saturated or (ratio_stabilized and sphere_ratio <= 1.0) or fit_r <= 1.0
     return GrowthReport(
@@ -118,17 +114,13 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
 
 @dataclass
 class DeltaEstimate:
-    """Four-point hyperbolicity defect over an exhaustive ball scan."""
+    """Four-point hyperbolicity defect over every quadruple of a ball."""
 
     delta: float
     radius: int
     unit: int
     n_points: int
     quadruples: int
-    exhaustive: bool = True
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def distance_matrix(model: GroupoidModel, points) -> np.ndarray:
@@ -153,13 +145,13 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
     second largest.  Zero on trees and on any 0-hyperbolic fiber."""
     points = model.ball(u, radius)
     n = len(points)
-    if n ** 4 > quad_budget:
+    quadruples = n * n * n * (n + 1) // 2  # the scan below: i <= j, all k, l
+    if quadruples > quad_budget:
         raise BudgetError(
-            f"{n}^4 quadruples exceed budget {quad_budget}",
-            required=n ** 4, budget=quad_budget)
+            f"{quadruples} quadruples exceed budget {quad_budget}",
+            required=quadruples, budget=quad_budget)
     D = distance_matrix(model, points)
     best = 0
-    scanned = 0
     # pairing (i,j)+(k,l) vs the two cross pairings; i <= j by symmetry
     for i in range(n):
         Dj = D[i:].astype(np.int32)
@@ -168,9 +160,8 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
         s_ad = D[i][None, None, :] + Dj[:, :, None]
         defect = s_ab - np.maximum(s_ac, s_ad)
         best = max(best, int(defect.max()))
-        scanned += (n - i) * n * n
     return DeltaEstimate(delta=float(max(0, best)), radius=radius, unit=u,
-                         n_points=n, quadruples=scanned)
+                         n_points=n, quadruples=quadruples)
 
 
 def overlap_constant(model: GroupoidModel, delta: float) -> int:
@@ -196,12 +187,6 @@ class BandReport:
     rows: list = field(default_factory=list)  # (m, l1_mass, bound, ok)
     outside_mass: float = 0.0
     passed: bool = False
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["band"] = list(self.band)
-        out["rows"] = [list(r) for r in self.rows]
-        return out
 
 
 def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,

@@ -73,6 +73,11 @@ class FreeGroup:
     def identity(self) -> Word:
         return ()
 
+    @property
+    def given_generators(self) -> tuple:
+        """The free generators ``a, b, ...`` as the letters ``1, 2, ...``."""
+        return tuple(range(1, self.rank + 1))
+
     def letters(self) -> list[int]:
         out = []
         for i in range(1, self.rank + 1):
@@ -272,18 +277,16 @@ class GroupoidModel:
         self.backend = backend
         self.units = units
         self.action = [list(map(int, p)) for p in action]
+        gens = backend.given_generators
+        if len(self.action) != len(gens):
+            raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
         if isinstance(backend, FreeGroup):
-            if len(self.action) != backend.rank:
-                raise ModelError(f"expected {backend.rank} action permutations, got {len(self.action)}")
             self._letter_perm: dict[int, list[int]] = {}
-            for i, perm in enumerate(self.action, start=1):
+            for i, perm in zip(gens, self.action):
                 p = _check_perm(perm, units)
                 self._letter_perm[i] = p
                 self._letter_perm[-i] = _inverse_perm(p)
         else:
-            gens = backend.given_generators
-            if len(self.action) != len(gens):
-                raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
             perm_of: dict[int, list[int]] = {backend.identity: list(range(units))}
             for g, perm in zip(gens, self.action):
                 p = _check_perm(perm, units)
@@ -414,8 +417,7 @@ def build_model(backend: Backend, units: int, action: Sequence[Sequence[int]]) -
 
 def group_model(backend: Backend) -> GroupoidModel:
     """Degenerate one-unit model: the group itself."""
-    n_perms = backend.rank if isinstance(backend, FreeGroup) else len(backend.given_generators)
-    return GroupoidModel(backend, 1, [[0]] * n_perms)
+    return GroupoidModel(backend, 1, [[0]] * len(backend.given_generators))
 
 
 def model_from_dict(data: dict) -> GroupoidModel:
@@ -479,11 +481,8 @@ class MeasureContext:
             raise ModelError("measure weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > self.TOL:
             raise ModelError("measure weights must sum to 1")
-        if isinstance(model.backend, FreeGroup):
-            perms = [model._letter_perm[i] for i in range(1, model.backend.rank + 1)]
-        else:
-            perms = [model._elem_perm[g] for g in model.backend.generators]
-        for p in perms:
+        # invariance under each generator's permutation implies it under the inverse
+        for p in model.action:
             for u in range(model.units):
                 if abs(self.weights[p[u]] - self.weights[u]) > self.TOL:
                     raise ModelError("measure is not invariant under the action")

@@ -68,11 +68,6 @@ class NormEstimate:
     monotone: bool = True
     units_checked: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["trace"] = [list(r) for r in self.trace]
-        return out
-
     def csv_rows(self):
         rows = [("L", "value", "iterations", "residual", "converged")]
         rows.extend(self.trace)
@@ -261,10 +256,6 @@ class PowerSeq:
     def values(self) -> list[float]:
         return [v for _, v in self.entries]
 
-    def to_dict(self) -> dict:
-        return {"entries": [list(r) for r in self.entries],
-                "n_max": self.n_max, "method": self.method}
-
     def csv_rows(self):
         return [("n", "value")] + [list(r) for r in self.entries]
 
@@ -324,9 +315,6 @@ class NormBoundReport:
     lhs: float
     rhs: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,

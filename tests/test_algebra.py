@@ -191,3 +191,6 @@ def test_function_json_accumulates_duplicates(z):
         etale.function_from_json(z, [{"unit": 4, "word": "a", "re": 1.0}])
     with pytest.raises(ModelError):
         etale.function_from_json(z, [{"word": "a"}])
+    for bad in ({"re": float("inf")}, {"im": float("nan")}):
+        with pytest.raises(ModelError):
+            etale.function_from_json(z, [{"unit": 0, "word": "a", **bad}])

@@ -192,6 +192,14 @@ def test_usage_errors_exit_two(files, capsys):
     cfg_band = write_cfg(files, "band_z6", {"q": 2, "p": 4})
     assert main(["band", "--model", files["z6"], "--config", cfg_band]) == 2
     assert main(["norm", "--model", files["f2"], "--budget", "10"]) == 2
+    # malformed config values and non-finite kernel entries
+    for op, bad in (("norm", {"L": [1]}), ("norm", {"function": {"sphere": None}}),
+                    ("norm", {"function": {"sphere_weighted": 3}}), ("norm", {"ladder": 5}),
+                    ("pdcheck", {"mode": {"random": 3}}), ("delta", {"units": 5})):
+        assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
+    inf_kernel = files["root"] / "inf_kernel.json"
+    inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')
+    assert main(["pdcheck", "--model", files["f2"], "--config", str(inf_kernel)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -7,7 +7,7 @@ import pytest
 import etale
 from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
                    KernelDomainError, KernelPositivityError, ModelError,
-                   PreconditionError, TableKernel, eval_kernel, gns_build,
+                   PreconditionError, TableKernel, gns_build,
                    gns_isometry_defect, gns_rep_matrix, gram_matrix,
                    haagerup_witness_check, matrix_coeff_recovery,
                    pointwise_product_check, psd_check)
@@ -15,9 +15,9 @@ from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
 
 def test_kernel_values(f2):
     g = GroupoidElement(0, (1, 2, 1))
-    assert eval_kernel(f2, ExpLengthKernel(0.5), g) == 0.125
-    assert eval_kernel(f2, HaagerupKernel(2.0), g) == pytest.approx(math.exp(-1.5))
-    assert eval_kernel(f2, ExpLengthKernel(1.0), g) == 1.0
+    assert ExpLengthKernel(0.5).evaluate(f2, g) == 0.125
+    assert HaagerupKernel(2.0).evaluate(f2, g) == pytest.approx(math.exp(-1.5))
+    assert ExpLengthKernel(1.0).evaluate(f2, g) == 1.0
 
 
 def test_kernel_parameter_validation():
@@ -44,6 +44,9 @@ def test_table_kernel_rejects_bad_tables(f2):
         TableKernel(f2, {a: 1j, f2.inverse(a): 1j})  # should be -1j
     with pytest.raises(ModelError):
         TableKernel(f2, {a: 1.0}, radius=0)
+    for bad in (float("inf"), complex(0, float("nan"))):
+        with pytest.raises(ModelError):
+            TableKernel(f2, {a: bad})
 
 
 def test_gram_matrix_ball_one(f2):

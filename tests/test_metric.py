@@ -125,10 +125,13 @@ def test_delta_monotone_in_radius(z6):
 
 
 def test_delta_budget(f2):
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         hyperbolicity_delta(f2, 0, 4)
-    est = hyperbolicity_delta(f2, 0, 4, quad_budget=10 ** 10)
+    # the budget is charged the quadruples scanned: n^2 * n(n+1)/2 for n = 161
+    assert err.value.required == 338_035_761
+    est = hyperbolicity_delta(f2, 0, 4, quad_budget=400_000_000)
     assert est.delta == 0.0
+    assert est.quadruples == err.value.required
 
 
 def test_overlap_constant(f2, z, z6):

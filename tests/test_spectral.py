@@ -1,5 +1,6 @@
 """Truncated reduced-norm estimates and the convolution-power route."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ def test_power_sequence_sparse_path_and_budget(f2, mu_f2, f2_32, mu_f2_32):
     assert err.value.required > err.value.budget
     with pytest.raises(ValueError):
         power_sequence_norm(f, 0, mu_f2)
+
+
+def test_power_sequence_budget_refuses_before_squaring(f2, mu_f2):
+    # h has 9841 support points after n=2, so the n=3 square needs 9841^2
+    # pair products: the default budget must refuse it before making any
+    a, b = GroupoidElement(0, (1,)), GroupoidElement(0, (2,))
+    f = delta(f2, a) + delta(f2, f2.inverse(a)) - delta(f2, b) - delta(f2, f2.inverse(b))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        power_sequence_norm(f, 3, mu_f2)
+    assert err.value.required == 9841 ** 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_norm_bound(f2, mu_f2):
