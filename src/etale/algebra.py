@@ -133,6 +133,8 @@ def sphere_indicator(model: GroupoidModel, k: int, budget=None) -> CcFunction:
 
 def length_weighted(model: GroupoidModel, alpha: float, k: int, budget=None) -> CcFunction:
     """The function ``alpha^k`` on the length-k sphere of every fiber."""
+    if not cmath.isfinite(alpha):
+        raise ModelError(f"alpha must be finite, got {alpha!r}")
     return sphere_indicator(model, k, budget=budget) * (alpha ** k)
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import (CcFunction, delta as delta_fn, function_from_json,
-                      length_weighted, load_function, sphere_indicator)
+from .algebra import (CcFunction, function_from_json, length_weighted,
+                      load_function, sphere_indicator)
 from .errors import BudgetError, ModelError
 from .exotic import certificate, extension_criteria, threshold_band
 from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
@@ -75,9 +75,7 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     if kind == "sphere_weighted":
         return length_weighted(model, float(val["alpha"]), int(val["k"]), budget=budget)
     if kind == "delta":
-        g = GroupoidElement(int(val.get("unit", 0)),
-                            model.backend.word_from_json(val["word"]))
-        return delta_fn(model, g, complex(val.get("re", 1.0), val.get("im", 0.0)))
+        return function_from_json(model, [{"unit": 0, "re": 1.0} | val])
     if kind == "file":
         return load_function(model, val)
     raise ModelError(f"unknown function spec {kind!r}")

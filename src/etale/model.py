@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -63,7 +64,9 @@ class FreeGroup:
     """Free group of the given rank with reduced-word arithmetic."""
 
     rank: int
-    _spheres: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # trie levels as (words, last letter columns), from the root down
+    _spheres: list = field(default_factory=lambda: [([()], np.full(1, -1))],
+                           init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -115,19 +118,40 @@ class FreeGroup:
 
     def sphere_words(self, k: int) -> list:
         """Words of length exactly k, length-lexicographic (a < A < b < B)."""
-        if not self._spheres:
-            self._spheres.append([()])
         letters = self.letters()
         while len(self._spheres) <= k:
-            prev = self._spheres[-1]
-            nxt = []
-            for w in prev:
-                last = w[-1] if w else 0
-                for letter in letters:
-                    if letter != -last:
-                        nxt.append(w + (letter,))
-            self._spheres.append(nxt)
-        return self._spheres[k]
+            words, last = self._spheres[-1]
+            node, col = self._children(last)
+            self._spheres.append(([words[p] + (letters[c],) for p, c in
+                                   zip(node.tolist(), col.tolist())], col))
+        return self._spheres[k][0] if k >= 0 else []
+
+    def _children(self, last):
+        """Children of trie nodes ending in letter columns ``last``: parent positions, columns."""
+        node = np.repeat(np.arange(len(last)), 2 * self.rank)
+        col = np.tile(np.arange(2 * self.rank), len(last))
+        keep = col != (last[node] ^ 1)  # letter column c ^ 1 is the inverse of c
+        return node[keep], col[keep]
+
+    def ball_tree(self, L: int):
+        """Length-lex trie of the radius-L ball; row n of ``right`` is the outside."""
+        parent, gen = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
+        lo = 0  # index of the first node of the last level
+        for _ in range(L):
+            node, col = self._children(gen[-1])
+            parent.append(lo + node)
+            lo += len(gen[-1])
+            gen.append(col)
+        parent, gen = np.concatenate(parent), np.concatenate(gen)
+        n = len(gen)
+        right = np.full((n + 1, 2 * self.rank), n, dtype=np.int64)
+        right[parent[1:], gen[1:]] = np.arange(1, n)
+        right[np.arange(1, n), gen[1:] ^ 1] = parent[1:]
+        return parent, gen, right
+
+    def spell(self, w: tuple) -> list[int]:
+        """Columns of ``letters()`` whose product is ``w``."""
+        return [2 * abs(x) - 1 - (x > 0) for x in w]
 
     def word_to_json(self, w: tuple) -> str:
         return " ".join(letter_label(x) for x in w)
@@ -186,25 +210,25 @@ class FiniteGroup:
             raise ModelError("finite backend needs a nonempty generating set")
         self.given_generators = tuple(int(g) for g in generators)
         self.generators = tuple(gens)
-        # BFS word metric from the identity
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[self.identity] = 0
-        order_found = [self.identity]
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in self.generators:
-                    f = int(table[e, g])
-                    if dist[f] < 0:
-                        dist[f] = dist[e] + 1
-                        order_found.append(f)
-                        nxt.append(f)
-            frontier = nxt
-        if dist.min() < 0:
+        # BFS tree from the identity: ``elements[i]`` is
+        # ``elements[parent[i]] . generators[gen[i]]``, and ``_spelling[e]``
+        # lists the letter columns along the tree path to ``e``
+        self._spelling = {self.identity: []}
+        elements, edges = [self.identity], [(0, -1)]  # edges: (parent, gen)
+        for i, e in enumerate(elements):  # the list grows as a FIFO queue
+            for c, g in enumerate(self.generators):
+                f = int(table[e, g])
+                if f not in self._spelling:
+                    self._spelling[f] = self._spelling[e] + [c]
+                    elements.append(f)
+                    edges.append((i, c))
+        if len(elements) < n:
             raise ModelError("generators do not generate the group")
-        self.dist = dist
-        self._spheres = [[e for e in order_found if dist[e] == k]
+        self.dist = dist = np.array([len(self._spelling[e]) for e in range(n)])
+        self.index = np.argsort(elements)  # element -> its tree row
+        right = self.index[table[np.ix_(elements, self.generators)]]
+        self._tree = (*np.array(edges).T, right)
+        self._spheres = [[e for e in elements if dist[e] == k]
                          for k in range(int(dist.max()) + 1)]
 
     def letters(self) -> list[int]:
@@ -236,6 +260,14 @@ class FiniteGroup:
             return list(self._spheres[k])
         return []
 
+    def ball_tree(self, L: int):
+        """The BFS tree of the whole group, for every L."""
+        return self._tree
+
+    def spell(self, w: int) -> list[int]:
+        """Columns of ``letters()`` along the tree path to ``w``."""
+        return self._spelling[w]
+
     def word_to_json(self, w: int) -> int:
         return int(w)
 
@@ -256,13 +288,6 @@ def _check_perm(perm, units: int) -> list[int]:
     return p
 
 
-def _inverse_perm(p: list[int]) -> list[int]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return out
-
-
 class GroupoidModel:
     """Action groupoid over ``units`` points with a given group backend.
 
@@ -280,46 +305,30 @@ class GroupoidModel:
         gens = backend.given_generators
         if len(self.action) != len(gens):
             raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
-        if isinstance(backend, FreeGroup):
-            self._letter_perm: dict[int, list[int]] = {}
-            for i, perm in zip(gens, self.action):
-                p = _check_perm(perm, units)
-                self._letter_perm[i] = p
-                self._letter_perm[-i] = _inverse_perm(p)
-        else:
-            perm_of: dict[int, list[int]] = {backend.identity: list(range(units))}
-            for g, perm in zip(gens, self.action):
-                p = _check_perm(perm, units)
-                if g in perm_of and perm_of[g] != p:
-                    raise ModelError(f"conflicting action for generator {g}")
-                perm_of[g] = p
-            for g in backend.generators:
-                if g not in perm_of:
-                    gi = backend.inv(g)
-                    if gi not in perm_of:
-                        raise ModelError(f"no action given for generator {g} or its inverse")
-                    perm_of[g] = _inverse_perm(perm_of[gi])
-            # extend along the BFS tree, then verify the extension is a
-            # right action: perm(e.g) == perm(g) o perm(e) for all e, g
-            for k in range(1, backend.max_radius + 1):
-                for e in backend.sphere_words(k):
-                    if e in perm_of:
-                        continue
-                    for g in backend.generators:
-                        prev = backend.mul(e, backend.inv(g))
-                        if backend.length(prev) == k - 1 and prev in perm_of:
-                            pe, pg = perm_of[prev], perm_of[g]
-                            perm_of[e] = [pg[pe[u]] for u in range(units)]
-                            break
-                    else:
-                        raise ModelError("BFS extension of the action failed")
-            for e in range(backend.order):
-                pe = perm_of[e]
-                for g in backend.generators:
-                    pg = perm_of[g]
-                    if perm_of[backend.mul(e, g)] != [pg[pe[u]] for u in range(units)]:
-                        raise ModelError("action permutations are not compatible with the multiplication table")
-            self._elem_perm = [perm_of[e] for e in range(backend.order)]
+        self._letter_perm = {backend.identity: list(range(units))}
+        for g, perm in zip(gens, self.action):
+            p = _check_perm(perm, units)
+            if self._letter_perm.setdefault(g, p) != p:
+                raise ModelError(f"conflicting action for generator {g}")
+        # every other letter inverts a given one: letters()[c] . letters()[c']
+        # is the identity, row 0 of the tree, for the c' that inverts c
+        letters = backend.letters()
+        right = backend.ball_tree(1)[2]
+        for c, g in enumerate(letters):
+            if g not in self._letter_perm:
+                gi = letters[np.argmax(right[right[0, c]] == 0)]
+                self._letter_perm[g] = np.argsort(self._letter_perm[gi]).tolist()
+        # row c: the permutation of the units made by ``letters()[c]``
+        self.letter_perms = np.array([self._letter_perm[g] for g in letters], dtype=np.int64)
+        if isinstance(backend, FiniteGroup):
+            # perm(e) = perm(gen) o perm(parent) along the BFS tree, from every
+            # unit; then verify it is a right action: perm(e.g) == perm(g) o perm(e)
+            # for all e, g
+            perm = np.array([self.ball_tree(u, backend.max_radius)[0] for u in range(units)]).T
+            right = backend.ball_tree(backend.max_radius)[2]
+            if not np.array_equal(perm[right.T], self.letter_perms[:, perm]):
+                raise ModelError("action permutations are not compatible with the multiplication table")
+            self._elem_perm = perm[backend.index].tolist()
 
     # -- groupoid structure -------------------------------------------------
 
@@ -355,7 +364,9 @@ class GroupoidModel:
 
     # -- enumeration --------------------------------------------------------
 
-    def _charge(self, k: int, budget) -> None:
+    def _charge(self, u: int, k: int, budget) -> None:
+        if not 0 <= u < self.units:
+            raise ModelError(f"unit {u} out of range")
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
         required = self.backend.ball_count(k)
@@ -366,20 +377,30 @@ class GroupoidModel:
 
     def sphere(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber sphere: elements of word length k with range ``u``."""
-        if not 0 <= u < self.units:
-            raise ModelError(f"unit {u} out of range")
-        self._charge(k, budget)
+        self._charge(u, k, budget)
         return [GroupoidElement(u, w) for w in self.backend.sphere_words(k)]
 
     def ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber ball: word length <= k, ordered by length then word order."""
-        if not 0 <= u < self.units:
-            raise ModelError(f"unit {u} out of range")
-        self._charge(k, budget)
+        self._charge(u, k, budget)
         out = []
         for j in range(k + 1):
             out.extend(GroupoidElement(u, w) for w in self.backend.sphere_words(j))
         return out
+
+    def ball_tree(self, u: int, L: int, budget=None):
+        """``ball(u, L)`` on the backend's integer tree ``(parent, gen, right)``:
+        ``w_i = w_parent[i] . letters()[gen[i]]``, ``right[i, c]`` is the index
+        of ``w_i . letters()[c]``, and indices from ``ball_count(L)`` on are
+        outside the ball.  Returns ``(units, right)`` with ``units[i] = u . w_i``."""
+        self._charge(u, L, budget)
+        parent, gen, right = self.backend.ball_tree(L)
+        ends = [0, *accumulate(self.sphere_count(k) for k in range(L + 1))]
+        units = np.empty(ends[-1], dtype=np.int64)
+        units[0] = u
+        for lo, hi in zip(ends[1:], ends[2:]):
+            units[lo:hi] = self.letter_perms[gen[lo:hi], units[parent[lo:hi]]]
+        return units, right
 
     def source_ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Source-fiber ball (all elements with source ``u``), as inverses of ball(u, k)."""

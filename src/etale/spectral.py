@@ -3,8 +3,10 @@
 ``reduced_norm_at_unit`` compresses left convolution by ``f`` onto the
 radius-L ball of a source fiber (matrix ``M[y, y'] = f(y y'^-1)``) and
 estimates the largest singular value by deterministic power iteration.
-Compressions only grow with L, so the estimates form a nondecreasing
-trace of lower bounds.
+M is read off the ball's integer tree as one column and one value per
+(row, word of f) and applied as a numpy gather; ``M^H`` is the same
+operator for ``f^*``.  Compressions only grow with L, so the estimates
+form a nondecreasing trace of lower bounds.
 
 ``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
 and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
 from .errors import BudgetError
@@ -31,18 +32,28 @@ DEFAULT_LADDER = (4, 6, 8, 10, 12)
 
 # -- power iteration --------------------------------------------------------
 
-def _largest_singular_value(M, max_iter: int, tol: float):
-    """Power iteration on ``M^H M`` from the normalized all-ones vector."""
-    n = M.shape[1]
-    if n == 0:
-        return 0.0, 0, 0.0, True
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=M.dtype if M.dtype.kind == "c" else float)
-    Mh = M.conj().T if M.dtype.kind == "c" else M.T
+def _apply(op, v):
+    """``M @ v`` for an operator ``(cols, vals)`` of ``_truncated_matrix``."""
+    cols, vals = op
+    x = np.append(v, 0)[cols]
+    if vals.dtype.kind != "c":
+        return (vals * x).sum(0)
+    # the complex product written out: numpy fuses it with FMA on some CPUs,
+    # which would make the last bits depend on the host
+    return ((vals.real * x.real - vals.imag * x.imag).sum(0)
+            + 1j * (vals.real * x.imag + vals.imag * x.real).sum(0))
+
+
+def _largest_singular_value(op, op_h, max_iter: int, tol: float):
+    """Power iteration on ``M^H M`` from the normalized all-ones vector, with
+    ``op`` and ``op_h`` the operators of M and M^H."""
+    cols, vals = op
+    n = cols.shape[1]
+    v = np.full(n, 1.0 / math.sqrt(n), dtype=vals.dtype if vals.dtype.kind == "c" else float)
     rho = 0.0
     residual = 0.0
     for it in range(1, max_iter + 1):
-        w = M @ v
-        z = Mh @ w
+        z = _apply(op_h, _apply(op, v))
         rho = float(np.real(np.vdot(v, z)))
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
@@ -84,40 +95,30 @@ def _truncation_ladder(L: int, ladder) -> list[int]:
 
 
 def _truncated_matrix(f: CcFunction, u: int, L: int, budget=None):
-    """Sparse matrix of left convolution by f on the radius-L ball of the
-    source fiber at ``u``."""
+    """Left convolution by f on the radius-L ball of the source fiber at
+    ``u``: basis element i is ``(u.w_i, w_i^-1)`` for the i-th word of
+    ``ball(u, L)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
+    ``(cols, vals)`` of shape (distinct words x_k of f) x n, sorted by
+    column in each row: ``M[i, cols[k, i]] = vals[k, i] = f(u.w_i, x_k)``,
+    and column n (``w_i x_k`` outside the ball) is a zero pad."""
     model = f.model
-    backend = model.backend
-    basis = model.source_ball(u, L, budget=budget)
-    index = {g: i for i, g in enumerate(basis)}
-    by_unit: dict[int, list] = {}
-    for j, y in enumerate(basis):
-        by_unit.setdefault(y.unit, []).append((j, y.word))
-
-    nnz_cap = sum(len(by_unit.get(model.source_unit(a), ())) for a in f.support())
-    rows = np.empty(nnz_cap, dtype=np.int64)
-    cols = np.empty(nnz_cap, dtype=np.int64)
-    vals = np.empty(nnz_cap, dtype=complex)
-    ptr = 0
-    mul = backend.mul
-    get = index.get
-    for a, va in f.items():
-        group = by_unit.get(model.source_unit(a))
-        if not group:
-            continue
-        ra, aw = a.unit, a.word
-        for j, yw in group:
-            i = get((ra, mul(aw, yw)))
-            if i is not None:
-                rows[ptr] = i
-                cols[ptr] = j
-                vals[ptr] = va
-                ptr += 1
-    n = len(basis)
-    vals = vals[:ptr]
+    units, right = model.ball_tree(u, L, budget=budget)
+    n = len(units)
+    by_word: dict = {}  # word -> its value of f at every range unit
+    for g, v in f.items():
+        by_word.setdefault(g.word, np.zeros(model.units, dtype=complex))[g.unit] = v
+    cols = np.empty((len(by_word), n), dtype=np.int64)
+    for k, x in enumerate(by_word):
+        col = np.arange(n)
+        for c in model.backend.spell(x):
+            col = right[col, c]
+        cols[k] = np.minimum(col, n)
+    vals = np.array(list(by_word.values())).reshape(len(by_word), model.units)[:, units]
+    order = np.argsort(cols, axis=0, kind="stable")
+    vals = np.take_along_axis(vals, order, 0)
     if np.all(vals.imag == 0):
         vals = vals.real.copy()
-    return sp.csr_matrix((vals, (rows[:ptr], cols[:ptr])), shape=(n, n))
+    return np.take_along_axis(cols, order, 0), vals
 
 
 def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
@@ -126,8 +127,11 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
     over an increasing ladder of truncation radii ending at L."""
     trace = []
     for Lk in _truncation_ladder(L, ladder):
-        M = _truncated_matrix(f, u, Lk, budget=budget)
-        value, iters, residual, converged = _largest_singular_value(M, max_iter, tol)
+        # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
+        # is the conjugate of f(u.w_i, w_i^-1 w_j)
+        value, iters, residual, converged = _largest_singular_value(
+            _truncated_matrix(f, u, Lk, budget=budget),
+            _truncated_matrix(involution(f), u, Lk, budget=budget), max_iter, tol)
         trace.append((Lk, value, iters, residual, converged))
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
     last = trace[-1]

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -36,6 +37,16 @@ def z2_swap():
 def z6():
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     return etale.group_model(etale.FiniteGroup(table, [1]))
+
+
+@pytest.fixture(scope="session")
+def s3():
+    """S_3 acting on 3 points, generated by a transposition and a 3-cycle."""
+    perms = list(itertools.permutations(range(3)))
+    # right action: p . q moves x to q[p[x]]
+    table = [[perms.index(tuple(q[p[x]] for x in range(3))) for q in perms] for p in perms]
+    gens = [perms.index((1, 0, 2)), perms.index((1, 2, 0))]
+    return etale.build_model(etale.FiniteGroup(table, gens), 3, [[1, 0, 2], [1, 2, 0]])
 
 
 @pytest.fixture(scope="session")

@@ -195,7 +195,13 @@ def test_usage_errors_exit_two(files, capsys):
     # malformed config values and non-finite kernel entries
     for op, bad in (("norm", {"L": [1]}), ("norm", {"function": {"sphere": None}}),
                     ("norm", {"function": {"sphere_weighted": 3}}), ("norm", {"ladder": 5}),
-                    ("pdcheck", {"mode": {"random": 3}}), ("delta", {"units": 5})):
+                    ("pdcheck", {"mode": {"random": 3}}), ("delta", {"units": 5}),
+                    # non-finite or out-of-range numbers in function specs
+                    ("norm", {"function": {"delta": {"word": "a", "re": 1e999}}}),
+                    ("norm", {"function": {"delta": {"unit": 99, "word": "a"}}}),
+                    ("norm", {"function": {"sphere_weighted": {"alpha": 1e999, "k": 1}}}),
+                    ("normbound", {"alpha": 1e999}),
+                    ("norm", {"unit": -1}), ("norm", {"unit": 1})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')

@@ -194,3 +194,63 @@ def test_measure_context(z2_swap, f2):
         MeasureContext.from_weights(z2_swap, [0.3, 0.7])  # not swap-invariant
     with pytest.raises(ModelError):
         MeasureContext.from_weights(f2, [0.5])
+
+
+def oracle_sphere_words(rank, k):
+    """Reduced words of length k in length-lex order, from all strings."""
+    letters = [i for j in range(1, rank + 1) for i in (j, -j)]
+    return [w for w in itertools.product(letters, repeat=k)
+            if all(w[i] != -w[i + 1] for i in range(k - 1))]
+
+
+def test_tree_sphere_words_match_length_lex():
+    for rank in (1, 2, 3):
+        grown, fresh = FreeGroup(rank), FreeGroup(rank)
+        for k in range(7):
+            assert grown.sphere_words(k) == oracle_sphere_words(rank, k)
+        assert fresh.sphere_words(6) == grown.sphere_words(6)
+        assert fresh.sphere_words(2) == oracle_sphere_words(rank, 2)
+        assert fresh.sphere_words(-1) == []
+
+
+def test_free_ball_tree_right_table():
+    backend = FreeGroup(2)
+    L = 4
+    parent, gen, right = backend.ball_tree(L)
+    words = [w for k in range(L + 1) for w in backend.sphere_words(k)]
+    n = len(words)
+    index = {w: i for i, w in enumerate(words)}
+    letters = backend.letters()
+    assert right.shape == (n + 1, len(letters))
+    assert right[n].tolist() == [n] * len(letters)
+    for i, w in enumerate(words[1:], 1):
+        assert words[parent[i]] + (letters[gen[i]],) == w
+    for i, w in enumerate(words):
+        for c, x in enumerate(letters):
+            assert right[i, c] == index.get(backend.mul(w, (x,)), n)
+        assert backend.spell(w) == [letters.index(x) for x in w]
+
+
+def test_finite_action_along_bfs_tree(s3):
+    backend = s3.backend
+    gen_perm = {g: list(p) for g, p in zip(backend.given_generators, s3.action)}
+    for g in backend.given_generators:
+        gi = backend.inv(g)
+        gen_perm.setdefault(gi, [gen_perm[g].index(x) for x in range(3)])
+    # every word of length <= 4 in the generators, composed letter by letter
+    seen = set()
+    for k in range(5):
+        for word in itertools.product(list(gen_perm), repeat=k):
+            e, units = backend.identity, list(range(3))
+            for g in word:
+                e = backend.mul(e, g)
+                units = [gen_perm[g][x] for x in units]
+            assert [s3.act(u, e) for u in range(3)] == units
+            seen.add(e)
+    assert seen == set(range(backend.order))
+    letters = backend.letters()
+    for e in range(backend.order):
+        spelled = backend.identity
+        for c in backend.spell(e):
+            spelled = backend.mul(spelled, letters[c])
+        assert spelled == e and len(backend.spell(e)) == backend.length(e)

@@ -1,6 +1,10 @@
 """Truncated reduced-norm estimates and the convolution-power route."""
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from etale import (BudgetError, CcFunction, GroupoidElement, MeasureContext,
                    radial_convolve, radial_profile_of, reduced_norm,
                    reduced_norm_at_unit, sphere_indicator, unit_indicator,
                    verify_norm_bound)
+from etale.spectral import _truncated_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def radial_function(model, coeffs):
@@ -203,3 +210,83 @@ def test_verify_norm_bound(f2, mu_f2):
     assert rep43.q == pytest.approx(4 / 3)
     with pytest.raises(ValueError):
         verify_norm_bound(f2, mu_f2, 0.5, 2, 1.5, 5.0)
+
+
+def dense_operator(f, u, L):
+    """The truncated operator of ``_truncated_matrix`` as a dense matrix."""
+    cols, vals = _truncated_matrix(f, u, L)
+    assert np.all(np.diff(cols, axis=0) >= 0)  # sorted by column in each row
+    n = cols.shape[1]
+    D = np.zeros((n, n + 1), dtype=complex)
+    for k in range(len(cols)):
+        D[np.arange(n), cols[k]] += vals[k]
+    return D[:, :n]  # column n is the pad
+
+
+def brute_operator(f, u, L):
+    """M[i, j] = f(x) for x y_j = y_i on the source ball, by word products."""
+    model = f.model
+    basis = model.source_ball(u, L)
+    index = {y: i for i, y in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, va in f.items():
+        for j, y in enumerate(basis):
+            if model.source_unit(a) == y.unit:
+                i = index.get(GroupoidElement(a.unit, model.backend.mul(a.word, y.word)))
+                if i is not None:
+                    M[i, j] = va
+    return M
+
+
+def test_truncated_operator_matches_brute_force(f2, z, z6, z2_swap, s3):
+    f2_32 = etale.load_model(ROOT / "models" / "f2_32units.json")
+    rng = np.random.default_rng(5)
+    from conftest import random_function
+    a, b = GroupoidElement(0, (1,)), GroupoidElement(0, (2,))
+    odd = delta(f2, a) + delta(f2, f2.inverse(a)) - delta(f2, b) - delta(f2, f2.inverse(b))
+    unit_dependent = CcFunction(f2_32, {GroupoidElement(u, w): complex(u + 1, len(w) - u % 3)
+                                        for u in range(0, 32, 3)
+                                        for w in ((), (1,), (-2,), (1, 2))})
+    cases = [sphere_indicator(f2, 1), sphere_indicator(f2, 2), odd,
+             random_function(f2, rng, 2, 12), unit_dependent,
+             sphere_indicator(z, 1), random_function(z, rng, 3, 5),
+             random_function(z6, rng, 3, 4), sphere_indicator(z6, 2),
+             random_function(z2_swap, rng, 1, 3), random_function(s3, rng, 2, 8)]
+    for f in cases:
+        units = sorted({0, f.model.units - 1, 3 % f.model.units})
+        for L in (0, 1, 3, 5):
+            for u in units:
+                M = dense_operator(f, u, L)
+                assert np.array_equal(M, brute_operator(f, u, L))
+                assert np.array_equal(dense_operator(involution(f), u, L), M.conj().T)
+
+
+def test_non_abelian_norm_matches_dense_svd(s3):
+    # positive coefficients, not self-adjoint: the all-ones start vector
+    # meets the top singular vector of this nonnegative operator
+    f = CcFunction(s3, {GroupoidElement(u, e): 1.0 + (u + 2 * e) % 5
+                        for u in range(3) for e in (0, 1, 3, 4)})
+    assert involution(f) != f
+    for L in (1, 2, 3):
+        for u in range(3):
+            top = np.linalg.svd(brute_operator(f, u, L), compute_uv=False)[0]
+            est = reduced_norm_at_unit(f, u, L, ladder=[L])
+            assert est.converged
+            assert est.value == pytest.approx(top, rel=1e-9)
+
+
+def test_truncated_operator_checks_unit_and_budget(f2):
+    chi = sphere_indicator(f2, 1)
+    for u in (-1, 1):
+        with pytest.raises(etale.ModelError):
+            _truncated_matrix(chi, u, 2)
+    with pytest.raises(BudgetError):
+        _truncated_matrix(chi, 0, 3, budget=52)
+
+
+def test_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, etale; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
