@@ -135,7 +135,11 @@ def length_weighted(model: GroupoidModel, alpha: float, k: int, budget=None) -> 
     """The function ``alpha^k`` on the length-k sphere of every fiber."""
     if not cmath.isfinite(alpha):
         raise ModelError(f"alpha must be finite, got {alpha!r}")
-    return sphere_indicator(model, k, budget=budget) * (alpha ** k)
+    try:
+        weight = alpha ** k
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ModelError(f"alpha ** k fails for alpha={alpha!r}, k={k}: {exc}") from exc
+    return sphere_indicator(model, k, budget=budget) * weight
 
 
 # -- *-algebra operations ---------------------------------------------------

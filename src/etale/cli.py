@@ -91,9 +91,10 @@ def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, max_len: int):
 
 
 # -- handlers ---------------------------------------------------------------
-# each returns (results, verdict, passed, tables, resolved config)
+# each takes (model, mu, cfg, seed, budget) and returns
+# (results, verdict, passed, tables, resolved config)
 
-def _run_growth(model, mu, cfg, rng, budget):
+def _run_growth(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"K": 8, "k_min": 1})
     rep = growth_stats(model, int(opts["K"]), k_min=int(opts["k_min"]))
     ok = rep.certified_upper and rep.certified_lower
@@ -103,7 +104,7 @@ def _run_growth(model, mu, cfg, rng, budget):
     return rep, verdict, ok, {"growth": rep.csv_rows()}, opts
 
 
-def _run_delta(model, mu, cfg, rng, budget):
+def _run_delta(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
     units = list(range(model.units)) if opts["units"] == "all" else [int(u) for u in opts["units"]]
     rows = [("unit", "radius", "delta", "n_points", "quadruples")]
@@ -119,7 +120,7 @@ def _run_delta(model, mu, cfg, rng, budget):
     return results, "pass", True, {"delta": rows}, opts
 
 
-def _run_pdcheck(model, mu, cfg, rng, budget):
+def _run_pdcheck(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"kernel": {"exp_length": 0.5}, "mode": {"ball": {"unit": 0, "k": 2}},
                        "tol": 1e-9})
     kern = kernel_from_json(model, opts["kernel"])
@@ -130,6 +131,7 @@ def _run_pdcheck(model, mu, cfg, rng, budget):
                                  int(mode["ball"]["k"]), budget=budget))
     elif "random" in mode:
         r = mode["random"]
+        rng = np.random.default_rng(seed)
         for _ in range(int(r.get("count", 100))):
             tuples.append(_random_fiber_tuple(model, rng,
                                               int(r.get("max_size", 10)),
@@ -148,7 +150,7 @@ def _run_pdcheck(model, mu, cfg, rng, budget):
             ok, {"pdcheck": rows}, opts)
 
 
-def _run_gns(model, mu, cfg, rng, budget):
+def _run_gns(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"kernel": {"exp_length": 0.5}, "unit": 0, "k": 1,
                        "null_tol": 1e-10, "isometry_tol": 1e-10})
     kern = kernel_from_json(model, opts["kernel"])
@@ -167,7 +169,7 @@ def _run_gns(model, mu, cfg, rng, budget):
     return results, "pass" if ok else "fail", ok, {}, opts
 
 
-def _run_haagerup(model, mu, cfg, rng, budget):
+def _run_haagerup(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"n_list": [2, 3, 4], "k_list": [1, 2, 4, 8],
                        "eps_list": [0.1, 0.01]})
     rep = haagerup_witness_check(model, opts["n_list"], opts["k_list"], opts["eps_list"])
@@ -177,10 +179,11 @@ def _run_haagerup(model, mu, cfg, rng, budget):
     return rep, "pass" if rep.passed else "fail", rep.passed, {"haagerup": rows}, opts
 
 
-def _run_bandcheck(model, mu, cfg, rng, budget):
+def _run_bandcheck(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"k": 2, "n": 1, "unit": 0, "delta_radius": 3,
                        "support_cap": 200, "tol": 1e-9})
     k, n, u = int(opts["k"]), int(opts["n"]), int(opts["unit"])
+    rng = np.random.default_rng(seed)
     est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]))
     C = overlap_constant(model, est.delta)
 
@@ -206,12 +209,12 @@ def _run_bandcheck(model, mu, cfg, rng, budget):
     return results, "pass" if rep.passed else "fail", rep.passed, {"bandcheck": rows}, opts
 
 
-def _run_norm(model, mu, cfg, rng, budget):
+def _run_norm(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"function": {"sphere": 1}, "L": 8, "unit": None,
                        "max_iter": 2000, "tol": 1e-10, "ladder": None})
     f = _resolve_function(model, opts["function"], budget)
     kwargs = dict(max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
-                  ladder=opts["ladder"], budget=budget)
+                  ladder=opts["ladder"], budget=budget, seed=seed)
     if opts["unit"] is None:
         est = reduced_norm(f, int(opts["L"]), **kwargs)
     else:
@@ -220,14 +223,14 @@ def _run_norm(model, mu, cfg, rng, budget):
     return est, "pass" if ok else "fail", ok, {"norm_trace": est.csv_rows()}, opts
 
 
-def _run_powerseq(model, mu, cfg, rng, budget):
+def _run_powerseq(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
     f = _resolve_function(model, opts["function"], budget)
     seq = power_sequence_norm(f, int(opts["n_max"]), mu, budget=int(opts["conv_budget"]))
     return seq, "pass", True, {"powerseq": seq.csv_rows()}, opts
 
 
-def _run_normbound(model, mu, cfg, rng, budget):
+def _run_normbound(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"alpha": 0.5, "k": 1, "p": 2, "L": 6, "delta_radius": 3,
                        "max_iter": 2000, "tol": 1e-10})
     est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]))
@@ -235,12 +238,12 @@ def _run_normbound(model, mu, cfg, rng, budget):
     rep = verify_norm_bound(model, mu, float(opts["alpha"]), int(opts["k"]),
                             float(opts["p"]), C, L=int(opts["L"]),
                             max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
-                            budget=budget)
+                            budget=budget, seed=seed)
     results = _plain(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {}, opts
 
 
-def _run_extend(model, mu, cfg, rng, budget):
+def _run_extend(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"alpha": _REQUIRED, "p": _REQUIRED, "K": None,
                        "beta_grid": [0.9, 0.99, 0.999]})
     rep = extension_criteria(model, mu, float(opts["alpha"]), float(opts["p"]),
@@ -252,14 +255,14 @@ def _run_extend(model, mu, cfg, rng, budget):
     return rep, rep.verdict, True, {"extension_trace": rows}, opts
 
 
-def _run_band(model, mu, cfg, rng, budget):
+def _run_band(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "K": 8, "k_min": 1})
     growth = growth_stats(model, int(opts["K"]), k_min=int(opts["k_min"]))
     band = threshold_band(growth, float(opts["q"]), float(opts["p"]))
     return band, "pass", True, {}, opts
 
 
-def _run_certify(model, mu, cfg, rng, budget):
+def _run_certify(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "alpha": None, "K": None,
                        "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
     growth = growth_stats(model, int(opts["growth_K"]))
@@ -349,9 +352,8 @@ def main(argv=None) -> int:
         model = load_model(args.model)
         mu = MeasureContext.uniform(model)
         cfg = _load_config(args)
-        rng = np.random.default_rng(args.seed)
         results, verdict, passed, tables, opts = HANDLERS[args.operation](
-            model, mu, cfg, rng, args.budget)
+            model, mu, cfg, args.seed, args.budget)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

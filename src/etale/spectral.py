@@ -2,11 +2,17 @@
 
 ``reduced_norm_at_unit`` compresses left convolution by ``f`` onto the
 radius-L ball of a source fiber (matrix ``M[y, y'] = f(y y'^-1)``) and
-estimates the largest singular value by deterministic power iteration.
+estimates its largest singular value by Lanczos from a random start vector
+drawn from ``seed``: on M itself when ``f`` is self-adjoint, on ``M^H M``
+otherwise.  ``iterations`` counts Lanczos steps, and ``converged`` means
+the Ritz residual is at most ``tol * max(1, |theta|)``, so the Ritz value
+theta lies within the residual of a true eigenvalue of the operator solved;
+that it is the top one is certain only once an upper bound closes the gap.
 M is read off the ball's integer tree as one column and one value per
 (row, word of f) and applied as a numpy gather; ``M^H`` is the same
 operator for ``f^*``.  Compressions only grow with L, so the estimates
-form a nondecreasing trace of lower bounds.
+form a nondecreasing trace of lower bounds.  ``reduced_norm`` takes the
+largest over units, and units whose operators are equal share one solve.
 
 ``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
 and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
@@ -17,6 +23,7 @@ radius instead of exponential.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -30,39 +37,75 @@ DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
 
 
-# -- power iteration --------------------------------------------------------
+# -- Lanczos ----------------------------------------------------------------
 
 def _apply(op, v):
-    """``M @ v`` for an operator ``(cols, vals)`` of ``_truncated_matrix``."""
+    """``M @ v`` for an operator ``(cols, vals)`` of ``_truncated_matrix``,
+    accumulated in place one word of f at a time."""
     cols, vals = op
-    x = np.append(v, 0)[cols]
+    x = np.append(v, 0)
+    out = np.zeros(cols.shape[1], dtype=np.result_type(vals, v))
     if vals.dtype.kind != "c":
-        return (vals * x).sum(0)
+        for c, a in zip(cols, vals):
+            out += a * x.take(c)
+        return out
     # the complex product written out: numpy fuses it with FMA on some CPUs,
     # which would make the last bits depend on the host
-    return ((vals.real * x.real - vals.imag * x.imag).sum(0)
-            + 1j * (vals.real * x.imag + vals.imag * x.real).sum(0))
+    for c, a in zip(cols, vals):
+        g = x.take(c)
+        out.real += a.real * g.real - a.imag * g.imag
+        out.imag += a.real * g.imag + a.imag * g.real
+    return out
 
 
-def _largest_singular_value(op, op_h, max_iter: int, tol: float):
-    """Power iteration on ``M^H M`` from the normalized all-ones vector, with
-    ``op`` and ``op_h`` the operators of M and M^H."""
-    cols, vals = op
-    n = cols.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=vals.dtype if vals.dtype.kind == "c" else float)
-    rho = 0.0
-    residual = 0.0
-    for it in range(1, max_iter + 1):
-        z = _apply(op_h, _apply(op, v))
-        rho = float(np.real(np.vdot(v, z)))
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0, it, 0.0, True
-        residual = float(np.linalg.norm(z - rho * v))
-        v = z / nz
-        if residual <= tol * max(1.0, rho):
-            return math.sqrt(max(rho, 0.0)), it, residual, True
-    return math.sqrt(max(rho, 0.0)), max_iter, residual, False
+def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
+    """Lanczos on a Hermitian operator A of order n, given as ``apply(v)``
+    with ``work`` multiply-adds, from a seeded random start.  Only the
+    three-term recurrence is kept, no basis: lost orthogonality adds ghost
+    copies of converged Ritz values but no wrong ones (Paige).  Returns
+    ``(|theta|, steps, residual, converged)`` for the Ritz value theta of
+    largest modulus, with residual ``beta_k |s_k|``, the norm of
+    ``A y - theta y`` for its Ritz vector y.
+
+    The dense spectrum of the tridiagonal T_k (~k^3 work) is computed after
+    every step while that costs no more than an apply, then every ~k/10
+    steps: eigenvalues alone until the top one stalls, then with vectors
+    for the residual."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = 0.0
+    last = None
+    stalled = False
+    next_check = 1
+    for k in range(1, max_iter + 1):
+        w = apply(v)
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v
+        v_prev *= beta
+        w -= v_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if k >= next_check or k == max_iter or beta == 0.0:
+            next_check = k + (1 if k ** 3 <= work else max(1, k // 10))
+            T = np.diag(alphas) + np.diag(betas[:-1], -1)
+            if not stalled:
+                top = float(np.max(np.abs(np.linalg.eigvalsh(T))))
+                stalled = last is not None and abs(top - last) <= tol * max(1.0, top)
+                last = top
+            if stalled or k == max_iter or beta == 0.0:
+                theta, s = np.linalg.eigh(T)
+                i = int(np.argmax(np.abs(theta)))
+                top, residual = abs(float(theta[i])), beta * abs(float(s[-1, i]))
+                if residual <= tol * max(1.0, top):
+                    return top, k, residual, True
+        w /= beta
+        v_prev, v = v, w
+    return top, max_iter, residual, False
 
 
 @dataclass
@@ -121,18 +164,49 @@ def _truncated_matrix(f: CcFunction, u: int, L: int, budget=None):
     return np.take_along_axis(cols, order, 0), vals
 
 
+class _Solves(dict):
+    """The rung solves of one ``f``, shared between units: keyed on the rung
+    and a digest of the operator values, since the columns depend on the
+    words of f and the ball tree alone."""
+
+    def __init__(self, f: CcFunction, max_iter: int, tol: float, seed: int, budget):
+        super().__init__()
+        f_star = involution(f)
+        self.f, self.f_star = f, (f if f_star == f else f_star)
+        self.args = (max_iter, tol, seed)
+        self.budget = budget
+
+    def rung(self, u: int, L: int):
+        """``(value, iterations, residual, converged)`` for the largest
+        singular value of f's operator M at unit u and radius L: Lanczos on
+        M when f is self-adjoint, on ``M^H M`` otherwise."""
+        op = _truncated_matrix(self.f, u, L, budget=self.budget)
+        vals = op[1]
+        key = (L, vals.dtype.char, hashlib.blake2b(vals, digest_size=16).digest())
+        if key not in self:
+            n = op[0].shape[1]
+            if self.f_star is self.f:
+                self[key] = _lanczos(lambda v: _apply(op, v), n, op[0].size, *self.args)
+            else:
+                # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
+                # is the conjugate of f(u.w_i, w_i^-1 w_j)
+                op_h = _truncated_matrix(self.f_star, u, L, budget=self.budget)
+                theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
+                                        op[0].size + op_h[0].size, *self.args)
+                self[key] = (math.sqrt(theta), *rest)
+        return self[key]
+
+
 def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
-                         tol: float = 1e-10, ladder=None, budget=None) -> NormEstimate:
+                         tol: float = 1e-10, ladder=None, budget=None, seed: int = 0,
+                         _solves=None) -> NormEstimate:
     """Truncated-convolution norm of ``f`` on the source fiber at ``u``,
-    over an increasing ladder of truncation radii ending at L."""
-    trace = []
-    for Lk in _truncation_ladder(L, ladder):
-        # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
-        # is the conjugate of f(u.w_i, w_i^-1 w_j)
-        value, iters, residual, converged = _largest_singular_value(
-            _truncated_matrix(f, u, Lk, budget=budget),
-            _truncated_matrix(involution(f), u, Lk, budget=budget), max_iter, tol)
-        trace.append((Lk, value, iters, residual, converged))
+    over an increasing ladder of truncation radii ending at L.  Each rung
+    is one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
+    ``_solves``, which carries the solver settings and the solves shared
+    between units."""
+    solves = _Solves(f, max_iter, tol, seed, budget) if _solves is None else _solves
+    trace = [(Lk, *solves.rung(u, Lk)) for Lk in _truncation_ladder(L, ladder)]
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
     last = trace[-1]
     return NormEstimate(value=last[1], L=last[0], unit=u, iterations=last[2],
@@ -144,17 +218,18 @@ def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10
                  ladder=None, budget=None, seed: int = 0,
                  unit_cap: int = 64) -> NormEstimate:
     """Largest truncated-norm estimate over units (all units, or a seeded
-    sample when the unit space is larger than ``unit_cap``)."""
+    sample when the unit space is larger than ``unit_cap``).  Units whose
+    operators are equal at a rung share one solve."""
     model = f.model
     if model.units <= unit_cap:
         units = list(range(model.units))
     else:
         rng = np.random.default_rng(seed)
         units = sorted(rng.choice(model.units, size=unit_cap, replace=False).tolist())
+    solves = _Solves(f, max_iter, tol, seed, budget)
     best = None
     for u in units:
-        est = reduced_norm_at_unit(f, u, L, max_iter=max_iter, tol=tol,
-                                   ladder=ladder, budget=budget)
+        est = reduced_norm_at_unit(f, u, L, ladder=ladder, _solves=solves)
         if best is None or est.value > best.value:
             best = est
     best.units_checked = units
@@ -324,7 +399,7 @@ class NormBoundReport:
 def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
                       k: int, p: float, C: float, L: int = 6,
                       max_iter: int = 2000, tol: float = 1e-10,
-                      budget=None) -> NormBoundReport:
+                      budget=None, seed: int = 0) -> NormBoundReport:
     """Check the representation-norm bound on ``f = alpha^k * (k-sphere
     indicator)``: any truncated lower estimate must stay below
     ``2 C (k+1) |f|_q``."""
@@ -332,7 +407,7 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
         raise ValueError("p must be >= 2")
     q = p / (p - 1.0)
     f = length_weighted(model, alpha, k, budget=budget)
-    est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget)
+    est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget, seed=seed)
     rhs = 2.0 * C * (k + 1) * lp_norm(f, q, mu)
     passed = est.value <= rhs * (1 + 1e-9)
     return NormBoundReport(alpha=alpha, k=k, p=p, q=q, overlap=C, L=L,

@@ -68,18 +68,17 @@ def test_out_directory_layout(files, tmp_path, f2):
 
 
 def test_byte_reproducibility(files, tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["bandcheck", "--model", files["f2"], "--out", str(out),
-                     "--seed", "5"]) == 0
-        outs.append(out)
-    for rel in ("report.json", "tables/bandcheck.csv"):
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
-    out_c = tmp_path / "c"
-    assert main(["bandcheck", "--model", files["f2"], "--out", str(out_c),
-                 "--seed", "6"]) == 0
-    assert (out_c / "report.json").read_bytes() != (outs[0] / "report.json").read_bytes()
+    # the seed draws bandcheck's random functions and norm's start vectors
+    for op, table in (("bandcheck", "bandcheck"), ("norm", "norm_trace")):
+        outs = []
+        for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+            out = tmp_path / op / name
+            assert main([op, "--model", files["f2"], "--out", str(out), "--seed", seed]) == 0
+            outs.append(out)
+        for rel in ("report.json", f"tables/{table}.csv"):
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+        results = [json.loads((out / "report.json").read_text())["results"] for out in outs]
+        assert results[2] != results[0]
 
 
 def test_pdcheck_failure_exits_one(files, capsys):
@@ -201,6 +200,11 @@ def test_usage_errors_exit_two(files, capsys):
                     ("norm", {"function": {"delta": {"unit": 99, "word": "a"}}}),
                     ("norm", {"function": {"sphere_weighted": {"alpha": 1e999, "k": 1}}}),
                     ("normbound", {"alpha": 1e999}),
+                    # finite alpha whose power overflows or divides by zero
+                    ("norm", {"function": {"sphere_weighted": {"alpha": 1e200, "k": 2}}}),
+                    ("norm", {"function": {"sphere_weighted": {"alpha": 0, "k": -1}}}),
+                    ("normbound", {"alpha": 1e200, "k": 2}),
+                    ("norm", {"max_iter": 0}),
                     ("norm", {"unit": -1}), ("norm", {"unit": 1})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"

@@ -1,6 +1,7 @@
 """Truncated reduced-norm estimates and the convolution-power route."""
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +18,8 @@ from etale import (BudgetError, CcFunction, GroupoidElement, MeasureContext,
                    radial_convolve, radial_profile_of, reduced_norm,
                    reduced_norm_at_unit, sphere_indicator, unit_indicator,
                    verify_norm_bound)
-from etale.spectral import _truncated_matrix
+from etale import spectral
+from etale.spectral import _apply, _truncated_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -261,18 +263,161 @@ def test_truncated_operator_matches_brute_force(f2, z, z6, z2_swap, s3):
                 assert np.array_equal(dense_operator(involution(f), u, L), M.conj().T)
 
 
+def svd_top(M):
+    """Largest singular value by numpy.linalg.svd, in real arithmetic if M is real."""
+    return np.linalg.svd(M if M.imag.any() else M.real, compute_uv=False)[0]
+
+
 def test_non_abelian_norm_matches_dense_svd(s3):
-    # positive coefficients, not self-adjoint: the all-ones start vector
-    # meets the top singular vector of this nonnegative operator
+    # positive coefficients and not self-adjoint, so the solve runs on M^H M;
+    # and every delta_x - delta_y on unit 0, whose operator rows sum to zero
+    # (power iteration from the all-ones vector reported 0.0 for them)
     f = CcFunction(s3, {GroupoidElement(u, e): 1.0 + (u + 2 * e) % 5
                         for u in range(3) for e in (0, 1, 3, 4)})
     assert involution(f) != f
-    for L in (1, 2, 3):
+    cases = [(f, L) for L in (1, 2, 3)]
+    cases += [(delta(s3, GroupoidElement(0, x)) - delta(s3, GroupoidElement(0, y)), 2)
+              for x in range(6) for y in range(x)]
+    for g, L in cases:
         for u in range(3):
-            top = np.linalg.svd(brute_operator(f, u, L), compute_uv=False)[0]
-            est = reduced_norm_at_unit(f, u, L, ladder=[L])
+            top = svd_top(brute_operator(g, u, L))
+            est = reduced_norm_at_unit(g, u, L, ladder=[L])
             assert est.converged
             assert est.value == pytest.approx(top, rel=1e-9)
+
+
+def test_odd_and_zero_row_functions_match_dense_svd(z, f2, z6):
+    # the functions power iteration from the all-ones vector got wrong:
+    # odd ones converged to a lower singular value, and the start vector
+    # lay in the kernel of the zero-row one
+    a, b = GroupoidElement(0, (1,)), GroupoidElement(0, (2,))
+    odd_z = delta(z, a) - delta(z, z.inverse(a))
+    odd_f2 = delta(f2, a) + delta(f2, f2.inverse(a)) - delta(f2, b) - delta(f2, f2.inverse(b))
+    zero_rows = delta(z6, GroupoidElement(0, 1)) - delta(z6, GroupoidElement(0, 0))
+    for f, L, value in ((odd_z, 8, 1.9696), (odd_f2, 4, 3.0889), (odd_f2, 6, 3.2454),
+                        (zero_rows, 4, 2.0)):
+        est = reduced_norm(f, L, ladder=[L])
+        assert est.converged
+        assert est.value == pytest.approx(svd_top(dense_operator(f, 0, L)), rel=1e-9)
+        assert est.value == pytest.approx(value, abs=5e-5)
+
+
+def test_close_top_singular_values_converge():
+    # an independent U(0.5, 1.5) coefficient on (u, x) and on (u.x, x^-1)
+    # for every unit u and generator x: not self-adjoint, and the top two
+    # singular values at unit 14 lie within 2e-5 of each other
+    model = etale.load_model(ROOT / "models" / "f2_32units.json")
+    rng = random.Random(19)
+    data = {}
+    for u in range(model.units):
+        for x in ((1,), (2,)):
+            g = GroupoidElement(u, x)
+            data[g] = round(rng.uniform(0.5, 1.5), 6)
+            data[model.inverse(g)] = round(rng.uniform(0.5, 1.5), 6)
+    f = CcFunction(model, data)
+    assert involution(f) != f
+    tops = []
+    for u in range(model.units):
+        top2 = np.linalg.svd(dense_operator(f, u, 3).real, compute_uv=False)[:2]
+        est = reduced_norm_at_unit(f, u, 3, ladder=[3])
+        assert est.converged
+        assert est.value == pytest.approx(top2[0], rel=1e-9)
+        tops.append(top2)
+    assert min((s0 - s1) / s0 for s0, s1 in tops) < 2e-5
+    est = reduced_norm(f, 3)
+    assert est.converged and est.unit == int(np.argmax([t[0] for t in tops]))
+
+
+def test_zero_operator_has_norm_zero(z2_swap):
+    # z2_swap has no word of length 2, so alpha^2 chi_2 is the zero function
+    f = etale.length_weighted(z2_swap, 0.5, 2)
+    assert len(f) == 0
+    est = reduced_norm(f, 4)
+    assert (est.value, est.iterations, est.residual, est.converged) == (0.0, 1, 0.0, True)
+    mu = MeasureContext.uniform(z2_swap)
+    assert verify_norm_bound(z2_swap, mu, 0.5, 2, 2.0, 1.0, L=4).lhs == 0.0
+
+
+def test_apply_matches_gather_sum(f2, f2_32):
+    # row-by-row accumulation in place gives the bits of the (k, n) gather-sum
+    rng = np.random.default_rng(3)
+    from conftest import random_function
+    cases = [sphere_indicator(f2, 1), random_function(f2, rng, 2, 12),
+             random_function(f2_32, rng, 2, 40), CcFunction(f2)]
+    for f in cases:
+        cols, vals = op = _truncated_matrix(f, 0, 4)
+        n = cols.shape[1]
+        for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            x = np.append(v, 0)[cols]
+            if vals.dtype.kind == "c":
+                want = ((vals.real * x.real - vals.imag * x.imag).sum(0)
+                        + 1j * (vals.real * x.imag + vals.imag * x.real).sum(0))
+            else:
+                want = (vals * x).sum(0)
+            assert np.array_equal(_apply(op, v), want)
+
+
+def test_converged_means_residual_within_tol(z):
+    # the top Ritz value stalls well before its residual reaches a coarse
+    # tol, so a stalled value alone must not count as converged
+    chi = sphere_indicator(z, 1)
+    a = GroupoidElement(0, (1,))
+    odd = delta(z, a) - delta(z, z.inverse(a))
+    for f, L in ((chi, 100), (odd, 100)):
+        top = 2 * math.cos(math.pi / (2 * L + 2))
+        for tol in (1e-4, 1e-6, 1e-8):
+            est = reduced_norm_at_unit(f, 0, L, tol=tol, ladder=[L], max_iter=10_000)
+            assert est.converged
+            theta = est.value if f is chi else est.value ** 2
+            assert est.residual <= tol * max(1.0, theta)
+            assert est.value <= top * (1 + 1e-12)
+
+
+def test_lanczos_step_count_on_tree(f2):
+    # F2 chi_1 at L=10 (118,097 rows) converges in ~50 Lanczos steps; power
+    # iteration needed 222
+    est = reduced_norm_at_unit(sphere_indicator(f2, 1), 0, 10, ladder=[10])
+    assert est.converged
+    assert est.iterations <= 80
+
+
+def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
+    calls = {"solve": 0, "build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
+    monkeypatch.setattr(spectral, "_truncated_matrix", counted("build", spectral._truncated_matrix))
+    # self-adjoint and the same operator at every unit: one build per
+    # (unit, rung) and one solve per rung
+    est = reduced_norm(sphere_indicator(f2_32, 1), 3, ladder=[2, 3])
+    assert calls == {"solve": 2, "build": 64}
+    assert est.units_checked == list(range(32)) and est.unit == 0
+    # not self-adjoint: M^H is built only for the solves made
+    calls.update(solve=0, build=0)
+    f = delta(f2, GroupoidElement(0, (1,))) + 2.0 * delta(f2, GroupoidElement(0, (2,)))
+    reduced_norm(f, 3, ladder=[2, 3])
+    assert calls == {"solve": 2, "build": 4}
+    # unit-dependent: the reported unit is the first to reach the maximum
+    g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
+                           for w in ((1,), (-1,), (2,), (-2,))})
+    est = reduced_norm(g, 2, ladder=[2])
+    per_unit = [reduced_norm_at_unit(g, u, 2, ladder=[2]).value for u in range(32)]
+    assert est.value == max(per_unit) and est.unit == per_unit.index(max(per_unit))
+
+
+def test_seed_changes_start_not_value(f2):
+    f = delta(f2, GroupoidElement(0, (1,))) - 0.5 * delta(f2, GroupoidElement(0, (-2, 1)))
+    runs = [reduced_norm(f, 5, seed=s) for s in (0, 1, 2, 0)]
+    assert runs[0].trace == runs[3].trace
+    assert runs[1].trace != runs[0].trace
+    for est in runs:
+        assert est.converged
+        assert est.value == pytest.approx(runs[0].value, rel=1e-9)
 
 
 def test_truncated_operator_checks_unit_and_budget(f2):
