@@ -17,10 +17,9 @@ from .exotic import (Certificate, ExtensionReport, ThresholdBand, certificate,
                      default_truncation, extension_criteria, phi_chi_lp,
                      threshold_band, witness_first_crossing, witness_ratio)
 from .kernels import (ExpLengthKernel, GnsData, HaagerupKernel, TableKernel,
-                      gns_build, gns_isometry_defect, gns_rep_matrix,
-                      gram_matrix, haagerup_witness_check, kernel_from_json,
-                      kernel_to_json, matrix_coeff_recovery,
-                      pointwise_product_check, psd_check)
+                      gns_build, gns_isometry_defect, gram_matrix,
+                      haagerup_witness_check, kernel_from_json, kernel_to_json,
+                      matrix_coeff_recovery, pointwise_product_check, psd_check)
 from .metric import (BandReport, DeltaEstimate, GrowthReport, band_check,
                      distance_matrix, fiber_distance, growth_stats,
                      hyperbolicity_delta, overlap_constant)

@@ -204,48 +204,29 @@ def gns_build(model: GroupoidModel, kernel, u: int, k: int,
                    eigenvalues=eigenvalues, null_tol=null_tol)
 
 
-def gns_rep_matrix(model: GroupoidModel, x: GroupoidElement, k: int,
-                   budget=None) -> np.ndarray:
-    """Matrix of left translation by ``x`` from the radius-k ball of the
-    source fiber into the radius-(k + |x|) ball of the range fiber, in
-    the delta bases (a 0/1 inclusion-shift matrix)."""
-    src = model.source_unit(x)
-    domain = model.ball(src, k, budget=budget)
-    codomain = model.ball(x.unit, k + model.length(x), budget=budget)
-    index = {g: i for i, g in enumerate(codomain)}
-    M = np.zeros((len(codomain), len(domain)))
-    for col, a in enumerate(domain):
-        M[index[model.compose(x, a)], col] = 1.0
-    return M
-
-
 def gns_isometry_defect(model: GroupoidModel, kernel, x: GroupoidElement,
                         k: int, budget=None) -> float:
-    """Largest entry of ``M^H G_range M - G_source``: zero when left
-    translation by ``x`` is an exact isometry for the kernel's inner
-    product on the truncation."""
-    M = gns_rep_matrix(model, x, k, budget=budget)
-    src = model.source_unit(x)
-    g_src = gram_matrix(model, kernel, model.ball(src, k, budget=budget))
-    g_rng = gram_matrix(model, kernel,
-                        model.ball(x.unit, k + model.length(x), budget=budget))
-    defect = M.conj().T @ g_rng @ M - g_src
+    """Largest ``|F((x a)^-1 x b) - F(a^-1 b)|`` over a, b in the radius-k
+    ball of the source fiber of ``x``: the Gram matrix of the translates
+    against that of the ball, zero when left translation by ``x`` is an
+    exact isometry for the kernel's inner product on the truncation.  Only
+    the ball is enumerated (and charged to ``budget``)."""
+    domain = model.ball(model.source_unit(x), k, budget=budget)
+    moved = [model.compose(x, a) for a in domain]
+    defect = gram_matrix(model, kernel, moved) - gram_matrix(model, kernel, domain)
     return float(np.max(np.abs(defect))) if defect.size else 0.0
 
 
 def matrix_coeff_recovery(model: GroupoidModel, kernel, x: GroupoidElement,
-                          k: int, budget=None) -> complex:
-    """Recover ``F(x)`` as the matrix coefficient of left translation:
-    pair the translate of the source-unit delta vector against the
-    range-unit delta vector.  Requires ``|x| <= k``."""
+                          k: int) -> complex:
+    """Recover ``F(x)`` as the matrix coefficient of left translation: the
+    inner product of the translate of the source-unit delta vector with the
+    range-unit delta vector, one Gram entry.  Requires ``|x| <= k``, so
+    that x lies in the radius-k truncation."""
     if model.length(x) > k:
         raise PreconditionError("need word length of x at most k")
-    M = gns_rep_matrix(model, x, k, budget=budget)
-    g_rng = gram_matrix(model, kernel,
-                        model.ball(x.unit, k + model.length(x), budget=budget))
-    image = M[:, 0]  # translate of the delta at the source unit element
-    # pair against the delta at the range unit element (index 0)
-    return complex((g_rng @ image)[0])
+    image = model.compose(x, model.unit_element(model.source_unit(x)))
+    return complex(gram_matrix(model, kernel, [model.unit_element(x.unit), image])[0, 1])
 
 
 # -- structured checks ------------------------------------------------------
@@ -267,8 +248,15 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
     * sup of ``|1 - F|`` over each radius-k ball equals the closed form
       ``1 - exp(-min(k, diameter)/n)`` and decreases as n grows;
     * ``|F| < eps`` strictly outside the radius ``ceil(n log(1/eps))``.
+
+    Every eps must lie in (0, 1] and every k be >= 0.
     """
     n_list = sorted(float(n) for n in n_list)
+    eps_list = [float(eps) for eps in eps_list]
+    if not all(0 < eps <= 1 for eps in eps_list):
+        raise ValueError("every eps must lie in (0, 1]")
+    if not all(k >= 0 for k in k_list):
+        raise ValueError("every k must be >= 0")
     unit_rows, deviation_rows, monotone_rows, vanishing_rows = [], [], [], []
     passed = True
     max_radius = model.backend.max_radius
@@ -301,7 +289,6 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
     for n in n_list:
         kern = HaagerupKernel(n)
         for eps in eps_list:
-            eps = float(eps)
             radius = math.ceil(n * math.log(1.0 / eps))
             tail = math.exp(-(radius + 1) / n)
             ok = tail < eps

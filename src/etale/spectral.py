@@ -70,7 +70,7 @@ def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
     The dense spectrum of the tridiagonal T_k (~k^3 work) is computed after
     every step while that costs no more than an apply, then every ~k/10
     steps: eigenvalues alone until the top one stalls, then with vectors
-    for the residual."""
+    for the residual.  Overflow in the recurrence raises ValueError."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     v = np.random.default_rng(seed).standard_normal(n)
@@ -81,30 +81,35 @@ def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
     last = None
     stalled = False
     next_check = 1
-    for k in range(1, max_iter + 1):
-        w = apply(v)
-        alpha = float(np.vdot(v, w).real)
-        w -= alpha * v
-        v_prev *= beta
-        w -= v_prev
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        betas.append(beta)
-        if k >= next_check or k == max_iter or beta == 0.0:
-            next_check = k + (1 if k ** 3 <= work else max(1, k // 10))
-            T = np.diag(alphas) + np.diag(betas[:-1], -1)
-            if not stalled:
-                top = float(np.max(np.abs(np.linalg.eigvalsh(T))))
-                stalled = last is not None and abs(top - last) <= tol * max(1.0, top)
-                last = top
-            if stalled or k == max_iter or beta == 0.0:
-                theta, s = np.linalg.eigh(T)
-                i = int(np.argmax(np.abs(theta)))
-                top, residual = abs(float(theta[i])), beta * abs(float(s[-1, i]))
-                if residual <= tol * max(1.0, top):
-                    return top, k, residual, True
-        w /= beta
-        v_prev, v = v, w
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(1, max_iter + 1):
+                w = apply(v)
+                alpha = float(np.vdot(v, w).real)
+                w -= alpha * v
+                v_prev *= beta
+                w -= v_prev
+                beta = float(np.linalg.norm(w))
+                alphas.append(alpha)
+                betas.append(beta)
+                if k >= next_check or k == max_iter or beta == 0.0:
+                    next_check = k + (1 if k ** 3 <= work else max(1, k // 10))
+                    T = np.diag(alphas) + np.diag(betas[:-1], -1)
+                    if not stalled:
+                        top = float(np.max(np.abs(np.linalg.eigvalsh(T))))
+                        stalled = last is not None and abs(top - last) <= tol * max(1.0, top)
+                        last = top
+                    if stalled or k == max_iter or beta == 0.0:
+                        theta, s = np.linalg.eigh(T)
+                        i = int(np.argmax(np.abs(theta)))
+                        top, residual = abs(float(theta[i])), beta * abs(float(s[-1, i]))
+                        if residual <= tol * max(1.0, top):
+                            return top, k, residual, True
+                w /= beta
+                v_prev, v = v, w
+    except FloatingPointError as exc:
+        raise ValueError("the coefficients of f overflow float64 in the Lanczos "
+                         f"recurrence ({exc})") from None
     return top, max_iter, residual, False
 
 
@@ -133,8 +138,11 @@ def _truncation_ladder(L: int, ladder) -> list[int]:
         out = sorted({int(x) for x in ladder})
         if not out or out[-1] != L:
             raise ValueError("ladder must be nonempty and end at L")
-        return out
-    return sorted({min(x, L) for x in DEFAULT_LADDER} | {L})
+    else:
+        out = sorted({min(x, L) for x in DEFAULT_LADDER} | {L})
+    if out[0] < 0:
+        raise ValueError("truncation radii must be >= 0")
+    return out
 
 
 def _truncated_matrix(f: CcFunction, u: int, L: int, budget=None):

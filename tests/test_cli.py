@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import pytest
 
@@ -113,6 +114,28 @@ def test_gns_defaults(files, capsys):
     assert res["max_isometry_defect"] == 0.0
 
 
+def test_gns_budget_bounds_the_checked_ball(files, capsys):
+    # k = 1 enumerates the 5-element ball at unit 0 and the translates of
+    # each source ball, never the radius-2 range ball (17 elements)
+    cfg = write_cfg(files, "gns_k1", {"k": 1})
+    code, report = run_json(capsys, ["gns", "--model", files["f2"], "--config", cfg,
+                                     "--budget", "5"])
+    assert code == 0 and report["results"]["max_isometry_defect"] == 0.0
+    assert main(["gns", "--model", files["f2"], "--config", cfg, "--budget", "4"]) == 2
+    assert "ball of radius 1 needs 5 elements" in capsys.readouterr().err
+
+
+def test_lanczos_overflow_is_a_usage_error(files, capsys):
+    # coefficients 1e300 are finite, but the recurrence's dot products are not
+    cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": 1e150, "k": 2}},
+                                    "L": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+
+
 def test_haagerup_cli(files, capsys):
     cfg = write_cfg(files, "haag", {"n_list": [2, 4], "k_list": [1, 2], "eps_list": [0.1]})
     code, report = run_json(capsys, ["haagerup", "--model", files["f2"], "--config", cfg])
@@ -205,7 +228,13 @@ def test_usage_errors_exit_two(files, capsys):
                     ("norm", {"function": {"sphere_weighted": {"alpha": 0, "k": -1}}}),
                     ("normbound", {"alpha": 1e200, "k": 2}),
                     ("norm", {"max_iter": 0}),
-                    ("norm", {"unit": -1}), ("norm", {"unit": 1})):
+                    ("norm", {"unit": -1}), ("norm", {"unit": 1}),
+                    # negative truncation radii
+                    ("norm", {"L": -1}), ("norm", {"L": 2, "ladder": [-1, 2]}),
+                    ("normbound", {"L": -1}),
+                    # eps outside (0, 1] or a negative radius
+                    ("haagerup", {"eps_list": [0]}), ("haagerup", {"eps_list": [2]}),
+                    ("haagerup", {"k_list": [-1]})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')

@@ -1,5 +1,6 @@
 """Kernels, Gram positivity, and the induced inner-product structure."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import etale
 from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
                    KernelDomainError, KernelPositivityError, ModelError,
                    PreconditionError, TableKernel, gns_build,
-                   gns_isometry_defect, gns_rep_matrix, gram_matrix,
-                   haagerup_witness_check, matrix_coeff_recovery,
-                   pointwise_product_check, psd_check)
+                   gns_isometry_defect, gram_matrix, haagerup_witness_check,
+                   matrix_coeff_recovery, pointwise_product_check, psd_check)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def test_kernel_values(f2):
@@ -107,16 +109,6 @@ def test_gns_inner_product(f2):
         assert abs(q.imag) < 1e-12 and q.real > -1e-12
 
 
-def test_rep_matrix_is_permutation_like(z2_swap, f2):
-    x = GroupoidElement(0, 1)
-    M = gns_rep_matrix(z2_swap, x, 1)
-    assert np.array_equal(M, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    M2 = gns_rep_matrix(f2, GroupoidElement(0, (1,)), 1)
-    assert M2.shape == (17, 5)
-    assert np.array_equal(np.sort(M2.ravel()), np.r_[np.zeros(80), np.ones(5)])
-    assert np.all(M2.sum(axis=0) == 1)
-
-
 def test_translation_is_exact_isometry(f2, f2_32, z2_swap):
     cases = [
         (f2, ExpLengthKernel(0.5), GroupoidElement(0, (1,)), 1),
@@ -138,6 +130,85 @@ def test_matrix_coeff_recovery(f2, f2_32):
             assert got == kern.evaluate(model, x)
     with pytest.raises(PreconditionError):
         matrix_coeff_recovery(f2, ExpLengthKernel(0.5), GroupoidElement(0, (1, 1, 1)), 2)
+
+
+def _reference_gns(model, kernel, x, k, grams):
+    """The isometry defect and matrix coefficient through the 0/1 matrix M
+    of left translation by x from the radius-k source ball into the
+    radius-(k + |x|) range ball, and the Gram matrix of the whole range
+    ball (cached in ``grams``)."""
+    domain = model.ball(model.source_unit(x), k)
+    radius = k + model.length(x)
+    codomain = model.ball(x.unit, radius)
+    if (x.unit, radius) not in grams:
+        grams[(x.unit, radius)] = gram_matrix(model, kernel, codomain)
+    g_rng = grams[(x.unit, radius)]
+    index = {g: i for i, g in enumerate(codomain)}
+    M = np.zeros((len(codomain), len(domain)))
+    for col, a in enumerate(domain):
+        M[index[model.compose(x, a)], col] = 1.0
+    defect = M.conj().T @ g_rng @ M - gram_matrix(model, kernel, domain)
+    worst = float(np.max(np.abs(defect))) if defect.size else 0.0
+    coeff = complex((g_rng @ M[:, 0])[0]) if domain else None
+    return worst, coeff
+
+
+def _random_table(model, rng, radius=2, stated=8):
+    """A Hermitian (not necessarily positive) table kernel with random
+    entries on the radius-``radius`` balls, stated up to ``stated`` so the
+    reference range balls stay inside its domain."""
+    entries = {}
+    for u in range(model.units):
+        for g in model.ball(u, radius):
+            gi = model.inverse(g)
+            if gi in entries:
+                continue
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            entries[g] = z.real if gi == g else z
+    return TableKernel(model, entries, radius=stated)
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_gns_checks_match_rep_matrix_oracle(name, s3):
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5),
+               _random_table(model, np.random.default_rng(23)))
+    xs = [GroupoidElement(u, w) for u in range(model.units)
+          for w in model.backend.sphere_words(1)]
+    xs += [GroupoidElement(u, w) for u in (0, model.units - 1)
+           for w in model.backend.sphere_words(2)[:3]]
+    for kern in kernels:
+        grams = {}
+        for x in xs:
+            for k in (-1, 0, 1, 2):
+                defect, coeff = _reference_gns(model, kern, x, k, grams)
+                assert gns_isometry_defect(model, kern, x, k) == defect
+                if model.length(x) <= k:
+                    assert matrix_coeff_recovery(model, kern, x, k) == coeff
+                else:
+                    with pytest.raises(PreconditionError):
+                        matrix_coeff_recovery(model, kern, x, k)
+
+
+def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
+    # left translation cancels in F((x a)^-1 x b), so on a correct model the
+    # defect is exactly zero for every kernel; a compose that drops the last
+    # letter must show, with the same value as the oracle
+    kernels = (ExpLengthKernel(0.5), HaagerupKernel(2.5),
+               _random_table(f2, np.random.default_rng(29)))
+    xs = [GroupoidElement(0, (1,)), GroupoidElement(0, (1, -2))]
+    for kern in kernels:
+        assert all(gns_isometry_defect(f2, kern, x, 1) == 0.0 for x in xs)
+
+    def compose_dropping_last_letter(self, g, h):
+        return GroupoidElement(g.unit, self.backend.mul(g.word, h.word)[:-1])
+
+    monkeypatch.setattr(etale.GroupoidModel, "compose", compose_dropping_last_letter)
+    for kern in kernels:
+        for x in xs:
+            defect = gns_isometry_defect(f2, kern, x, 1)
+            assert defect > 0.1
+            assert defect == _reference_gns(f2, kern, x, 1, {})[0]
 
 
 def test_haagerup_witness_free(f2):
