@@ -127,15 +127,19 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
     mode = opts["mode"]
     tuples = []
     if "ball" in mode:
-        tuples.append(model.ball(int(mode["ball"].get("unit", 0)),
-                                 int(mode["ball"]["k"]), budget=budget))
+        k = int(mode["ball"]["k"])
+        if k < 0:
+            raise ValueError("pdcheck ball radius k must be >= 0")
+        tuples.append(model.ball(int(mode["ball"].get("unit", 0)), k, budget=budget))
     elif "random" in mode:
         r = mode["random"]
+        count, max_size, max_len = (int(r.get("count", 100)), int(r.get("max_size", 10)),
+                                    int(r.get("max_len", 4)))
+        if count < 1 or max_size < 1 or max_len < 0:
+            raise ValueError("pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
-        for _ in range(int(r.get("count", 100))):
-            tuples.append(_random_fiber_tuple(model, rng,
-                                              int(r.get("max_size", 10)),
-                                              int(r.get("max_len", 4))))
+        for _ in range(count):
+            tuples.append(_random_fiber_tuple(model, rng, max_size, max_len))
     else:
         raise ModelError("pdcheck mode must be 'ball' or 'random'")
     rows = [("tuple", "size", "min_eig", "passed")]

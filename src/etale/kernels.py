@@ -21,8 +21,15 @@ from .errors import (KernelDomainError, KernelPositivityError, ModelError,
 from .model import GroupoidElement, GroupoidModel
 
 
+class RadialKernel:
+    """A kernel whose value is a function ``at_length`` of the word length."""
+
+    def evaluate(self, model: GroupoidModel, g: GroupoidElement) -> complex:
+        return self.at_length(model.length(g))
+
+
 @dataclass(frozen=True)
-class ExpLengthKernel:
+class ExpLengthKernel(RadialKernel):
     """The radial kernel ``alpha ** word_length``."""
 
     alpha: float
@@ -31,12 +38,12 @@ class ExpLengthKernel:
         if not 0 < self.alpha <= 1:
             raise ModelError("alpha must lie in (0, 1]")
 
-    def evaluate(self, model: GroupoidModel, g: GroupoidElement) -> complex:
-        return complex(self.alpha ** model.length(g))
+    def at_length(self, k: int) -> complex:
+        return complex(self.alpha ** k)
 
 
 @dataclass(frozen=True)
-class HaagerupKernel:
+class HaagerupKernel(RadialKernel):
     """The radial kernel ``exp(-word_length / n)``."""
 
     n: float
@@ -45,8 +52,8 @@ class HaagerupKernel:
         if self.n <= 0:
             raise ModelError("n must be positive")
 
-    def evaluate(self, model: GroupoidModel, g: GroupoidElement) -> complex:
-        return complex(math.exp(-model.length(g) / self.n))
+    def at_length(self, k: int) -> complex:
+        return complex(math.exp(-k / self.n))
 
 
 class TableKernel:
@@ -124,7 +131,11 @@ def kernel_to_json(model: GroupoidModel, kernel) -> dict:
 # -- Gram matrices and positivity -------------------------------------------
 
 def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
-    """Gram matrix ``G[i, j] = F(x_i^-1 x_j)`` for a tuple in one range fiber."""
+    """Gram matrix ``G[i, j] = F(x_i^-1 x_j)`` for a tuple in one range fiber.
+
+    A radial kernel is evaluated once per word length up to the largest
+    ``length(x_i^-1 x_j)`` and gathered; a table kernel is looked up pair
+    by pair."""
     elements = list(elements)
     if not elements:
         return np.zeros((0, 0), dtype=complex)
@@ -132,6 +143,10 @@ def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
     if any(g.unit != u for g in elements):
         raise PreconditionError("Gram matrix needs elements in a common range fiber")
     backend = model.backend
+    if isinstance(kernel, RadialKernel):
+        lengths = backend.pair_lengths([g.word for g in elements])
+        values = [kernel.at_length(k) for k in range(lengths.max() + 1)]
+        return np.array(values, dtype=complex)[lengths]
     inv_words = [backend.inv(g.word) for g in elements]
     src = [model.source_unit(g) for g in elements]
     n = len(elements)
@@ -192,8 +207,10 @@ class GnsData:
 def gns_build(model: GroupoidModel, kernel, u: int, k: int,
               null_tol: float = 1e-10, psd_tol: float = 1e-9,
               budget=None) -> GnsData:
-    """Gram data of the radius-k ball at unit ``u``; raises if the kernel
-    is not positive semidefinite there."""
+    """Gram data of the radius-k ball at unit ``u``, k >= 0; raises if the
+    kernel is not positive semidefinite there."""
+    if k < 0:
+        raise ValueError("GNS radius k must be >= 0")
     basis = model.ball(u, k, budget=budget)
     gram = gram_matrix(model, kernel, basis)
     eigenvalues = np.linalg.eigvalsh(gram)

@@ -124,43 +124,54 @@ class DeltaEstimate:
 
 
 def distance_matrix(model: GroupoidModel, points) -> np.ndarray:
-    backend = model.backend
-    words = [g.word for g in points]
-    inv_words = [backend.inv(w) for w in words]
-    n = len(words)
-    D = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        wi = inv_words[i]
-        for j in range(i + 1, n):
-            d = backend.length(backend.mul(wi, words[j]))
-            D[i, j] = d
-            D[j, i] = d
-    return D
+    """Word-metric distances ``length(x_i^-1 x_j)`` between the points, as int16."""
+    return model.backend.pair_lengths([g.word for g in points]).astype(np.int16)
+
+
+def _four_point_defect(D: np.ndarray) -> int:
+    """Largest ``s_ab - max(s_ac, s_ad)`` over index tuples ``i <= j, k, l``
+    of the metric ``D``, where ``s_ab = D[i, j] + D[k, l]``, ``s_ac = D[i, k]
+    + D[j, l]`` and ``s_ad = D[i, l] + D[j, k]``; 0 if none is positive.
+
+    With ``i`` the smallest index of a quadruple and ``j`` running over the
+    other three, this is the largest excess of the top pair-sum over the
+    second over all quadruples; repeated points give <= 0 by the triangle
+    inequality.  The sums are formed in the narrowest integer dtype that
+    holds ``2 max(D)``, on one set of ``(n - i)^3`` slabs per ``i``."""
+    top = 2 * int(D.max(initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
+    D = D.astype(dtype)
+    best = 0
+    for i in range(len(D)):
+        row, rest = D[i, i:], D[i:, i:]
+        s_ab = row[:, None, None] + rest[None, :, :]
+        s_ac = row[None, :, None] + rest[:, None, :]
+        np.maximum(s_ac, row[None, None, :] + rest[:, :, None], out=s_ac)
+        best = max(best, int(np.subtract(s_ab, s_ac, out=s_ab).max()))
+    return best
 
 
 def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
                         quad_budget: int = DEFAULT_QUADRUPLE_BUDGET) -> DeltaEstimate:
     """Largest four-point defect over all quadruples in the radius-``radius``
     ball of the fiber at ``u``: the excess of the largest pair-sum over the
-    second largest.  Zero on trees and on any 0-hyperbolic fiber."""
+    second largest.  Zero on trees and on any 0-hyperbolic fiber.
+
+    The scan takes ``i`` as the smallest index of a quadruple and ``j, k, l``
+    from ``i`` on, so an n-point ball costs ``(n(n+1)/2)^2`` index tuples:
+    that is ``quadruples``, and what ``quad_budget`` is charged before any
+    array is allocated."""
+    if radius < 0:
+        raise ValueError("delta radius must be >= 0")
     points = model.ball(u, radius)
     n = len(points)
-    quadruples = n * n * n * (n + 1) // 2  # the scan below: i <= j, all k, l
+    quadruples = (n * (n + 1) // 2) ** 2
     if quadruples > quad_budget:
         raise BudgetError(
             f"{quadruples} quadruples exceed budget {quad_budget}",
             required=quadruples, budget=quad_budget)
-    D = distance_matrix(model, points)
-    best = 0
-    # pairing (i,j)+(k,l) vs the two cross pairings; i <= j by symmetry
-    for i in range(n):
-        Dj = D[i:].astype(np.int32)
-        s_ab = D[i, i:][:, None, None] + D[None, :, :].astype(np.int32)
-        s_ac = D[i][None, :, None] + Dj[:, None, :]
-        s_ad = D[i][None, None, :] + Dj[:, :, None]
-        defect = s_ab - np.maximum(s_ac, s_ad)
-        best = max(best, int(defect.max()))
-    return DeltaEstimate(delta=float(max(0, best)), radius=radius, unit=u,
+    best = _four_point_defect(distance_matrix(model, points))
+    return DeltaEstimate(delta=float(best), radius=radius, unit=u,
                          n_points=n, quadruples=quadruples)
 
 

@@ -101,6 +101,21 @@ class FreeGroup:
     def length(self, w: tuple) -> int:
         return len(w)
 
+    def pair_lengths(self, words) -> np.ndarray:
+        """``length(w_i^-1 w_j)`` for all pairs of reduced words:
+        ``len_i + len_j - 2 lcp(w_i, w_j)``, with the longest common prefix
+        taken column by column over the words' zero-padded letters."""
+        lens = np.array([len(w) for w in words], dtype=np.int64)
+        letters = np.zeros((len(lens), int(lens.max(initial=0))), dtype=np.int64)
+        letters[np.arange(letters.shape[1]) < lens[:, None]] = [x for w in words for x in w]
+        same = np.ones((len(lens), len(lens)), dtype=bool)
+        lcp = np.zeros(same.shape, dtype=np.int64)
+        for col in letters.T:
+            same &= col[:, None] == col
+            lcp += same
+        # equal words also agree on their padding
+        return lens[:, None] + lens - 2 * np.minimum(lcp, lens[:, None])
+
     def sphere_count(self, k: int) -> int:
         if k < 0:
             return 0
@@ -242,6 +257,11 @@ class FiniteGroup:
 
     def length(self, w: int) -> int:
         return int(self.dist[w])
+
+    def pair_lengths(self, words) -> np.ndarray:
+        """``length(w_i^-1 w_j)`` for all pairs of elements, from the table."""
+        w = np.asarray(words, dtype=np.int64)
+        return self.dist[self.table[self.inverse[w][:, None], w]]
 
     def sphere_count(self, k: int) -> int:
         if 0 <= k < len(self._spheres):

@@ -234,7 +234,14 @@ def test_usage_errors_exit_two(files, capsys):
                     ("normbound", {"L": -1}),
                     # eps outside (0, 1] or a negative radius
                     ("haagerup", {"eps_list": [0]}), ("haagerup", {"eps_list": [2]}),
-                    ("haagerup", {"k_list": [-1]})):
+                    ("haagerup", {"k_list": [-1]}),
+                    # empty balls or inputs that would pass vacuously
+                    ("delta", {"radius": -1}), ("gns", {"k": -1}),
+                    ("pdcheck", {"mode": {"ball": {"unit": 0, "k": -1}}}),
+                    ("pdcheck", {"mode": {"random": {"count": -1}}}),
+                    ("pdcheck", {"mode": {"random": {"count": 0}}}),
+                    ("pdcheck", {"mode": {"random": {"max_len": -1}}}),
+                    ("pdcheck", {"mode": {"random": {"max_size": 0}}})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')

@@ -8,9 +8,10 @@ import pytest
 import etale
 from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
                    KernelDomainError, KernelPositivityError, ModelError,
-                   PreconditionError, TableKernel, gns_build,
+                   PreconditionError, TableKernel, distance_matrix, gns_build,
                    gns_isometry_defect, gram_matrix, haagerup_witness_check,
                    matrix_coeff_recovery, pointwise_product_check, psd_check)
+from etale.cli import _random_fiber_tuple
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -86,6 +87,8 @@ def test_psd_fails_on_indefinite_table(z):
     assert not psd_check(z, kern, z.ball(0, 1)).passed
     with pytest.raises(KernelPositivityError):
         gns_build(z, kern, 0, 1)
+    with pytest.raises(ValueError):
+        gns_build(z, ExpLengthKernel(0.5), 0, -1)
 
 
 def test_gns_dimensions_and_nullspace(f2):
@@ -188,6 +191,49 @@ def test_gns_checks_match_rep_matrix_oracle(name, s3):
                 else:
                     with pytest.raises(PreconditionError):
                         matrix_coeff_recovery(model, kern, x, k)
+
+
+def _loop_distance_matrix(model, points):
+    """``length(x_i^-1 x_j)`` by one backend product per pair."""
+    backend = model.backend
+    D = np.zeros((len(points), len(points)), dtype=np.int16)
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            D[i, j] = backend.length(backend.mul(backend.inv(x.word), y.word))
+    return D
+
+
+def _loop_gram(model, kernel, elements):
+    """``F(x_i^-1 x_j)`` by one kernel evaluation per pair."""
+    G = np.zeros((len(elements), len(elements)), dtype=complex)
+    for i, x in enumerate(elements):
+        xi = model.inverse(x)
+        for j, y in enumerate(elements):
+            G[i, j] = kernel.evaluate(model, model.compose(xi, y))
+    return G
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_pair_tables_match_per_pair_loops(name, s3):
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    rng = np.random.default_rng(37)
+    kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5), _random_table(model, rng))
+    last = model.units - 1
+    tuples = [model.ball(u, k) for u in (0, last) for k in range(4)]
+    tuples += [_random_fiber_tuple(model, rng, 12, 4) for _ in range(20)]
+    xs = [GroupoidElement(last, w) for w in model.backend.sphere_words(1)]
+    xs += [GroupoidElement(0, w) for w in model.backend.sphere_words(2)[:3]]
+    for x in xs:
+        tuples.append([model.compose(x, a) for a in model.ball(model.source_unit(x), 2)])
+    tuples += [[g] for g in model.ball(last, 2)]
+    for elements in tuples:
+        D = distance_matrix(model, elements)
+        want = _loop_distance_matrix(model, elements)
+        assert D.dtype == want.dtype and np.array_equal(D, want)
+        for kern in kernels:
+            G = gram_matrix(model, kern, elements)
+            want = _loop_gram(model, kern, elements)
+            assert G.dtype == want.dtype and np.array_equal(G, want)
 
 
 def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):

@@ -1,4 +1,6 @@
 """Fiber geometry: word metric, growth reports, hyperbolicity, band check."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_function
@@ -8,6 +10,9 @@ from etale import (BudgetError, GroupoidElement, NonComposableError,
                    PreconditionError, band_check, distance_matrix,
                    fiber_distance, growth_stats, hyperbolicity_delta,
                    overlap_constant, sphere_indicator)
+from etale.metric import _four_point_defect
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def oracle_four_point(D):
@@ -122,13 +127,83 @@ def test_delta_cycle_against_oracle(z6):
 def test_delta_monotone_in_radius(z6):
     vals = [hyperbolicity_delta(z6, 0, r).delta for r in (1, 2, 3)]
     assert vals == sorted(vals)
+    with pytest.raises(ValueError):
+        hyperbolicity_delta(z6, 0, -1)
+
+
+def ordered_scan(D):
+    """The four-point scan over ordered index tuples ``i <= j`` and all
+    ``k, l``, in int32: n^2 * n(n+1)/2 tuples."""
+    D = np.asarray(D, dtype=np.int32)
+    best = 0
+    for i in range(len(D)):
+        s_ab = D[i, i:][:, None, None] + D[None, :, :]
+        s_ac = D[i][None, :, None] + D[i:][:, None, :]
+        s_ad = D[i][None, None, :] + D[i:][:, :, None]
+        best = max(best, int((s_ab - np.maximum(s_ac, s_ad)).max()))
+    return best
+
+
+def _graph_metric(rng, n, extra):
+    """Shortest-path metric of a seeded random connected graph: a random
+    spanning tree plus ``extra`` random edges."""
+    D = np.full((n, n), n, dtype=np.int64)
+    np.fill_diagonal(D, 0)
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        D[u, v] = D[v, u] = 1
+    for u, v in rng.integers(n, size=(extra, 2)):
+        if u != v:
+            D[u, v] = D[v, u] = 1
+    for w in range(n):  # Floyd-Warshall
+        D = np.minimum(D, D[:, w, None] + D[w, None, :])
+    return D.astype(np.int16)
+
+
+def _cyclic_model(order):
+    table = (np.arange(order)[:, None] + np.arange(order)) % order
+    return etale.group_model(etale.FiniteGroup(table, [1]))
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_scan_matches_ordered_scan_on_models(name, s3):
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    for radius in range(4):
+        D = distance_matrix(model, model.ball(0, radius))
+        best = ordered_scan(D)
+        assert _four_point_defect(D) == best
+        assert hyperbolicity_delta(model, 0, radius).delta == max(0, best)
+
+
+def test_scan_matches_ordered_scan_on_graphs():
+    rng = np.random.default_rng(31)
+    deltas = []
+    for n, extra in ((1, 0), (2, 0), (5, 2), (12, 0), (12, 4), (20, 6), (30, 3), (30, 15)):
+        for _ in range(3):
+            D = _graph_metric(rng, n, extra)
+            deltas.append(ordered_scan(D))
+            assert _four_point_defect(D) == deltas[-1]
+    assert max(deltas) >= 2 and 0 in deltas
+
+
+@pytest.mark.parametrize("order,step,diameter", [(126, 3, 63), (130, 5, 65)])
+def test_scan_on_both_sides_of_the_int8_switch(order, step, diameter):
+    # 2 * 63 = 126 fits int8 and 2 * 65 = 130 does not; the antipodal points
+    # are kept, so the largest pair sums reach 2 * diameter
+    model = _cyclic_model(order)
+    D = distance_matrix(model, [GroupoidElement(0, w) for w in range(0, order, step)])
+    assert D.max() == diameter
+    best = ordered_scan(D)
+    assert best >= diameter - step
+    assert _four_point_defect(D) == best
 
 
 def test_delta_budget(f2):
     with pytest.raises(BudgetError) as err:
         hyperbolicity_delta(f2, 0, 4)
-    # the budget is charged the quadruples scanned: n^2 * n(n+1)/2 for n = 161
-    assert err.value.required == 338_035_761
+    # the budget is charged the index tuples scanned, i the smallest:
+    # (n(n+1)/2)^2 for n = 161
+    assert err.value.required == 170_067_681
     est = hyperbolicity_delta(f2, 0, 4, quad_budget=400_000_000)
     assert est.delta == 0.0
     assert est.quadruples == err.value.required
