@@ -107,16 +107,16 @@ def _run_growth(model, mu, cfg, seed, budget):
 def _run_delta(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
     units = list(range(model.units)) if opts["units"] == "all" else [int(u) for u in opts["units"]]
+    if not units or not all(0 <= u < model.units for u in units):
+        raise ModelError(f"delta needs a nonempty list of units in 0..{model.units - 1}: {units}")
+    # every fiber has the same word metric: one scan serves every unit
+    est = hyperbolicity_delta(model, units[0], int(opts["radius"]),
+                              quad_budget=int(opts["quad_budget"]))
+    reports = [dataclasses.replace(est, unit=u) for u in units]
     rows = [("unit", "radius", "delta", "n_points", "quadruples")]
-    reports = []
-    for u in units:
-        est = hyperbolicity_delta(model, u, int(opts["radius"]),
-                                  quad_budget=int(opts["quad_budget"]))
-        reports.append(est)
-        rows.append((u, est.radius, est.delta, est.n_points, est.quadruples))
-    top = max(r.delta for r in reports)
-    results = {"per_unit": reports, "delta": top,
-               "overlap_constant": overlap_constant(model, top)}
+    rows += [(u, est.radius, est.delta, est.n_points, est.quadruples) for u in units]
+    results = {"per_unit": reports, "delta": est.delta,
+               "overlap_constant": overlap_constant(model, est.delta)}
     return results, "pass", True, {"delta": rows}, opts
 
 
@@ -337,15 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etale",
         description="finite-truncation analysis of groupoid convolution algebras")
-    sub = parser.add_subparsers(dest="operation", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--config", help="JSON file with operation parameters")
-        p.add_argument("--out", help="output directory for report.json and tables/")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget (elements per ball)")
+    parser.add_argument("operation", choices=HANDLERS)
+    parser.add_argument("--model", required=True, help="model JSON file")
+    parser.add_argument("--config", help="JSON file with operation parameters")
+    parser.add_argument("--out", help="output directory for report.json and tables/")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=None,
+                        help="enumeration budget (elements per ball)")
     return parser
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, tables, exit codes, reproducibility."""
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -152,6 +153,21 @@ def test_delta_cli_all_units(files, capsys):
     assert len(report["results"]["per_unit"]) == 1
 
 
+def test_delta_cli_one_scan_for_every_unit(files, capsys, f2_32, monkeypatch):
+    units = [0, 5, 17, 31]
+    direct = [etale.hyperbolicity_delta(f2_32, u, 3) for u in units]
+    calls = []
+    scan = etale.metric._four_point_defect
+    monkeypatch.setattr(etale.metric, "_four_point_defect",
+                        lambda D: calls.append(D.shape) or scan(D))
+    cfg = write_cfg(files, "delta32", {"radius": 3, "units": units})
+    code, report = run_json(capsys, ["delta", "--model", files["f2_32"], "--config", cfg])
+    assert code == 0
+    assert calls == [(53, 53)]
+    assert report["results"]["per_unit"] == [dataclasses.asdict(est) for est in direct]
+    assert report["results"]["delta"] == max(est.delta for est in direct)
+
+
 def test_norm_cli_with_ladder(files, capsys):
     cfg = write_cfg(files, "norm", {"L": 4, "ladder": [2, 4], "unit": 0})
     code, report = run_json(capsys, ["norm", "--model", files["z"], "--config", cfg])
@@ -235,6 +251,10 @@ def test_usage_errors_exit_two(files, capsys):
                     # eps outside (0, 1] or a negative radius
                     ("haagerup", {"eps_list": [0]}), ("haagerup", {"eps_list": [2]}),
                     ("haagerup", {"k_list": [-1]}),
+                    ("haagerup", {"n_list": []}), ("haagerup", {"k_list": []}),
+                    ("haagerup", {"eps_list": []}),
+                    # every requested unit is range-checked, not only the scanned one
+                    ("delta", {"units": [0, 99]}),
                     # empty balls or inputs that would pass vacuously
                     ("delta", {"radius": -1}), ("gns", {"k": -1}),
                     ("pdcheck", {"mode": {"ball": {"unit": 0, "k": -1}}}),
@@ -248,11 +268,20 @@ def test_usage_errors_exit_two(files, capsys):
     assert main(["pdcheck", "--model", files["f2"], "--config", str(inf_kernel)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["delta", "--model", files["f2"],
+                 "--config", write_cfg(files, "bad", {"units": []})]) == 2
+    assert "nonempty list of units" in capsys.readouterr().err
 
 
 def test_bad_operation_exits_two(files):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--model", files["f2"]])
+    assert exc.value.code == 2
+
+
+def test_missing_model_exits_two():
+    with pytest.raises(SystemExit) as exc:
+        main(["growth"])
     assert exc.value.code == 2
 
 

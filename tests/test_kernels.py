@@ -267,7 +267,7 @@ def test_haagerup_witness_free(f2):
                      (3.0, 0.01): 14, (4.0, 0.1): 10, (4.0, 0.01): 19}
     devs = {(r["n"], r["k"]): r["sup_dev"] for r in rep.deviation_rows}
     assert devs[(2.0, 4)] == pytest.approx(1 - math.exp(-2.0))
-    assert any(r["spot_checked"] for r in rep.vanishing_rows)
+    assert all(r["spot_checked"] for r in rep.vanishing_rows)
 
 
 def test_haagerup_witness_bounded_model(z6):
@@ -277,6 +277,71 @@ def test_haagerup_witness_bounded_model(z6):
     # diameter 3 caps the deviation
     assert devs[(1.0, 8)] == pytest.approx(1 - math.exp(-3.0))
     assert all(r["vacuous"] for r in rep.vanishing_rows)
+
+
+def _reference_haagerup(model, n_list, k_list, eps_list, spot_budget=200_000):
+    """The witness check by enumeration: the kernel evaluated on every unit,
+    on every element of each radius-k ball, and on every element of the
+    sphere at ``radius + 1`` when its ball has at most ``spot_budget``
+    elements."""
+    n_list = sorted(float(n) for n in n_list)
+    max_radius = model.backend.max_radius
+    unit_rows, deviation_rows, monotone_rows, vanishing_rows = [], [], [], []
+    sups = {}
+    for n in n_list:
+        kern = HaagerupKernel(n)
+        unit_rows.append({"n": n, "ok": all(kern.evaluate(model, model.unit_element(u)) == 1.0
+                                            for u in range(model.units))})
+        for k in k_list:
+            k_eff = k if max_radius is None else min(k, max_radius)
+            measured = max(abs(1 - kern.evaluate(model, g)) for g in model.ball(0, k))
+            expected = 1.0 - math.exp(-k_eff / n)
+            sups[(n, k)] = measured
+            deviation_rows.append({"n": n, "k": k, "sup_dev": measured, "expected": expected,
+                                   "ok": abs(measured - expected) <= 1e-12})
+    for k in k_list:
+        for lo, hi in zip(n_list, n_list[1:]):
+            monotone_rows.append({"k": k, "n_small": lo, "n_large": hi,
+                                  "ok": sups[(hi, k)] <= sups[(lo, k)] + 1e-12})
+    for n in n_list:
+        kern = HaagerupKernel(n)
+        for eps in eps_list:
+            radius = math.ceil(n * math.log(1.0 / eps))
+            tail = math.exp(-(radius + 1) / n)
+            ok = tail < eps
+            row = {"n": n, "eps": eps, "radius": radius, "tail_bound": tail, "vacuous": False}
+            if max_radius is not None and radius >= max_radius:
+                row["vacuous"], ok = True, True
+            elif model.ball_count(radius + 1) <= spot_budget:
+                ok = ok and max(abs(kern.evaluate(model, g))
+                                for g in model.sphere(0, radius + 1)) < eps
+            row["ok"] = ok
+            vanishing_rows.append(row)
+    return unit_rows, deviation_rows, monotone_rows, vanishing_rows
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_haagerup_witness_matches_enumeration_oracle(name, s3):
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    n_list, k_list, eps_list = [0.5, 3, 1, 2], [0, 1, 2, 3, 5, 8], [1, 0.5, 0.1, 0.01]
+    rep = haagerup_witness_check(model, n_list, k_list, eps_list)
+    units, devs, monos, vans = _reference_haagerup(model, n_list, k_list, eps_list)
+    assert rep.unit_rows == units
+    assert rep.deviation_rows == devs
+    assert rep.monotone_rows == monos
+    assert [{k: r[k] for k in vans[0]} for r in rep.vanishing_rows] == vans
+    assert rep.passed == all(r["ok"] for r in units + devs + monos + vans)
+    assert all(r["spot_checked"] != r["vacuous"] for r in rep.vanishing_rows)
+
+
+def test_haagerup_witness_beyond_the_enumeration_budget(f2):
+    # the radius-30 ball of F2 has about 4e14 elements
+    rep = haagerup_witness_check(f2, [2, 4], [1, 30], [0.1])
+    assert rep.passed
+    devs = {(r["n"], r["k"]): r["sup_dev"] for r in rep.deviation_rows}
+    assert devs[(4.0, 30)] == 1 - math.exp(-30 / 4)
+    with pytest.raises(ValueError):
+        haagerup_witness_check(f2, [2], [], [0.1])
 
 
 def test_pointwise_product(f2):
