@@ -124,11 +124,8 @@ def unit_indicator(model: GroupoidModel) -> CcFunction:
 
 def sphere_indicator(model: GroupoidModel, k: int, budget=None) -> CcFunction:
     """Indicator of word length exactly k, over every fiber."""
-    out = CcFunction(model)
-    for u in range(model.units):
-        for g in model.sphere(u, k, budget=budget):
-            out.data[g] = 1.0 + 0j
-    return out
+    words = [g.word for g in model.sphere(0, k, budget=budget)]
+    return CcFunction(model, {(u, w): 1.0 for u in range(model.units) for w in words})
 
 
 def length_weighted(model: GroupoidModel, alpha: float, k: int, budget=None) -> CcFunction:

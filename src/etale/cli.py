@@ -81,13 +81,12 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     raise ModelError(f"unknown function spec {kind!r}")
 
 
-def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, max_len: int):
+def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, words):
+    """Up to ``max_size`` of the ball ``words``, drawn at a random unit."""
     u = int(rng.integers(model.units))
-    pool = model.ball(u, max_len)
-    size = int(rng.integers(1, max_size + 1))
-    size = min(size, len(pool))
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return [pool[i] for i in sorted(idx)]
+    size = min(int(rng.integers(1, max_size + 1)), len(words))
+    idx = rng.choice(len(words), size=size, replace=False)
+    return [GroupoidElement(u, words[i]) for i in sorted(idx)]
 
 
 # -- handlers ---------------------------------------------------------------
@@ -111,7 +110,7 @@ def _run_delta(model, mu, cfg, seed, budget):
         raise ModelError(f"delta needs a nonempty list of units in 0..{model.units - 1}: {units}")
     # every fiber has the same word metric: one scan serves every unit
     est = hyperbolicity_delta(model, units[0], int(opts["radius"]),
-                              quad_budget=int(opts["quad_budget"]))
+                              quad_budget=int(opts["quad_budget"]), budget=budget)
     reports = [dataclasses.replace(est, unit=u) for u in units]
     rows = [("unit", "radius", "delta", "n_points", "quadruples")]
     rows += [(u, est.radius, est.delta, est.n_points, est.quadruples) for u in units]
@@ -138,8 +137,9 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         if count < 1 or max_size < 1 or max_len < 0:
             raise ValueError("pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
-        for _ in range(count):
-            tuples.append(_random_fiber_tuple(model, rng, max_size, max_len))
+        # every fiber's ball has the same words: read them once
+        words = [g.word for g in model.ball(0, max_len, budget=budget)]
+        tuples += [_random_fiber_tuple(model, rng, max_size, words) for _ in range(count)]
     else:
         raise ModelError("pdcheck mode must be 'ball' or 'random'")
     rows = [("tuple", "size", "min_eig", "passed")]
@@ -160,11 +160,8 @@ def _run_gns(model, mu, cfg, seed, budget):
     kern = kernel_from_json(model, opts["kernel"])
     u, k = int(opts["unit"]), int(opts["k"])
     data = gns_build(model, kern, u, k, null_tol=float(opts["null_tol"]), budget=budget)
-    defects = []
-    for w in model.backend.sphere_words(1):
-        x = GroupoidElement(u, w)
-        defects.append(gns_isometry_defect(model, kern, x, k, budget=budget))
-    worst = max(defects, default=0.0)
+    worst = max((gns_isometry_defect(model, kern, x, k, budget=budget)
+                 for x in model.sphere(u, 1)), default=0.0)
     ok = worst <= float(opts["isometry_tol"])
     results = {"unit": u, "k": k, "dim": data.dim, "null_dim": data.null_dim,
                "quotient_dim": data.quotient_dim,
@@ -186,16 +183,16 @@ def _run_haagerup(model, mu, cfg, seed, budget):
 def _run_bandcheck(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"k": 2, "n": 1, "unit": 0, "delta_radius": 3,
                        "support_cap": 200, "tol": 1e-9})
-    k, n, u = int(opts["k"]), int(opts["n"]), int(opts["unit"])
+    k, n, u, cap = int(opts["k"]), int(opts["n"]), int(opts["unit"]), int(opts["support_cap"])
+    if cap < 1:
+        raise ValueError("bandcheck support_cap must be >= 1")
     rng = np.random.default_rng(seed)
-    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]))
+    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
 
     def random_sphere_function(kk, bound_one):
-        full = []
-        for uu in range(model.units):
-            full.extend(model.sphere(uu, kk, budget=budget))
-        cap = int(opts["support_cap"])
+        words = [g.word for g in model.sphere(0, kk, budget=budget)]
+        full = [GroupoidElement(uu, w) for uu in range(model.units) for w in words]
         if len(full) > cap:
             idx = sorted(rng.choice(len(full), size=cap, replace=False).tolist())
             full = [full[i] for i in idx]
@@ -237,7 +234,7 @@ def _run_powerseq(model, mu, cfg, seed, budget):
 def _run_normbound(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"alpha": 0.5, "k": 1, "p": 2, "L": 6, "delta_radius": 3,
                        "max_iter": 2000, "tol": 1e-10})
-    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]))
+    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
     rep = verify_norm_bound(model, mu, float(opts["alpha"]), int(opts["k"]),
                             float(opts["p"]), C, L=int(opts["L"]),
@@ -274,7 +271,7 @@ def _run_certify(model, mu, cfg, seed, budget):
                        alpha=None if opts["alpha"] is None else float(opts["alpha"]),
                        K=None if opts["K"] is None else int(opts["K"]),
                        delta_radius=int(opts["delta_radius"]),
-                       witness_cap=int(opts["witness_cap"]))
+                       witness_cap=int(opts["witness_cap"]), budget=budget)
     rows = [("k", "witness_ratio")] + [list(r) for r in cert.witness_rows]
     ok = cert.verdict == "Certified"
     return cert, cert.verdict, ok, {"witness": rows}, opts

@@ -66,6 +66,8 @@ def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
         raise ValueError("alpha must lie in (0, 1]")
     if K is None:
         K = default_truncation(model)
+    if K < 0:
+        raise ValueError("truncation K must be >= 0")
     counts = [model.sphere_count(k) for k in range(K + 1)]
 
     cond2 = []
@@ -192,9 +194,9 @@ class Certificate:
 def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,
                 q: float, p: float, alpha: float | None = None,
                 K: int | None = None, delta_radius: int = 3,
-                witness_cap: int = 400) -> Certificate:
+                witness_cap: int = 400, budget=None) -> Certificate:
     """Assemble the two-sided certificate at ``alpha`` (default: the
-    band's sample point)."""
+    band's sample point).  ``budget`` bounds the delta ball's elements."""
     band = threshold_band(growth, q, p)
     if alpha is None:
         if band.sample_alpha is None:
@@ -202,7 +204,7 @@ def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,
         alpha = band.sample_alpha
     in_band = band.lower < alpha < band.upper
 
-    est = hyperbolicity_delta(model, 0, delta_radius)
+    est = hyperbolicity_delta(model, 0, delta_radius, budget=budget)
     C = overlap_constant(model, est.delta)
 
     extends = extension_criteria(model, mu, alpha, p, K=K)

@@ -152,7 +152,8 @@ def _four_point_defect(D: np.ndarray) -> int:
 
 
 def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
-                        quad_budget: int = DEFAULT_QUADRUPLE_BUDGET) -> DeltaEstimate:
+                        quad_budget: int = DEFAULT_QUADRUPLE_BUDGET,
+                        budget=None) -> DeltaEstimate:
     """Largest four-point defect over all quadruples in the radius-``radius``
     ball of the fiber at ``u``: the excess of the largest pair-sum over the
     second largest.  Zero on trees and on any 0-hyperbolic fiber.
@@ -160,10 +161,10 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
     The scan takes ``i`` as the smallest index of a quadruple and ``j, k, l``
     from ``i`` on, so an n-point ball costs ``(n(n+1)/2)^2`` index tuples:
     that is ``quadruples``, and what ``quad_budget`` is charged before any
-    array is allocated."""
+    array is allocated.  ``budget`` bounds the ball's elements."""
     if radius < 0:
         raise ValueError("delta radius must be >= 0")
-    points = model.ball(u, radius)
+    points = model.ball(u, radius, budget=budget)
     n = len(points)
     quadruples = (n * (n + 1) // 2) ** 2
     if quadruples > quad_budget:
@@ -207,9 +208,12 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     ``C * |f|_l1`` on the fiber at ``u``.
 
     Preconditions: ``supp f`` inside the length-k sphere, ``supp g``
-    inside the length-n sphere, ``|g| <= 1`` pointwise.
+    inside the length-n sphere, ``|g| <= 1`` pointwise, with k, n >= 0.
     """
     model = f.model
+    if k < 0 or n < 0:
+        raise ValueError("band check needs sphere radii k, n >= 0")
+    model.unit_element(u)  # range-checks u
     for x in f.support():
         if model.length(x) != k:
             raise PreconditionError(f"support of f must sit at word length {k}")

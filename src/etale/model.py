@@ -10,16 +10,17 @@ Two backends supply the group arithmetic:
 * ``FiniteGroup(table, generators)`` -- a multiplication table of order
   at most 256 with a designated symmetric generating set.
 
-All enumeration (spheres and balls of the word metric, fiber by fiber)
-is deterministic: free words in length-lexicographic order with the
-letter order ``a < A < b < B < ...``, finite elements in breadth-first
-discovery order.
+Each backend's ``ball_tree(L)`` is the one enumeration of the radius-L
+ball, and ``ball_words(L)`` reads the words off it in tree order, with no
+cache: free words in length-lexicographic order with the letter order
+``a < A < b < B < ...``, finite elements in breadth-first discovery order.
+Spheres and balls of every fiber are these words with a unit attached.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -64,9 +65,6 @@ class FreeGroup:
     """Free group of the given rank with reduced-word arithmetic."""
 
     rank: int
-    # trie levels as (words, last letter columns), from the root down
-    _spheres: list = field(default_factory=lambda: [([()], np.full(1, -1))],
-                           init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -124,45 +122,40 @@ class FreeGroup:
         d = self.rank
         return 2 * d * (2 * d - 1) ** (k - 1)
 
-    def ball_count(self, k: int) -> int:
-        return sum(self.sphere_count(j) for j in range(k + 1))
-
     @property
     def max_radius(self):
         return None
-
-    def sphere_words(self, k: int) -> list:
-        """Words of length exactly k, length-lexicographic (a < A < b < B)."""
-        letters = self.letters()
-        while len(self._spheres) <= k:
-            words, last = self._spheres[-1]
-            node, col = self._children(last)
-            self._spheres.append(([words[p] + (letters[c],) for p, c in
-                                   zip(node.tolist(), col.tolist())], col))
-        return self._spheres[k][0] if k >= 0 else []
-
-    def _children(self, last):
-        """Children of trie nodes ending in letter columns ``last``: parent positions, columns."""
-        node = np.repeat(np.arange(len(last)), 2 * self.rank)
-        col = np.tile(np.arange(2 * self.rank), len(last))
-        keep = col != (last[node] ^ 1)  # letter column c ^ 1 is the inverse of c
-        return node[keep], col[keep]
 
     def ball_tree(self, L: int):
         """Length-lex trie of the radius-L ball; row n of ``right`` is the outside."""
         parent, gen = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
         lo = 0  # index of the first node of the last level
         for _ in range(L):
-            node, col = self._children(gen[-1])
-            parent.append(lo + node)
-            lo += len(gen[-1])
-            gen.append(col)
+            last = gen[-1]
+            node = np.repeat(np.arange(len(last)), 2 * self.rank)
+            col = np.tile(np.arange(2 * self.rank), len(last))
+            keep = col != (last[node] ^ 1)  # letter column c ^ 1 is the inverse of c
+            parent.append(lo + node[keep])
+            lo += len(last)
+            gen.append(col[keep])
         parent, gen = np.concatenate(parent), np.concatenate(gen)
         n = len(gen)
         right = np.full((n + 1, 2 * self.rank), n, dtype=np.int64)
         right[parent[1:], gen[1:]] = np.arange(1, n)
         right[np.arange(1, n), gen[1:] ^ 1] = parent[1:]
         return parent, gen, right
+
+    def ball_words(self, L: int) -> list:
+        """Words of length <= L in tree order (length-lex, a < A < b < B):
+        ``words[i] = words[parent[i]] + (letters()[gen[i]],)``."""
+        if L < 0:
+            return []
+        parent, gen, _ = self.ball_tree(L)
+        letters = self.letters()
+        words = [()]
+        for p, c in zip(parent[1:].tolist(), gen[1:].tolist()):
+            words.append(words[p] + (letters[c],))
+        return words
 
     def spell(self, w: tuple) -> list[int]:
         """Columns of ``letters()`` whose product is ``w``."""
@@ -243,8 +236,9 @@ class FiniteGroup:
         self.index = np.argsort(elements)  # element -> its tree row
         right = self.index[table[np.ix_(elements, self.generators)]]
         self._tree = (*np.array(edges).T, right)
-        self._spheres = [[e for e in elements if dist[e] == k]
-                         for k in range(int(dist.max()) + 1)]
+        self._elements = elements
+        self._sphere_counts = np.bincount(dist).tolist()
+        self.max_radius = len(self._sphere_counts) - 1
 
     def letters(self) -> list[int]:
         return list(self.generators)
@@ -264,25 +258,15 @@ class FiniteGroup:
         return self.dist[self.table[self.inverse[w][:, None], w]]
 
     def sphere_count(self, k: int) -> int:
-        if 0 <= k < len(self._spheres):
-            return len(self._spheres[k])
-        return 0
-
-    def ball_count(self, k: int) -> int:
-        return sum(self.sphere_count(j) for j in range(k + 1))
-
-    @property
-    def max_radius(self) -> int:
-        return len(self._spheres) - 1
-
-    def sphere_words(self, k: int) -> list:
-        if 0 <= k < len(self._spheres):
-            return list(self._spheres[k])
-        return []
+        return self._sphere_counts[k] if 0 <= k < len(self._sphere_counts) else 0
 
     def ball_tree(self, L: int):
         """The BFS tree of the whole group, for every L."""
         return self._tree
+
+    def ball_words(self, L: int) -> list:
+        """Elements of length <= L in BFS discovery order: the first tree rows."""
+        return self._elements[:int(np.count_nonzero(self.dist <= L))]
 
     def spell(self, w: int) -> list[int]:
         """Columns of ``letters()`` along the tree path to ``w``."""
@@ -389,24 +373,24 @@ class GroupoidModel:
             raise ModelError(f"unit {u} out of range")
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
-        required = self.backend.ball_count(k)
+        required = self.ball_count(k)
         if required > budget:
             raise BudgetError(
                 f"ball of radius {k} needs {required} elements, budget is {budget}",
                 required=required, budget=budget)
 
     def sphere(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
-        """Range-fiber sphere: elements of word length k with range ``u``."""
+        """Range-fiber sphere: elements of word length k with range ``u``,
+        the last sphere of ``ball(u, k)``."""
         self._charge(u, k, budget)
-        return [GroupoidElement(u, w) for w in self.backend.sphere_words(k)]
+        words = self.backend.ball_words(k)
+        return [GroupoidElement(u, w) for w in words[self.ball_count(k - 1):]]
 
     def ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
-        """Range-fiber ball: word length <= k, ordered by length then word order."""
+        """Range-fiber ball: word length <= k, the backend's ``ball_words(k)``
+        with range ``u``."""
         self._charge(u, k, budget)
-        out = []
-        for j in range(k + 1):
-            out.extend(GroupoidElement(u, w) for w in self.backend.sphere_words(j))
-        return out
+        return [GroupoidElement(u, w) for w in self.backend.ball_words(k)]
 
     def ball_tree(self, u: int, L: int, budget=None):
         """``ball(u, L)`` on the backend's integer tree ``(parent, gen, right)``:
@@ -431,7 +415,7 @@ class GroupoidModel:
         return self.backend.sphere_count(k)
 
     def ball_count(self, k: int) -> int:
-        return self.backend.ball_count(k)
+        return sum(self.backend.sphere_count(j) for j in range(k + 1))
 
     # -- serialization ------------------------------------------------------
 

@@ -35,12 +35,13 @@ from .model import FreeGroup, GroupoidModel, MeasureContext
 
 DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
+UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyond it
 
 
 # -- Lanczos ----------------------------------------------------------------
 
 def _apply(op, v):
-    """``M @ v`` for an operator ``(cols, vals)`` of ``_truncated_matrix``,
+    """``M @ v`` for an operator ``(cols, vals)`` of ``_Operator.at``,
     accumulated in place one word of f at a time."""
     cols, vals = op
     x = np.append(v, 0)
@@ -145,31 +146,43 @@ def _truncation_ladder(L: int, ladder) -> list[int]:
     return out
 
 
-def _truncated_matrix(f: CcFunction, u: int, L: int, budget=None):
-    """Left convolution by f on the radius-L ball of the source fiber at
-    ``u``: basis element i is ``(u.w_i, w_i^-1)`` for the i-th word of
-    ``ball(u, L)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
-    ``(cols, vals)`` of shape (distinct words x_k of f) x n, sorted by
-    column in each row: ``M[i, cols[k, i]] = vals[k, i] = f(u.w_i, x_k)``,
-    and column n (``w_i x_k`` outside the ball) is a zero pad."""
-    model = f.model
-    units, right = model.ball_tree(u, L, budget=budget)
-    n = len(units)
-    by_word: dict = {}  # word -> its value of f at every range unit
-    for g, v in f.items():
-        by_word.setdefault(g.word, np.zeros(model.units, dtype=complex))[g.unit] = v
-    cols = np.empty((len(by_word), n), dtype=np.int64)
-    for k, x in enumerate(by_word):
+def _columns(backend, words, right, n: int):
+    """``cols[k, i]``, the index of ``w_i x_k`` on a ball tree (n outside),
+    sorted in each row, with ``order[k, i]`` the word x that sorted there."""
+    cols = np.empty((len(words), n), dtype=np.int64)
+    for k, x in enumerate(words):
         col = np.arange(n)
-        for c in model.backend.spell(x):
+        for c in backend.spell(x):
             col = right[col, c]
         cols[k] = np.minimum(col, n)
-    vals = np.array(list(by_word.values())).reshape(len(by_word), model.units)[:, units]
     order = np.argsort(cols, axis=0, kind="stable")
-    vals = np.take_along_axis(vals, order, 0)
-    if np.all(vals.imag == 0):
-        vals = vals.real.copy()
-    return np.take_along_axis(cols, order, 0), vals
+    return np.take_along_axis(cols, order, 0), order
+
+
+class _Operator:
+    """Left convolution by f on the radius-L ball of the source fiber at a
+    unit u: basis element i is ``(u.w_i, w_i^-1)`` for the i-th word of
+    ``ball(u, L)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  f's values are
+    tabled once (distinct words x_k by range units) and the columns once per
+    radius, so a unit adds its ball's unit labels and one gather."""
+
+    def __init__(self, f: CcFunction, budget):
+        self.model, self.budget, self.columns = f.model, budget, {}
+        by_word: dict = {}  # word -> its value of f at every range unit
+        for g, v in f.items():
+            by_word.setdefault(g.word, np.zeros(self.model.units, dtype=complex))[g.unit] = v
+        self.words = list(by_word)
+        self.table = np.array(list(by_word.values())).reshape(len(by_word), self.model.units)
+
+    def at(self, u: int, L: int):
+        """``(cols, vals)`` of shape (words of f) x n, sorted by column in each
+        row: ``M[i, cols[k, i]] = vals[k, i]``; column n is a zero pad."""
+        units, right = self.model.ball_tree(u, L, budget=self.budget)
+        if L not in self.columns:
+            self.columns[L] = _columns(self.model.backend, self.words, right, len(units))
+        cols, order = self.columns[L]
+        vals = self.table[order, units]
+        return cols, (vals if vals.imag.any() else vals.real.copy())
 
 
 class _Solves(dict):
@@ -180,27 +193,26 @@ class _Solves(dict):
     def __init__(self, f: CcFunction, max_iter: int, tol: float, seed: int, budget):
         super().__init__()
         f_star = involution(f)
-        self.f, self.f_star = f, (f if f_star == f else f_star)
+        self.op = _Operator(f, budget)
+        self.op_h = self.op if f_star == f else _Operator(f_star, budget)
         self.args = (max_iter, tol, seed)
-        self.budget = budget
 
     def rung(self, u: int, L: int):
         """``(value, iterations, residual, converged)`` for the largest
         singular value of f's operator M at unit u and radius L: Lanczos on
         M when f is self-adjoint, on ``M^H M`` otherwise."""
-        op = _truncated_matrix(self.f, u, L, budget=self.budget)
-        vals = op[1]
+        cols, vals = op = self.op.at(u, L)
         key = (L, vals.dtype.char, hashlib.blake2b(vals, digest_size=16).digest())
         if key not in self:
-            n = op[0].shape[1]
-            if self.f_star is self.f:
-                self[key] = _lanczos(lambda v: _apply(op, v), n, op[0].size, *self.args)
+            n = cols.shape[1]
+            if self.op_h is self.op:
+                self[key] = _lanczos(lambda v: _apply(op, v), n, cols.size, *self.args)
             else:
                 # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
                 # is the conjugate of f(u.w_i, w_i^-1 w_j)
-                op_h = _truncated_matrix(self.f_star, u, L, budget=self.budget)
+                op_h = self.op_h.at(u, L)
                 theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
-                                        op[0].size + op_h[0].size, *self.args)
+                                        cols.size + op_h[0].size, *self.args)
                 self[key] = (math.sqrt(theta), *rest)
         return self[key]
 
@@ -223,17 +235,16 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
 
 
 def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10,
-                 ladder=None, budget=None, seed: int = 0,
-                 unit_cap: int = 64) -> NormEstimate:
-    """Largest truncated-norm estimate over units (all units, or a seeded
-    sample when the unit space is larger than ``unit_cap``).  Units whose
+                 ladder=None, budget=None, seed: int = 0) -> NormEstimate:
+    """Largest truncated-norm estimate over units (all units, or a sample of
+    ``UNIT_SAMPLE`` drawn from ``seed`` when there are more).  Units whose
     operators are equal at a rung share one solve."""
     model = f.model
-    if model.units <= unit_cap:
+    if model.units <= UNIT_SAMPLE:
         units = list(range(model.units))
     else:
         rng = np.random.default_rng(seed)
-        units = sorted(rng.choice(model.units, size=unit_cap, replace=False).tolist())
+        units = sorted(rng.choice(model.units, size=UNIT_SAMPLE, replace=False).tolist())
     solves = _Solves(f, max_iter, tol, seed, budget)
     best = None
     for u in units:
@@ -413,6 +424,8 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
     ``2 C (k+1) |f|_q``."""
     if p < 2:
         raise ValueError("p must be >= 2")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     q = p / (p - 1.0)
     f = length_weighted(model, alpha, k, budget=budget)
     est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget, seed=seed)

@@ -261,16 +261,39 @@ def test_usage_errors_exit_two(files, capsys):
                     ("pdcheck", {"mode": {"random": {"count": -1}}}),
                     ("pdcheck", {"mode": {"random": {"count": 0}}}),
                     ("pdcheck", {"mode": {"random": {"max_len": -1}}}),
-                    ("pdcheck", {"mode": {"random": {"max_size": 0}}})):
+                    ("pdcheck", {"mode": {"random": {"max_size": 0}}}),
+                    ("bandcheck", {"k": -1}), ("bandcheck", {"n": -1}),
+                    ("bandcheck", {"support_cap": 0}), ("bandcheck", {"unit": 5}),
+                    ("normbound", {"k": -1}),
+                    # negative truncations
+                    ("extend", {"alpha": 0.5, "p": 4, "K": -1}),
+                    ("certify", {"q": 2, "p": 4, "K": -1})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')
     assert main(["pdcheck", "--model", files["f2"], "--config", str(inf_kernel)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["extend", "--model", files["f2"], "--config",
+                 write_cfg(files, "bad", {"alpha": 0.5, "p": 4, "K": -1})]) == 2
+    assert "K must be >= 0" in capsys.readouterr().err
     assert main(["delta", "--model", files["f2"],
                  "--config", write_cfg(files, "bad", {"units": []})]) == 2
     assert "nonempty list of units" in capsys.readouterr().err
+
+
+def test_budget_bounds_every_ball(files, capsys):
+    # the delta ball and the pdcheck random pool are charged too
+    delta_ball = "ball of radius 3 needs 53 elements, budget is 10"
+    for op, cfg, message in (
+            ("delta", {"radius": 3}, delta_ball),
+            ("bandcheck", {}, delta_ball), ("normbound", {}, delta_ball),
+            ("certify", {"q": 2, "p": 4}, delta_ball),
+            ("pdcheck", {"mode": {"random": {"count": 1, "max_len": 4}}},
+             "ball of radius 4 needs 161 elements, budget is 10")):
+        argv = [op, "--model", files["f2"], "--config", write_cfg(files, "budget", cfg)]
+        assert main(argv + ["--budget", "10"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bad_operation_exits_two(files):

@@ -176,10 +176,8 @@ def test_gns_checks_match_rep_matrix_oracle(name, s3):
     model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
     kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5),
                _random_table(model, np.random.default_rng(23)))
-    xs = [GroupoidElement(u, w) for u in range(model.units)
-          for w in model.backend.sphere_words(1)]
-    xs += [GroupoidElement(u, w) for u in (0, model.units - 1)
-           for w in model.backend.sphere_words(2)[:3]]
+    xs = [x for u in range(model.units) for x in model.sphere(u, 1)]
+    xs += [x for u in (0, model.units - 1) for x in model.sphere(u, 2)[:3]]
     for kern in kernels:
         grams = {}
         for x in xs:
@@ -220,9 +218,9 @@ def test_pair_tables_match_per_pair_loops(name, s3):
     kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5), _random_table(model, rng))
     last = model.units - 1
     tuples = [model.ball(u, k) for u in (0, last) for k in range(4)]
-    tuples += [_random_fiber_tuple(model, rng, 12, 4) for _ in range(20)]
-    xs = [GroupoidElement(last, w) for w in model.backend.sphere_words(1)]
-    xs += [GroupoidElement(0, w) for w in model.backend.sphere_words(2)[:3]]
+    words = model.backend.ball_words(4)
+    tuples += [_random_fiber_tuple(model, rng, 12, words) for _ in range(20)]
+    xs = model.sphere(last, 1) + model.sphere(0, 2)[:3]
     for x in xs:
         tuples.append([model.compose(x, a) for a in model.ball(model.source_unit(x), 2)])
     tuples += [[g] for g in model.ball(last, 2)]

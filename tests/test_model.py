@@ -203,21 +203,71 @@ def oracle_sphere_words(rank, k):
             if all(w[i] != -w[i + 1] for i in range(k - 1))]
 
 
-def test_tree_sphere_words_match_length_lex():
+def oracle_finite_bfs(backend):
+    """Elements in breadth-first discovery order from the identity over the
+    symmetric closure of the given generators, with their word lengths."""
+    table = backend.table.tolist()
+    e = table.index(list(range(len(table))))
+    gens = []
+    for g in backend.given_generators:
+        for h in (g, table[g].index(e)):
+            if h not in gens:
+                gens.append(h)
+    order, dist = [e], {e: 0}
+    for x in order:  # grows as a FIFO queue
+        for g in gens:
+            y = table[x][g]
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    return order, dist
+
+
+def test_enumeration_matches_oracles(z6, z2_swap, s3):
     for rank in (1, 2, 3):
-        grown, fresh = FreeGroup(rank), FreeGroup(rank)
+        model = etale.group_model(FreeGroup(rank))
         for k in range(7):
-            assert grown.sphere_words(k) == oracle_sphere_words(rank, k)
-        assert fresh.sphere_words(6) == grown.sphere_words(6)
-        assert fresh.sphere_words(2) == oracle_sphere_words(rank, 2)
-        assert fresh.sphere_words(-1) == []
+            ball = [w for j in range(k + 1) for w in oracle_sphere_words(rank, j)]
+            assert model.backend.ball_words(k) == ball
+            assert model.ball(0, k) == [GroupoidElement(0, w) for w in ball]
+            assert model.sphere(0, k) == [GroupoidElement(0, w) for w in
+                                          oracle_sphere_words(rank, k)]
+    for model in (z6, z2_swap, s3):
+        order, dist = oracle_finite_bfs(model.backend)
+        for k in range(max(dist.values()) + 2):
+            ball = [x for x in order if dist[x] <= k]
+            assert model.backend.ball_words(k) == ball
+            for u in range(model.units):
+                assert model.ball(u, k) == [GroupoidElement(u, x) for x in ball]
+                assert model.sphere(u, k) == [GroupoidElement(u, x) for x in ball
+                                              if dist[x] == k]
+
+
+def test_enumeration_empty_below_zero_and_charged_first(f2, z6, monkeypatch):
+    for model in (f2, z6):
+        assert model.ball(0, -1) == [] and model.sphere(0, -1) == []
+        assert model.backend.ball_words(-1) == []
+    built = []
+    for cls in (FreeGroup, FiniteGroup):
+        monkeypatch.setattr(cls, "ball_words", lambda self, L: built.append(L) or [])
+    for model in (f2, z6):
+        for enumerate_ in (model.ball, model.sphere):
+            with pytest.raises(BudgetError):
+                enumerate_(0, 3, budget=4)
+    assert built == []
+
+
+def test_free_backend_keeps_no_word_cache(f2):
+    f2.ball(0, 6)
+    f2.sphere(0, 5)
+    assert vars(f2.backend) == {"rank": 2}
 
 
 def test_free_ball_tree_right_table():
     backend = FreeGroup(2)
     L = 4
     parent, gen, right = backend.ball_tree(L)
-    words = [w for k in range(L + 1) for w in backend.sphere_words(k)]
+    words = backend.ball_words(L)
     n = len(words)
     index = {w: i for i, w in enumerate(words)}
     letters = backend.letters()

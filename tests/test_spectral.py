@@ -19,7 +19,7 @@ from etale import (BudgetError, CcFunction, GroupoidElement, MeasureContext,
                    reduced_norm_at_unit, sphere_indicator, unit_indicator,
                    verify_norm_bound)
 from etale import spectral
-from etale.spectral import _apply, _truncated_matrix
+from etale.spectral import _apply, _Operator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,8 +215,8 @@ def test_verify_norm_bound(f2, mu_f2):
 
 
 def dense_operator(f, u, L):
-    """The truncated operator of ``_truncated_matrix`` as a dense matrix."""
-    cols, vals = _truncated_matrix(f, u, L)
+    """The truncated operator of ``_Operator.at`` as a dense matrix."""
+    cols, vals = _Operator(f, None).at(u, L)
     assert np.all(np.diff(cols, axis=0) >= 0)  # sorted by column in each row
     n = cols.shape[1]
     D = np.zeros((n, n + 1), dtype=complex)
@@ -345,7 +345,7 @@ def test_apply_matches_gather_sum(f2, f2_32):
     cases = [sphere_indicator(f2, 1), random_function(f2, rng, 2, 12),
              random_function(f2_32, rng, 2, 40), CcFunction(f2)]
     for f in cases:
-        cols, vals = op = _truncated_matrix(f, 0, 4)
+        cols, vals = op = _Operator(f, None).at(0, 4)
         n = cols.shape[1]
         for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
             x = np.append(v, 0)[cols]
@@ -391,11 +391,11 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
-    monkeypatch.setattr(spectral, "_truncated_matrix", counted("build", spectral._truncated_matrix))
-    # self-adjoint and the same operator at every unit: one build per
-    # (unit, rung) and one solve per rung
+    monkeypatch.setattr(spectral, "_columns", counted("build", spectral._columns))
+    # self-adjoint and the same operator at every unit: one column build
+    # and one solve per rung
     est = reduced_norm(sphere_indicator(f2_32, 1), 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 64}
+    assert calls == {"solve": 2, "build": 2}
     assert est.units_checked == list(range(32)) and est.unit == 0
     # not self-adjoint: M^H is built only for the solves made
     calls.update(solve=0, build=0)
@@ -408,6 +408,21 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
     est = reduced_norm(g, 2, ladder=[2])
     per_unit = [reduced_norm_at_unit(g, u, 2, ladder=[2]).value for u in range(32)]
     assert est.value == max(per_unit) and est.unit == per_unit.index(max(per_unit))
+
+
+def test_unit_sample_beyond_cap():
+    # 70 units on a cycle: a seeded sample of 64 units is solved
+    model = etale.build_model(etale.FreeGroup(1), 70, [[(u + 1) % 70 for u in range(70)]])
+    f = CcFunction(model, {GroupoidElement(u, w): 1.0 + u / 70
+                           for u in range(70) for w in ((1,), (-1,))})
+    runs = [reduced_norm(f, 3, ladder=[3], seed=s) for s in (4, 4, 5)]
+    units = runs[0].units_checked
+    assert len(units) == spectral.UNIT_SAMPLE == 64
+    assert units == sorted(set(units)) and set(units) <= set(range(70))
+    assert runs[1].units_checked == units and runs[2].units_checked != units
+    per_unit = [reduced_norm_at_unit(f, u, 3, ladder=[3], seed=4).value for u in units]
+    assert runs[0].value == max(per_unit)
+    assert runs[0].unit == units[per_unit.index(max(per_unit))]
 
 
 def test_seed_changes_start_not_value(f2):
@@ -424,9 +439,9 @@ def test_truncated_operator_checks_unit_and_budget(f2):
     chi = sphere_indicator(f2, 1)
     for u in (-1, 1):
         with pytest.raises(etale.ModelError):
-            _truncated_matrix(chi, u, 2)
+            _Operator(chi, None).at(u, 2)
     with pytest.raises(BudgetError):
-        _truncated_matrix(chi, 0, 3, budget=52)
+        _Operator(chi, 52).at(0, 3)
 
 
 def test_import_leaves_scipy_out():
