@@ -114,7 +114,7 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
 
 @dataclass
 class DeltaEstimate:
-    """Four-point hyperbolicity defect over every quadruple of a ball."""
+    """Four-point defect of a ball; ``quadruples = (n(n+1)/2)^2`` bounds its base-point scan."""
 
     delta: float
     radius: int
@@ -124,30 +124,32 @@ class DeltaEstimate:
 
 
 def distance_matrix(model: GroupoidModel, points) -> np.ndarray:
-    """Word-metric distances ``length(x_i^-1 x_j)`` between the points, as int16."""
-    return model.backend.pair_lengths([g.word for g in points]).astype(np.int16)
+    """Word-metric distances ``length(x_i^-1 x_j)`` between the points, as
+    int16; distances above 16,383 are refused, so sums of two fit too."""
+    D = model.backend.pair_lengths([g.word for g in points])
+    if D.max(initial=0) > 16_383:
+        raise ValueError("distances above 16383 do not fit the int16 metric")
+    return D.astype(np.int16)
 
 
 def _four_point_defect(D: np.ndarray) -> int:
-    """Largest ``s_ab - max(s_ac, s_ad)`` over index tuples ``i <= j, k, l``
-    of the metric ``D``, where ``s_ab = D[i, j] + D[k, l]``, ``s_ac = D[i, k]
-    + D[j, l]`` and ``s_ad = D[i, l] + D[j, k]``; 0 if none is positive.
+    """Largest excess of the top pair-sum ``D[a, b] + D[c, d]`` over the
+    second, over all quadruples of the metric ``D``; 0 if none is positive.
 
-    With ``i`` the smallest index of a quadruple and ``j`` running over the
-    other three, this is the largest excess of the top pair-sum over the
-    second over all quadruples; repeated points give <= 0 by the triangle
-    inequality.  The sums are formed in the narrowest integer dtype that
-    holds ``2 max(D)``, on one set of ``(n - i)^3`` slabs per ``i``."""
-    top = 2 * int(D.max(initial=0))
-    dtype = next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
-    D = D.astype(dtype)
+    With ``P = 2(x|y)_w = D[w, x] + D[w, y] - D[x, y]``, the pair-sums of
+    ``{w, x, y, z}`` are ``D[w, x] + D[w, y] + D[w, z]`` less its three
+    Gromov products, so the excess is the middle product less the smallest:
+    the largest ``min(P[x, z], P[y, z]) - P[x, y]``.  Each base point ``w``
+    takes ``x, y, z`` from ``w`` on, one (m, m) step in D's dtype per ``z``:
+    ``sum_w (n - w)^3 = (n(n+1)/2)^2`` tuples.  A 0 defect at ``w = 0`` is 0
+    at every base point (Gromov's lemma), which ends the scan on trees."""
     best = 0
-    for i in range(len(D)):
-        row, rest = D[i, i:], D[i:, i:]
-        s_ab = row[:, None, None] + rest[None, :, :]
-        s_ac = row[None, :, None] + rest[:, None, :]
-        np.maximum(s_ac, row[None, None, :] + rest[:, :, None], out=s_ac)
-        best = max(best, int(np.subtract(s_ab, s_ac, out=s_ab).max()))
+    for w in range(len(D)):
+        P = D[w, w:, None] + D[w, w:] - D[w:, w:]
+        for z in range(len(P)):
+            best = max(best, int((np.minimum(P[:, z, None], P[z]) - P).max()))
+        if best == 0:
+            break
     return best
 
 
@@ -158,20 +160,18 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
     ball of the fiber at ``u``: the excess of the largest pair-sum over the
     second largest.  Zero on trees and on any 0-hyperbolic fiber.
 
-    The scan takes ``i`` as the smallest index of a quadruple and ``j, k, l``
-    from ``i`` on, so an n-point ball costs ``(n(n+1)/2)^2`` index tuples:
-    that is ``quadruples``, and what ``quad_budget`` is charged before any
-    array is allocated.  ``budget`` bounds the ball's elements."""
+    An n-point ball's base-point scan visits at most ``sum_w (n - w)^3 =
+    (n(n+1)/2)^2`` tuples, ``quadruples``, charged to ``quad_budget`` from
+    ``ball_count`` before the ball is enumerated; ``budget`` bounds its size."""
     if radius < 0:
         raise ValueError("delta radius must be >= 0")
-    points = model.ball(u, radius, budget=budget)
-    n = len(points)
+    n = model.ball_count(radius)
     quadruples = (n * (n + 1) // 2) ** 2
     if quadruples > quad_budget:
         raise BudgetError(
             f"{quadruples} quadruples exceed budget {quad_budget}",
             required=quadruples, budget=quad_budget)
-    best = _four_point_defect(distance_matrix(model, points))
+    best = _four_point_defect(distance_matrix(model, model.ball(u, radius, budget)))
     return DeltaEstimate(delta=float(best), radius=radius, unit=u,
                          n_points=n, quadruples=quadruples)
 

@@ -296,6 +296,17 @@ def test_budget_bounds_every_ball(files, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_delta_refuses_before_enumerating(files, capsys, monkeypatch):
+    # radius 10^5 on z is 200,001 elements, inside the element budget; its
+    # quadruple count is refused from the ball count alone
+    calls = []
+    monkeypatch.setattr(etale.FreeGroup, "ball_words", lambda self, L: calls.append(L))
+    cfg = write_cfg(files, "delta_far", {"radius": 100_000})
+    assert main(["delta", "--model", files["z"], "--config", cfg]) == 2
+    assert "quadruples exceed budget 100000000" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_bad_operation_exits_two(files):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--model", files["f2"]])

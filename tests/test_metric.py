@@ -108,6 +108,13 @@ def test_distance_matrix(f2):
     assert D[0, 1] == 1  # identity to a generator
 
 
+def test_distance_matrix_refuses_what_int16_cannot_hold(z):
+    # length(a^-20000 A^20000) = 40000 would wrap to -25536 in int16
+    far = [GroupoidElement(0, (1,) * 20_000), GroupoidElement(0, (-1,) * 20_000)]
+    with pytest.raises(ValueError, match="16383"):
+        distance_matrix(z, far)
+
+
 def test_delta_tree_fiber_is_zero(f2):
     est = hyperbolicity_delta(f2, 0, 2)
     assert est.delta == 0.0
@@ -160,19 +167,36 @@ def _graph_metric(rng, n, extra):
     return D.astype(np.int16)
 
 
-def _cyclic_model(order):
+def _cyclic_model(order, generators=(1,)):
     table = (np.arange(order)[:, None] + np.arange(order)) % order
-    return etale.group_model(etale.FiniteGroup(table, [1]))
+    return etale.group_model(etale.FiniteGroup(table, list(generators)))
 
 
-@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def _defect_at(D, w):
+    """Largest ``min(P[x, z], P[y, z]) - P[x, y]`` for ``P = 2(x|y)_w``:
+    the four-point defect over the quadruples that contain ``w``."""
+    P = D[w, :, None] + D[w] - D
+    return int((np.minimum(P[:, None, :], P[None, :, :]) - P[:, :, None]).max())
+
+
+# Cayley balls whose defect at the identity is below the ball's defect:
+# (radius, defect at the identity, defect)
+BELOW_THE_IDENTITY = {"z8": (3, 2, 4), "z6_gens12": (1, 1, 2)}
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3",
+                                  "z8", "z6_gens12"])
 def test_scan_matches_ordered_scan_on_models(name, s3):
-    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    model = {"s3": s3, "z8": _cyclic_model(8), "z6_gens12": _cyclic_model(6, (1, 2))}.get(name)
+    model = model or etale.load_model(MODELS / f"{name}.json")
+    below = BELOW_THE_IDENTITY.get(name)
     for radius in range(4):
         D = distance_matrix(model, model.ball(0, radius))
         best = ordered_scan(D)
         assert _four_point_defect(D) == best
         assert hyperbolicity_delta(model, 0, radius).delta == max(0, best)
+        if below and below[0] == radius:
+            assert (_defect_at(D, 0), best) == below[1:]
 
 
 def test_scan_matches_ordered_scan_on_graphs():
