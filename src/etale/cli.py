@@ -353,21 +353,22 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         results, verdict, passed, tables, opts = HANDLERS[args.operation](
             model, mu, cfg, args.seed, args.budget)
+        parameters = dict(opts)
+        parameters["seed"] = args.seed
+        parameters["budget"] = args.budget
+        report = {
+            "tool_version": __version__,
+            "model_digest": model.digest(),
+            "operation": args.operation,
+            "parameters": parameters,
+            "results": results,
+            "verdict": verdict,
+        }
+        # an integer past Python's 4,300-digit str limit raises ValueError here
+        _write_report(report, tables, args.out)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parameters = dict(opts)
-    parameters["seed"] = args.seed
-    parameters["budget"] = args.budget
-    report = {
-        "tool_version": __version__,
-        "model_digest": model.digest(),
-        "operation": args.operation,
-        "parameters": parameters,
-        "results": results,
-        "verdict": verdict,
-    }
-    _write_report(report, tables, args.out)
     return 0 if passed else 1
 
 

@@ -1,4 +1,5 @@
 """Shared exception types."""
+import math
 
 
 class ModelError(ValueError):
@@ -16,6 +17,12 @@ class BudgetError(RuntimeError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def count_text(n: int) -> str:
+    """``n`` in digits up to 30 digits, else as a power of ten, so that a
+    budget message prints at any size (``str`` refuses over 4,300 digits)."""
+    return str(n) if n < 10 ** 30 else f"about 10^{math.log10(n):.2f}"
 
 
 class KernelDomainError(ValueError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CcFunction, convolve
-from .errors import BudgetError, NonComposableError, PreconditionError
+from .errors import BudgetError, NonComposableError, PreconditionError, count_text
 from .model import GroupoidElement, GroupoidModel
 
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
@@ -84,8 +84,9 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
 
     log_env = max(math.log(spheres[k]) / k for k in range(k_min, K + 1) if spheres[k] > 0)
     envelope_r = math.exp(log_env)
-    certified_upper = all(
-        spheres[k] <= math.exp(log_env * k) * (1 + 1e-9) for k in range(k_min, K + 1))
+    # envelopes compared in logs: their powers leave the float range
+    certified_upper = all(math.log(spheres[k]) <= log_env * k + math.log1p(1e-9)
+                          for k in range(k_min, K + 1) if spheres[k] > 0)
 
     ks = np.arange(k_min, K + 1, dtype=float)
     log_balls = np.array([math.log(balls[k]) for k in range(k_min, K + 1)])
@@ -93,8 +94,8 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
     fit_r = math.exp(slope)
     # pull the prefactor down until the lower envelope is certified
     fit_d = min(math.exp(math.log(balls[k]) - slope * k) for k in range(k_min, K + 1))
-    certified_lower = all(
-        balls[k] >= fit_d * math.exp(slope * k) * (1 - 1e-9) for k in range(k_min, K + 1))
+    certified_lower = all(math.log(balls[k]) >= math.log(fit_d) + slope * k + math.log1p(-1e-9)
+                          for k in range(k_min, K + 1))
 
     saturated = any(spheres[k] == 0 for k in range(1, K + 1))
     ratio = exact_sphere_ratio(spheres, k_min)
@@ -169,7 +170,7 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
     quadruples = (n * (n + 1) // 2) ** 2
     if quadruples > quad_budget:
         raise BudgetError(
-            f"{quadruples} quadruples exceed budget {quad_budget}",
+            f"{count_text(quadruples)} quadruples exceed budget {quad_budget}",
             required=quadruples, budget=quad_budget)
     best = _four_point_defect(distance_matrix(model, model.ball(u, radius, budget)))
     return DeltaEstimate(delta=float(best), radius=radius, unit=u,

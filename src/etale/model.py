@@ -14,19 +14,19 @@ Each backend's ``ball_tree(L)`` is the one enumeration of the radius-L
 ball, and ``ball_words(L)`` reads the words off it in tree order, with no
 cache: free words in length-lexicographic order with the letter order
 ``a < A < b < B < ...``, finite elements in breadth-first discovery order.
-Spheres and balls of every fiber are these words with a unit attached.
+Both go sphere by sphere, so a smaller ball is a prefix of the tree.
+Every fiber's ball is this tree with unit labels ``u . w_i`` attached.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetError, ModelError, NonComposableError
+from .errors import BudgetError, ModelError, NonComposableError, count_text
 
 Word = Union[tuple, int]
 
@@ -121,6 +121,13 @@ class FreeGroup:
             return 1
         d = self.rank
         return 2 * d * (2 * d - 1) ** (k - 1)
+
+    def ball_count(self, k: int) -> int:
+        """Closed form of ``sum_j<=k sphere_count(j)``, with ``q = 2 rank - 1``."""
+        if k < 0:
+            return 0
+        q = 2 * self.rank - 1
+        return 2 * k + 1 if q == 1 else 1 + (q + 1) * (q ** k - 1) // (q - 1)
 
     @property
     def max_radius(self):
@@ -260,13 +267,16 @@ class FiniteGroup:
     def sphere_count(self, k: int) -> int:
         return self._sphere_counts[k] if 0 <= k < len(self._sphere_counts) else 0
 
+    def ball_count(self, k: int) -> int:
+        return int(np.count_nonzero(self.dist <= k))
+
     def ball_tree(self, L: int):
         """The BFS tree of the whole group, for every L."""
         return self._tree
 
     def ball_words(self, L: int) -> list:
         """Elements of length <= L in BFS discovery order: the first tree rows."""
-        return self._elements[:int(np.count_nonzero(self.dist <= L))]
+        return self._elements[:self.ball_count(L)]
 
     def spell(self, w: int) -> list[int]:
         """Columns of ``letters()`` along the tree path to ``w``."""
@@ -328,8 +338,8 @@ class GroupoidModel:
             # perm(e) = perm(gen) o perm(parent) along the BFS tree, from every
             # unit; then verify it is a right action: perm(e.g) == perm(g) o perm(e)
             # for all e, g
-            perm = np.array([self.ball_tree(u, backend.max_radius)[0] for u in range(units)]).T
-            right = backend.ball_tree(backend.max_radius)[2]
+            parent, gen, right = backend.ball_tree(backend.max_radius)
+            perm = np.array([self.unit_labels(u, parent, gen) for u in range(units)]).T
             if not np.array_equal(perm[right.T], self.letter_perms[:, perm]):
                 raise ModelError("action permutations are not compatible with the multiplication table")
             self._elem_perm = perm[backend.index].tolist()
@@ -363,48 +373,50 @@ class GroupoidModel:
     def length(self, g: GroupoidElement) -> int:
         return self.backend.length(g.word)
 
-    def is_unit(self, g: GroupoidElement) -> bool:
-        return self.backend.length(g.word) == 0
-
     # -- enumeration --------------------------------------------------------
 
-    def _charge(self, u: int, k: int, budget) -> None:
-        if not 0 <= u < self.units:
-            raise ModelError(f"unit {u} out of range")
+    def _charge(self, k: int, budget, u: int = 0) -> None:
+        self.unit_element(u)
         if budget is None:
             budget = DEFAULT_ENUMERATION_BUDGET
         required = self.ball_count(k)
         if required > budget:
             raise BudgetError(
-                f"ball of radius {k} needs {required} elements, budget is {budget}",
+                f"ball of radius {k} needs {count_text(required)} elements, budget is {budget}",
                 required=required, budget=budget)
 
     def sphere(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber sphere: elements of word length k with range ``u``,
         the last sphere of ``ball(u, k)``."""
-        self._charge(u, k, budget)
+        self._charge(k, budget, u)
         words = self.backend.ball_words(k)
         return [GroupoidElement(u, w) for w in words[self.ball_count(k - 1):]]
 
     def ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber ball: word length <= k, the backend's ``ball_words(k)``
         with range ``u``."""
-        self._charge(u, k, budget)
+        self._charge(k, budget, u)
         return [GroupoidElement(u, w) for w in self.backend.ball_words(k)]
 
-    def ball_tree(self, u: int, L: int, budget=None):
-        """``ball(u, L)`` on the backend's integer tree ``(parent, gen, right)``:
-        ``w_i = w_parent[i] . letters()[gen[i]]``, ``right[i, c]`` is the index
-        of ``w_i . letters()[c]``, and indices from ``ball_count(L)`` on are
-        outside the ball.  Returns ``(units, right)`` with ``units[i] = u . w_i``."""
-        self._charge(u, L, budget)
-        parent, gen, right = self.backend.ball_tree(L)
-        ends = [0, *accumulate(self.sphere_count(k) for k in range(L + 1))]
-        units = np.empty(ends[-1], dtype=np.int64)
-        units[0] = u
-        for lo, hi in zip(ends[1:], ends[2:]):
+    def ball_tree(self, L: int, budget=None):
+        """The backend's tree ``(parent, gen, right)`` of the radius-L ball,
+        charged to ``budget``: ``w_i = w_parent[i] . letters()[gen[i]]``,
+        ``right[i, c]`` is the index of ``w_i . letters()[c]``, and indices
+        from ``ball_count(L)`` on are outside the ball."""
+        self._charge(L, budget)
+        return self.backend.ball_tree(L)
+
+    def unit_labels(self, u: int, parent, gen) -> np.ndarray:
+        """``u . w_i`` for every row i of a ball tree, one sphere at a time:
+        the parent of a row lies on the sphere before it."""
+        units = np.empty(len(gen), dtype=np.int64)
+        units[0] = self.unit_element(u).unit
+        lo, k = 1, 1
+        while lo < len(gen):
+            hi = lo + self.sphere_count(k)
             units[lo:hi] = self.letter_perms[gen[lo:hi], units[parent[lo:hi]]]
-        return units, right
+            lo, k = hi, k + 1
+        return units
 
     def source_ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Source-fiber ball (all elements with source ``u``), as inverses of ball(u, k)."""
@@ -415,7 +427,7 @@ class GroupoidModel:
         return self.backend.sphere_count(k)
 
     def ball_count(self, k: int) -> int:
-        return sum(self.backend.sphere_count(j) for j in range(k + 1))
+        return self.backend.ball_count(k)
 
     # -- serialization ------------------------------------------------------
 

@@ -11,8 +11,10 @@ that it is the top one is certain only once an upper bound closes the gap.
 M is read off the ball's integer tree as one column and one value per
 (row, word of f) and applied as a numpy gather; ``M^H`` is the same
 operator for ``f^*``.  Compressions only grow with L, so the estimates
-form a nondecreasing trace of lower bounds.  ``reduced_norm`` takes the
-largest over units, and units whose operators are equal share one solve.
+form a nondecreasing trace of lower bounds.  One ball tree, built at the
+top rung, serves a call: every rung is a prefix of it, and every unit a
+labelling of its rows.  ``reduced_norm`` takes the largest over units, and
+units whose operators are equal share one solve.
 
 ``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
 and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
@@ -41,7 +43,7 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 # -- Lanczos ----------------------------------------------------------------
 
 def _apply(op, v):
-    """``M @ v`` for an operator ``(cols, vals)`` of ``_Operator.at``,
+    """``M @ v`` for an operator ``(cols, vals)`` of ``_operator``,
     accumulated in place one word of f at a time."""
     cols, vals = op
     x = np.append(v, 0)
@@ -146,63 +148,65 @@ def _truncation_ladder(L: int, ladder) -> list[int]:
     return out
 
 
-def _columns(backend, words, right, n: int):
-    """``cols[k, i]``, the index of ``w_i x_k`` on a ball tree (n outside),
-    sorted in each row, with ``order[k, i]`` the word x that sorted there."""
-    cols = np.empty((len(words), n), dtype=np.int64)
-    for k, x in enumerate(words):
-        col = np.arange(n)
-        for c in backend.spell(x):
+def _operator(f: CcFunction, right, ns):
+    """Left convolution by f on the source-fiber balls of ``ns`` rows, read
+    off one ball tree ``right`` that holds the largest: basis element i is
+    ``(u.w_i, w_i^-1)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
+    ``at(r, units)``, the ``(cols, vals)`` of rung r at the tree's unit labels
+    with ``M[i, cols[k, i]] = vals[k, i]`` for the words x_k of f, sorted by
+    column in each row; column n is a zero pad.
+
+    One walk per x_k serves every rung as its first n columns clamped at n: a
+    reduced path never re-enters a ball it has left, and a finite backend's
+    tree is the whole group.  The top rung is clamped and sorted in place, so
+    no unsorted copy is kept."""
+    by_word: dict = {}  # word -> its value of f at every range unit
+    for g, v in f.items():
+        by_word.setdefault(g.word, np.zeros(f.model.units, dtype=complex))[g.unit] = v
+    table = np.array(list(by_word.values())).reshape(len(by_word), f.model.units)
+    top = np.empty((len(by_word), ns[-1]), dtype=np.int64)
+    for k, x in enumerate(by_word):
+        col = np.arange(ns[-1])
+        for c in f.model.backend.spell(x):
             col = right[col, c]
-        cols[k] = np.minimum(col, n)
-    order = np.argsort(cols, axis=0, kind="stable")
-    return np.take_along_axis(cols, order, 0), order
+        top[k] = col
+    rungs = []  # (cols, order): order[k, i] is the word sorted to cols[k, i]
+    for r, n in enumerate(ns):
+        cols = np.minimum(top[:, :n], n, out=top if r == len(ns) - 1 else None)
+        order = np.argsort(cols, axis=0, kind="stable")
+        cols.sort(axis=0)
+        rungs.append((cols, order))
 
-
-class _Operator:
-    """Left convolution by f on the radius-L ball of the source fiber at a
-    unit u: basis element i is ``(u.w_i, w_i^-1)`` for the i-th word of
-    ``ball(u, L)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  f's values are
-    tabled once (distinct words x_k by range units) and the columns once per
-    radius, so a unit adds its ball's unit labels and one gather."""
-
-    def __init__(self, f: CcFunction, budget):
-        self.model, self.budget, self.columns = f.model, budget, {}
-        by_word: dict = {}  # word -> its value of f at every range unit
-        for g, v in f.items():
-            by_word.setdefault(g.word, np.zeros(self.model.units, dtype=complex))[g.unit] = v
-        self.words = list(by_word)
-        self.table = np.array(list(by_word.values())).reshape(len(by_word), self.model.units)
-
-    def at(self, u: int, L: int):
-        """``(cols, vals)`` of shape (words of f) x n, sorted by column in each
-        row: ``M[i, cols[k, i]] = vals[k, i]``; column n is a zero pad."""
-        units, right = self.model.ball_tree(u, L, budget=self.budget)
-        if L not in self.columns:
-            self.columns[L] = _columns(self.model.backend, self.words, right, len(units))
-        cols, order = self.columns[L]
-        vals = self.table[order, units]
+    def at(r: int, units):
+        cols, order = rungs[r]
+        vals = table[order, units[:cols.shape[1]]]
         return cols, (vals if vals.imag.any() else vals.real.copy())
+    return at
 
 
 class _Solves(dict):
-    """The rung solves of one ``f``, shared between units: keyed on the rung
-    and a digest of the operator values, since the columns depend on the
-    words of f and the ball tree alone."""
+    """The rung solves of one ``f`` over a ladder, shared between units:
+    keyed on the rung and a digest of the operator values, since the
+    columns depend on the words of f and the ball tree alone.  The tree is
+    built, and charged to ``budget``, once at the top rung."""
 
-    def __init__(self, f: CcFunction, max_iter: int, tol: float, seed: int, budget):
+    def __init__(self, f: CcFunction, L: int, ladder, max_iter: int, tol: float,
+                 seed: int, budget):
         super().__init__()
+        self.ladder = _truncation_ladder(L, ladder)
+        self.parent, self.gen, right = f.model.ball_tree(self.ladder[-1], budget)
+        ns = [f.model.ball_count(Lk) for Lk in self.ladder]
         f_star = involution(f)
-        self.op = _Operator(f, budget)
-        self.op_h = self.op if f_star == f else _Operator(f_star, budget)
+        self.op = _operator(f, right, ns)
+        self.op_h = self.op if f_star == f else _operator(f_star, right, ns)
         self.args = (max_iter, tol, seed)
 
-    def rung(self, u: int, L: int):
+    def rung(self, r: int, units):
         """``(value, iterations, residual, converged)`` for the largest
-        singular value of f's operator M at unit u and radius L: Lanczos on
-        M when f is self-adjoint, on ``M^H M`` otherwise."""
-        cols, vals = op = self.op.at(u, L)
-        key = (L, vals.dtype.char, hashlib.blake2b(vals, digest_size=16).digest())
+        singular value of f's operator M at rung r and the unit labels
+        ``units``: Lanczos on M when f is self-adjoint, on ``M^H M`` otherwise."""
+        cols, vals = op = self.op(r, units)
+        key = (r, vals.dtype.char, hashlib.blake2b(vals, digest_size=16).digest())
         if key not in self:
             n = cols.shape[1]
             if self.op_h is self.op:
@@ -210,7 +214,7 @@ class _Solves(dict):
             else:
                 # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
                 # is the conjugate of f(u.w_i, w_i^-1 w_j)
-                op_h = self.op_h.at(u, L)
+                op_h = self.op_h(r, units)
                 theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
                                         cols.size + op_h[0].size, *self.args)
                 self[key] = (math.sqrt(theta), *rest)
@@ -223,10 +227,11 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
     """Truncated-convolution norm of ``f`` on the source fiber at ``u``,
     over an increasing ladder of truncation radii ending at L.  Each rung
     is one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
-    ``_solves``, which carries the solver settings and the solves shared
-    between units."""
-    solves = _Solves(f, max_iter, tol, seed, budget) if _solves is None else _solves
-    trace = [(Lk, *solves.rung(u, Lk)) for Lk in _truncation_ladder(L, ladder)]
+    ``_solves``, which carries the ladder, the solver settings and the
+    solves shared between units."""
+    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
+    units = f.model.unit_labels(u, solves.parent, solves.gen)
+    trace = [(Lk, *solves.rung(r, units)) for r, Lk in enumerate(solves.ladder)]
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
     last = trace[-1]
     return NormEstimate(value=last[1], L=last[0], unit=u, iterations=last[2],
@@ -245,12 +250,10 @@ def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10
     else:
         rng = np.random.default_rng(seed)
         units = sorted(rng.choice(model.units, size=UNIT_SAMPLE, replace=False).tolist())
-    solves = _Solves(f, max_iter, tol, seed, budget)
-    best = None
-    for u in units:
-        est = reduced_norm_at_unit(f, u, L, ladder=ladder, _solves=solves)
-        if best is None or est.value > best.value:
-            best = est
+    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget)
+    # the first unit to reach the largest value
+    best = max((reduced_norm_at_unit(f, u, L, _solves=solves) for u in units),
+               key=lambda est: est.value)
     best.units_checked = units
     return best
 

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import subprocess
+import time
 import warnings
 
 import pytest
@@ -280,6 +281,11 @@ def test_usage_errors_exit_two(files, capsys):
     assert main(["delta", "--model", files["f2"],
                  "--config", write_cfg(files, "bad", {"units": []})]) == 2
     assert "nonempty list of units" in capsys.readouterr().err
+    # budget counts past Python's 4,300-digit int-to-str limit still print
+    for op, cfg, message in (("norm", {"L": 20000}, "budget is 5000000"),
+                             ("delta", {"radius": 3000}, "exceed budget 100000000")):
+        assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_budget_bounds_every_ball(files, capsys):
@@ -304,7 +310,23 @@ def test_delta_refuses_before_enumerating(files, capsys, monkeypatch):
     cfg = write_cfg(files, "delta_far", {"radius": 100_000})
     assert main(["delta", "--model", files["z"], "--config", cfg]) == 2
     assert "quadruples exceed budget 100000000" in capsys.readouterr().err
+    # on f2 the ball count at radius 20,000 has 9,543 digits
+    start = time.perf_counter()
+    cfg = write_cfg(files, "delta_far", {"radius": 20_000})
+    assert main(["delta", "--model", files["f2"], "--config", cfg]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "quadruples exceed budget 100000000" in capsys.readouterr().err
     assert calls == []
+
+
+def test_growth_at_large_K_exits_without_traceback(files, capsys):
+    # the envelopes leave the float range at K = 550 on f2; from K = 9,100
+    # the counts pass Python's 4,300-digit int-to-str limit in the report
+    assert main(["growth", "--model", files["f2"], "--out", str(files["root"] / "g"),
+                 "--config", write_cfg(files, "growth", {"K": 550})]) == 0
+    assert main(["growth", "--model", files["f2"],
+                 "--config", write_cfg(files, "growth", {"K": 9100})]) == 2
+    assert "error: Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
 
 def test_bad_operation_exits_two(files):

@@ -135,6 +135,15 @@ def test_finite_word_metric(z6):
     assert z6.sphere(0, 5) == []
 
 
+def test_ball_count_closed_form(z6, z2_swap, s3):
+    # growth asks for every radius up to K, so a running sum would make it cubic
+    models = [etale.group_model(FreeGroup(rank)) for rank in (1, 2, 3)]
+    for model, top in [(m, 60) for m in models] + [(z6, 6), (z2_swap, 4), (s3, 5)]:
+        assert top > (model.backend.max_radius or 0)
+        for k in range(-1, top + 1):
+            assert model.ball_count(k) == sum(model.sphere_count(j) for j in range(k + 1))
+
+
 def test_action_permutation_validation():
     with pytest.raises(ModelError):
         etale.build_model(FreeGroup(2), 3, [[0, 1, 1], [0, 1, 2]])

@@ -19,7 +19,7 @@ from etale import (BudgetError, CcFunction, GroupoidElement, MeasureContext,
                    reduced_norm_at_unit, sphere_indicator, unit_indicator,
                    verify_norm_bound)
 from etale import spectral
-from etale.spectral import _apply, _Operator
+from etale.spectral import _apply, _operator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -214,9 +214,18 @@ def test_verify_norm_bound(f2, mu_f2):
         verify_norm_bound(f2, mu_f2, 0.5, 2, 1.5, 5.0)
 
 
+def operator_at(f, u, L):
+    """``(cols, vals)`` of rung L at unit u, read off a ball tree built at
+    L + 2, so that the prefix and the clamp at n are in play."""
+    model = f.model
+    parent, gen, right = model.ball_tree(L + 2)
+    at = _operator(f, right, [model.ball_count(L), model.ball_count(L + 2)])
+    return at(0, model.unit_labels(u, parent, gen))
+
+
 def dense_operator(f, u, L):
-    """The truncated operator of ``_Operator.at`` as a dense matrix."""
-    cols, vals = _Operator(f, None).at(u, L)
+    """The truncated operator of ``operator_at`` as a dense matrix."""
+    cols, vals = operator_at(f, u, L)
     assert np.all(np.diff(cols, axis=0) >= 0)  # sorted by column in each row
     n = cols.shape[1]
     D = np.zeros((n, n + 1), dtype=complex)
@@ -345,7 +354,7 @@ def test_apply_matches_gather_sum(f2, f2_32):
     cases = [sphere_indicator(f2, 1), random_function(f2, rng, 2, 12),
              random_function(f2_32, rng, 2, 40), CcFunction(f2)]
     for f in cases:
-        cols, vals = op = _Operator(f, None).at(0, 4)
+        cols, vals = op = operator_at(f, 0, 4)
         n = cols.shape[1]
         for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
             x = np.append(v, 0)[cols]
@@ -382,7 +391,7 @@ def test_lanczos_step_count_on_tree(f2):
 
 
 def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
-    calls = {"solve": 0, "build": 0}
+    calls = {"solve": 0, "build": 0, "tree": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -390,24 +399,45 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    chi = sphere_indicator(f2_32, 1)
     monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
-    monkeypatch.setattr(spectral, "_columns", counted("build", spectral._columns))
-    # self-adjoint and the same operator at every unit: one column build
-    # and one solve per rung
-    est = reduced_norm(sphere_indicator(f2_32, 1), 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 2}
+    monkeypatch.setattr(spectral, "_operator", counted("build", spectral._operator))
+    monkeypatch.setattr(etale.FreeGroup, "ball_tree", counted("tree", etale.FreeGroup.ball_tree))
+    # self-adjoint and the same operator at every unit: one tree and one
+    # column build for the whole ladder, and one solve per rung
+    est = reduced_norm(chi, 3, ladder=[2, 3])
+    assert calls == {"solve": 2, "build": 1, "tree": 1}
     assert est.units_checked == list(range(32)) and est.unit == 0
-    # not self-adjoint: M^H is built only for the solves made
-    calls.update(solve=0, build=0)
+    # not self-adjoint: one column build for f and one for f^*
+    calls.update(solve=0, build=0, tree=0)
     f = delta(f2, GroupoidElement(0, (1,))) + 2.0 * delta(f2, GroupoidElement(0, (2,)))
     reduced_norm(f, 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 4}
+    assert calls == {"solve": 2, "build": 2, "tree": 1}
     # unit-dependent: the reported unit is the first to reach the maximum
     g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
                            for w in ((1,), (-1,), (2,), (-2,))})
+    calls.update(tree=0)
     est = reduced_norm(g, 2, ladder=[2])
+    assert calls["tree"] == 1
     per_unit = [reduced_norm_at_unit(g, u, 2, ladder=[2]).value for u in range(32)]
+    assert calls["tree"] == 33
     assert est.value == max(per_unit) and est.unit == per_unit.index(max(per_unit))
+
+
+def test_over_budget_top_rung_refused_before_any_solve(f2, monkeypatch):
+    def solve(*args):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(spectral, "_lanczos", solve)
+    chi = sphere_indicator(f2, 1)
+    with pytest.raises(BudgetError) as err:
+        reduced_norm(chi, 6, ladder=[2, 4, 6], budget=f2.ball_count(4))
+    assert err.value.required == f2.ball_count(6)
+    # the default ladder's rungs 4 to 12 fit the default budget; L = 5000 does not
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        reduced_norm_at_unit(chi, 0, 5000)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unit_sample_beyond_cap():
@@ -437,11 +467,16 @@ def test_seed_changes_start_not_value(f2):
 
 def test_truncated_operator_checks_unit_and_budget(f2):
     chi = sphere_indicator(f2, 1)
+    parent, gen, _ = f2.ball_tree(2)
     for u in (-1, 1):
         with pytest.raises(etale.ModelError):
-            _Operator(chi, None).at(u, 2)
+            f2.unit_labels(u, parent, gen)
+        with pytest.raises(etale.ModelError):
+            reduced_norm_at_unit(chi, u, 2)
     with pytest.raises(BudgetError):
-        _Operator(chi, 52).at(0, 3)
+        f2.ball_tree(3, 52)
+    with pytest.raises(BudgetError):
+        reduced_norm_at_unit(chi, 0, 3, budget=52)
 
 
 def test_import_leaves_scipy_out():
