@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 
 from .algebra import (CcFunction, convolve, delta, function_from_json,
                       function_to_json, i_norm, involution, length_weighted,
-                      load_function, lp_norm, omega_pairing, prune,
-                      save_function, sphere_indicator, unit_indicator)
+                      load_function, lp_norm, omega_pairing, save_function,
+                      sphere_indicator, unit_indicator)
 from .errors import (BudgetError, GrowthHypothesisError, KernelDomainError,
                      KernelPositivityError, ModelError, NonComposableError,
                      PreconditionError)

@@ -50,11 +50,6 @@ class CcFunction:
     def __repr__(self) -> str:
         return f"CcFunction({len(self.data)} points)"
 
-    def copy(self) -> "CcFunction":
-        out = CcFunction(self.model)
-        out.data = dict(self.data)
-        return out
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "CcFunction") -> "CcFunction":
@@ -206,13 +201,6 @@ def omega_pairing(f: CcFunction, phi, mu: MeasureContext) -> complex:
     for g, v in f.data.items():
         total += mu.weight(g.unit) * v * phi.evaluate(model, g)
     return total
-
-
-def prune(f: CcFunction, tol: float = 0.0) -> CcFunction:
-    """Drop entries of magnitude at most ``tol``."""
-    result = CcFunction(f.model)
-    result.data = {g: v for g, v in f.data.items() if abs(v) > tol}
-    return result
 
 
 # -- serialization ----------------------------------------------------------

@@ -166,6 +166,8 @@ class FreeGroup:
 
     def spell(self, w: tuple) -> list[int]:
         """Columns of ``letters()`` whose product is ``w``."""
+        if 0 in w:  # its column would be -1, the last letter's
+            raise ModelError(f"letter 0 in word {w!r}")
         return [2 * abs(x) - 1 - (x > 0) for x in w]
 
     def word_to_json(self, w: tuple) -> str:
@@ -319,21 +321,22 @@ class GroupoidModel:
         gens = backend.given_generators
         if len(self.action) != len(gens):
             raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
-        self._letter_perm = {backend.identity: list(range(units))}
+        letter_perm = {backend.identity: list(range(units))}
         for g, perm in zip(gens, self.action):
             p = _check_perm(perm, units)
-            if self._letter_perm.setdefault(g, p) != p:
+            if letter_perm.setdefault(g, p) != p:
                 raise ModelError(f"conflicting action for generator {g}")
         # every other letter inverts a given one: letters()[c] . letters()[c']
         # is the identity, row 0 of the tree, for the c' that inverts c
         letters = backend.letters()
         right = backend.ball_tree(1)[2]
         for c, g in enumerate(letters):
-            if g not in self._letter_perm:
+            if g not in letter_perm:
                 gi = letters[np.argmax(right[right[0, c]] == 0)]
-                self._letter_perm[g] = np.argsort(self._letter_perm[gi]).tolist()
+                letter_perm[g] = np.argsort(letter_perm[gi]).tolist()
         # row c: the permutation of the units made by ``letters()[c]``
-        self.letter_perms = np.array([self._letter_perm[g] for g in letters], dtype=np.int64)
+        self.letter_perms = np.array([letter_perm[g] for g in letters], dtype=np.int64)
+        self._perm_rows = self.letter_perms.tolist()
         if isinstance(backend, FiniteGroup):
             # perm(e) = perm(gen) o perm(parent) along the BFS tree, from every
             # unit; then verify it is a right action: perm(e.g) == perm(g) o perm(e)
@@ -342,17 +345,15 @@ class GroupoidModel:
             perm = np.array([self.unit_labels(u, parent, gen) for u in range(units)]).T
             if not np.array_equal(perm[right.T], self.letter_perms[:, perm]):
                 raise ModelError("action permutations are not compatible with the multiplication table")
-            self._elem_perm = perm[backend.index].tolist()
 
     # -- groupoid structure -------------------------------------------------
 
     def act(self, u: int, w: Word) -> int:
-        """Move unit ``u`` by the right action of ``w``."""
-        if isinstance(self.backend, FreeGroup):
-            for letter in w:
-                u = self._letter_perm[letter][u]
-            return u
-        return self._elem_perm[w][u]
+        """Move unit ``u`` by the right action of ``w``, letter by letter
+        along the backend's spelling of it."""
+        for c in self.backend.spell(w):
+            u = self._perm_rows[c][u]
+        return u
 
     def unit_element(self, u: int) -> GroupoidElement:
         if not 0 <= u < self.units:

@@ -13,8 +13,9 @@ M is read off the ball's integer tree as one column and one value per
 operator for ``f^*``.  Compressions only grow with L, so the estimates
 form a nondecreasing trace of lower bounds.  One ball tree, built at the
 top rung, serves a call: every rung is a prefix of it, and every unit a
-labelling of its rows.  ``reduced_norm`` takes the largest over units, and
-units whose operators are equal share one solve.
+labelling of its rows.  ``reduced_norm`` takes the largest over units; when
+f's values do not depend on the range unit, every fiber has the same
+operator and one unit is solved for all.
 
 ``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
 and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
@@ -25,7 +26,6 @@ radius instead of exponential.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -152,9 +152,11 @@ def _operator(f: CcFunction, right, ns):
     """Left convolution by f on the source-fiber balls of ``ns`` rows, read
     off one ball tree ``right`` that holds the largest: basis element i is
     ``(u.w_i, w_i^-1)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
-    ``at(r, units)``, the ``(cols, vals)`` of rung r at the tree's unit labels
-    with ``M[i, cols[k, i]] = vals[k, i]`` for the words x_k of f, sorted by
-    column in each row; column n is a zero pad.
+    ``(at, unit_free)``: ``at(r, units)`` is the ``(cols, vals)`` of rung r at
+    the tree's unit labels with ``M[i, cols[k, i]] = vals[k, i]`` for the words
+    x_k of f, sorted by column in each row; column n is a zero pad.  When
+    ``unit_free``, f's values do not depend on the range unit, and neither do
+    f^*'s, so ``at(r, None)`` needs no labels.
 
     One walk per x_k serves every rung as its first n columns clamped at n: a
     reduced path never re-enters a ball it has left, and a finite backend's
@@ -164,6 +166,8 @@ def _operator(f: CcFunction, right, ns):
     for g, v in f.items():
         by_word.setdefault(g.word, np.zeros(f.model.units, dtype=complex))[g.unit] = v
     table = np.array(list(by_word.values())).reshape(len(by_word), f.model.units)
+    if not table.imag.any():
+        table = table.real.copy()
     top = np.empty((len(by_word), ns[-1]), dtype=np.int64)
     for k, x in enumerate(by_word):
         col = np.arange(ns[-1])
@@ -179,46 +183,42 @@ def _operator(f: CcFunction, right, ns):
 
     def at(r: int, units):
         cols, order = rungs[r]
-        vals = table[order, units[:cols.shape[1]]]
-        return cols, (vals if vals.imag.any() else vals.real.copy())
-    return at
+        vals = table[order, 0 if units is None else units[:cols.shape[1]]]
+        if vals.dtype.kind == "c" and not vals.imag.any():
+            vals = vals.real.copy()
+        return cols, vals
+    return at, bool(np.all(table == table[:, :1]))
 
 
-class _Solves(dict):
-    """The rung solves of one ``f`` over a ladder, shared between units:
-    keyed on the rung and a digest of the operator values, since the
-    columns depend on the words of f and the ball tree alone.  The tree is
-    built, and charged to ``budget``, once at the top rung."""
+class _Solves:
+    """The ladder, the ball tree and the operators of one ``f``, shared
+    between units.  The tree is built, and charged to ``budget``, once at
+    the top rung."""
 
     def __init__(self, f: CcFunction, L: int, ladder, max_iter: int, tol: float,
                  seed: int, budget):
-        super().__init__()
         self.ladder = _truncation_ladder(L, ladder)
         self.parent, self.gen, right = f.model.ball_tree(self.ladder[-1], budget)
         ns = [f.model.ball_count(Lk) for Lk in self.ladder]
         f_star = involution(f)
-        self.op = _operator(f, right, ns)
-        self.op_h = self.op if f_star == f else _operator(f_star, right, ns)
+        self.op, self.unit_free = _operator(f, right, ns)
+        self.op_h = self.op if f_star == f else _operator(f_star, right, ns)[0]
         self.args = (max_iter, tol, seed)
 
     def rung(self, r: int, units):
         """``(value, iterations, residual, converged)`` for the largest
         singular value of f's operator M at rung r and the unit labels
         ``units``: Lanczos on M when f is self-adjoint, on ``M^H M`` otherwise."""
-        cols, vals = op = self.op(r, units)
-        key = (r, vals.dtype.char, hashlib.blake2b(vals, digest_size=16).digest())
-        if key not in self:
-            n = cols.shape[1]
-            if self.op_h is self.op:
-                self[key] = _lanczos(lambda v: _apply(op, v), n, cols.size, *self.args)
-            else:
-                # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
-                # is the conjugate of f(u.w_i, w_i^-1 w_j)
-                op_h = self.op_h(r, units)
-                theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
-                                        cols.size + op_h[0].size, *self.args)
-                self[key] = (math.sqrt(theta), *rest)
-        return self[key]
+        cols, _ = op = self.op(r, units)
+        n = cols.shape[1]
+        if self.op_h is self.op:
+            return _lanczos(lambda v: _apply(op, v), n, cols.size, *self.args)
+        # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
+        # is the conjugate of f(u.w_i, w_i^-1 w_j)
+        op_h = self.op_h(r, units)
+        theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
+                                cols.size + op_h[0].size, *self.args)
+        return (math.sqrt(theta), *rest)
 
 
 def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
@@ -227,10 +227,11 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
     """Truncated-convolution norm of ``f`` on the source fiber at ``u``,
     over an increasing ladder of truncation radii ending at L.  Each rung
     is one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
-    ``_solves``, which carries the ladder, the solver settings and the
-    solves shared between units."""
+    ``_solves``, which carries the ladder, the solver settings, the tree
+    and the operators shared between units."""
     solves = _Solves(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
-    units = f.model.unit_labels(u, solves.parent, solves.gen)
+    f.model.unit_element(u)
+    units = None if solves.unit_free else f.model.unit_labels(u, solves.parent, solves.gen)
     trace = [(Lk, *solves.rung(r, units)) for r, Lk in enumerate(solves.ladder)]
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
     last = trace[-1]
@@ -242,8 +243,9 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
 def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10,
                  ladder=None, budget=None, seed: int = 0) -> NormEstimate:
     """Largest truncated-norm estimate over units (all units, or a sample of
-    ``UNIT_SAMPLE`` drawn from ``seed`` when there are more).  Units whose
-    operators are equal at a rung share one solve."""
+    ``UNIT_SAMPLE`` drawn from ``seed`` when there are more).  When f's values
+    do not depend on the range unit, every unit has the same operator, so
+    only the first is solved."""
     model = f.model
     if model.units <= UNIT_SAMPLE:
         units = list(range(model.units))
@@ -252,7 +254,8 @@ def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10
         units = sorted(rng.choice(model.units, size=UNIT_SAMPLE, replace=False).tolist())
     solves = _Solves(f, L, ladder, max_iter, tol, seed, budget)
     # the first unit to reach the largest value
-    best = max((reduced_norm_at_unit(f, u, L, _solves=solves) for u in units),
+    best = max((reduced_norm_at_unit(f, u, L, _solves=solves)
+                for u in (units[:1] if solves.unit_free else units)),
                key=lambda est: est.value)
     best.units_checked = units
     return best

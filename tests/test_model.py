@@ -1,6 +1,7 @@
 """Groupoid model core: word arithmetic, enumeration, validation, JSON."""
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -291,22 +292,29 @@ def test_free_ball_tree_right_table():
 
 
 def test_finite_action_along_bfs_tree(s3):
+    f2_32 = etale.load_model(Path(__file__).resolve().parents[1] / "models" / "f2_32units.json")
+    # every word of length <= 4 in S_3's generators, and of length <= 3 in
+    # F_2's letters (unreduced ones too), composed letter by letter
+    for model, k_max in ((s3, 4), (f2_32, 3)):
+        backend, n = model.backend, model.units
+        free = isinstance(backend, FreeGroup)
+        gen_perm = {(g,) if free else g: list(p)
+                    for g, p in zip(backend.given_generators, model.action)}
+        for g in list(gen_perm):
+            gen_perm.setdefault(backend.inv(g), [gen_perm[g].index(x) for x in range(n)])
+        seen = set()
+        for k in range(k_max + 1):
+            for word in itertools.product(list(gen_perm), repeat=k):
+                e, units = backend.identity, list(range(n))
+                for g in word:
+                    e = backend.mul(e, g)
+                    units = [gen_perm[g][x] for x in units]
+                assert [model.act(u, e) for u in range(n)] == units
+                seen.add(e)
+        assert len(seen) == (backend.order if not free else backend.ball_count(k_max))
+    with pytest.raises(ModelError):
+        f2_32.act(0, (1, 0))
     backend = s3.backend
-    gen_perm = {g: list(p) for g, p in zip(backend.given_generators, s3.action)}
-    for g in backend.given_generators:
-        gi = backend.inv(g)
-        gen_perm.setdefault(gi, [gen_perm[g].index(x) for x in range(3)])
-    # every word of length <= 4 in the generators, composed letter by letter
-    seen = set()
-    for k in range(5):
-        for word in itertools.product(list(gen_perm), repeat=k):
-            e, units = backend.identity, list(range(3))
-            for g in word:
-                e = backend.mul(e, g)
-                units = [gen_perm[g][x] for x in units]
-            assert [s3.act(u, e) for u in range(3)] == units
-            seen.add(e)
-    assert seen == set(range(backend.order))
     letters = backend.letters()
     for e in range(backend.order):
         spelled = backend.identity

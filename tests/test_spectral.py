@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,7 @@ def operator_at(f, u, L):
     L + 2, so that the prefix and the clamp at n are in play."""
     model = f.model
     parent, gen, right = model.ball_tree(L + 2)
-    at = _operator(f, right, [model.ball_count(L), model.ball_count(L + 2)])
+    at, _ = _operator(f, right, [model.ball_count(L), model.ball_count(L + 2)])
     return at(0, model.unit_labels(u, parent, gen))
 
 
@@ -366,6 +367,24 @@ def test_apply_matches_gather_sum(f2, f2_32):
             assert np.array_equal(_apply(op, v), want)
 
 
+def test_real_operator_gathered_without_complex_copy(f2):
+    # a real f keeps a real value table, so one gather allocates little
+    # beyond the float64 values it returns (a complex gather and its real
+    # copy took three times that)
+    parent, gen, right = f2.ball_tree(10)
+    at, unit_free = _operator(sphere_indicator(f2, 1), right, [f2.ball_count(10)])
+    assert unit_free
+    labels = f2.unit_labels(0, parent, gen)
+    tracemalloc.start()
+    try:
+        cols, vals = at(0, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.dtype == np.float64 and vals.shape == (4, f2.ball_count(10))
+    assert peak <= 1.1 * vals.nbytes
+
+
 def test_converged_means_residual_within_tol(z):
     # the top Ritz value stalls well before its residual reaches a coarse
     # tol, so a stalled value alone must not count as converged
@@ -391,7 +410,7 @@ def test_lanczos_step_count_on_tree(f2):
 
 
 def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
-    calls = {"solve": 0, "build": 0, "tree": 0}
+    calls = {"solve": 0, "build": 0, "tree": 0, "labels": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -403,19 +422,25 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
     monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
     monkeypatch.setattr(spectral, "_operator", counted("build", spectral._operator))
     monkeypatch.setattr(etale.FreeGroup, "ball_tree", counted("tree", etale.FreeGroup.ball_tree))
-    # self-adjoint and the same operator at every unit: one tree and one
-    # column build for the whole ladder, and one solve per rung
+    monkeypatch.setattr(etale.GroupoidModel, "unit_labels",
+                        counted("labels", etale.GroupoidModel.unit_labels))
+    # self-adjoint and the same values at every range unit: one tree and one
+    # column build for the whole ladder, one solve per rung and no unit labels
     est = reduced_norm(chi, 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 1, "tree": 1}
+    assert calls == {"solve": 2, "build": 1, "tree": 1, "labels": 0}
     assert est.units_checked == list(range(32)) and est.unit == 0
     # not self-adjoint: one column build for f and one for f^*
     calls.update(solve=0, build=0, tree=0)
     f = delta(f2, GroupoidElement(0, (1,))) + 2.0 * delta(f2, GroupoidElement(0, (2,)))
     reduced_norm(f, 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 2, "tree": 1}
-    # unit-dependent: the reported unit is the first to reach the maximum
+    assert calls == {"solve": 2, "build": 2, "tree": 1, "labels": 0}
+    # unit-dependent: every unit is labelled and solved at every rung, and the
+    # reported unit is the first to reach the maximum
     g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
                            for w in ((1,), (-1,), (2,), (-2,))})
+    calls.update(solve=0, tree=0)
+    reduced_norm(g, 3, ladder=[2, 3])
+    assert calls["solve"] == 2 * 32 and calls["labels"] == 32
     calls.update(tree=0)
     est = reduced_norm(g, 2, ladder=[2])
     assert calls["tree"] == 1
@@ -453,6 +478,12 @@ def test_unit_sample_beyond_cap():
     per_unit = [reduced_norm_at_unit(f, u, 3, ladder=[3], seed=4).value for u in units]
     assert runs[0].value == max(per_unit)
     assert runs[0].unit == units[per_unit.index(max(per_unit))]
+    # the same values at every range unit: the first sampled unit stands for all
+    chi = sphere_indicator(model, 1)
+    est = reduced_norm(chi, 3, ladder=[3], seed=4)
+    assert est.units_checked == units and est.unit == units[0]
+    assert est.value == reduced_norm_at_unit(chi, units[-1], 3, ladder=[3], seed=4).value
+    assert est.value == pytest.approx(2 * math.cos(math.pi / 8), abs=1e-9)
 
 
 def test_seed_changes_start_not_value(f2):
