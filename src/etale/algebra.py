@@ -12,7 +12,7 @@ import cmath
 import json
 
 from .errors import BudgetError, ModelError
-from .model import GroupoidElement, GroupoidModel, MeasureContext
+from .model import GroupoidElement, GroupoidModel, MeasureContext, read_json
 
 
 class CcFunction:
@@ -118,7 +118,9 @@ def unit_indicator(model: GroupoidModel) -> CcFunction:
 
 
 def sphere_indicator(model: GroupoidModel, k: int, budget=None) -> CcFunction:
-    """Indicator of word length exactly k, over every fiber."""
+    """Indicator of word length exactly k >= 0, over every fiber."""
+    if k < 0:
+        raise ValueError(f"sphere radius k must be >= 0, got {k}")
     words = [g.word for g in model.sphere(0, k, budget=budget)]
     return CcFunction(model, {(u, w): 1.0 for u in range(model.units) for w in words})
 
@@ -249,5 +251,4 @@ def save_function(f: CcFunction, path) -> None:
 
 
 def load_function(model: GroupoidModel, path) -> CcFunction:
-    with open(path) as fh:
-        return function_from_json(model, json.load(fh))
+    return function_from_json(model, read_json(path))

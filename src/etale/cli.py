@@ -4,7 +4,9 @@ Every subcommand loads a model JSON, runs one analysis, and emits a
 report: ``{tool_version, model_digest, operation, parameters, results,
 verdict}``.  With ``--out DIR`` the report goes to ``DIR/report.json``
 and tabular data to ``DIR/tables/*.csv``; otherwise the report is
-printed.  Output is byte-reproducible for a fixed seed.
+printed.  Input files are read by ``model.read_json`` (finite numbers
+only) and reports written by ``json.dumps`` with the ``_encode`` hook.
+Output is byte-reproducible for a fixed seed.
 
 Exit codes: 0 all checked properties passed, 1 a property failed,
 2 usage, model, or budget errors.
@@ -29,7 +31,7 @@ from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       kernel_from_json, psd_check)
 from .metric import (band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
-from .model import GroupoidElement, GroupoidModel, MeasureContext, load_model
+from .model import GroupoidElement, GroupoidModel, MeasureContext, load_model, read_json
 from .spectral import power_sequence_norm, reduced_norm, reduced_norm_at_unit, verify_norm_bound
 
 # malformed config values surface as TypeError/AttributeError from the
@@ -40,8 +42,7 @@ USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, Attribute
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config)
     if not isinstance(cfg, dict):
         raise ModelError("config must be a JSON object")
     return cfg
@@ -206,7 +207,7 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
     g = random_sphere_function(n, bound_one=True)
     rep = band_check(f, g, k, n, u, C, tol=float(opts["tol"]))
     rows = [("m", "l1_mass", "bound", "ok")] + [list(r) for r in rep.rows]
-    results = _plain(rep) | {"delta": est.delta}
+    results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {"bandcheck": rows}, opts
 
 
@@ -240,7 +241,7 @@ def _run_normbound(model, mu, cfg, seed, budget):
                             float(opts["p"]), C, L=int(opts["L"]),
                             max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
                             budget=budget, seed=seed)
-    results = _plain(rep) | {"delta": est.delta}
+    results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {}, opts
 
 
@@ -293,29 +294,21 @@ HANDLERS = {
 }
 
 
-def _plain(obj):
-    """Turn report dataclasses into dicts of their fields, recursively, and
-    coerce stray numpy scalars/arrays so reports stay JSON-clean."""
-    if obj is None or type(obj) in (str, int, float, bool):
-        return obj  # exact types: numpy scalars such as np.float64 subclass float
+def _encode(obj):
+    """``json.dumps`` hook for what JSON has no type for: a dataclass becomes
+    the dict of its fields, a complex number ``{re, im}``, a numpy value its
+    ``tolist()``."""
     if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return vars(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_report(report: dict, tables: dict, out_dir) -> None:
-    report = _plain(report)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_encode) + "\n"
     if out_dir is None:
         sys.stdout.write(text)
         return

@@ -70,19 +70,21 @@ def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
         raise ValueError("truncation K must be >= 0")
     counts = [model.sphere_count(k) for k in range(K + 1)]
 
-    cond2 = []
-    for k in range(K + 1):
-        cond2.append((k, phi_chi_lp(model, mu, alpha, k, p) / (k + 1)))
-    cond2_sup = max(v for _, v in cond2)
-
-    cond3 = []
+    cond2, cond3 = [], []
     total = 0.0
     for k in range(K + 1):
-        if counts[k]:
-            total += math.exp(p * k * math.log(alpha)
-                              - (2 + p) * math.log(1 + k)
-                              + math.log(counts[k]))
+        try:
+            cond2.append((k, phi_chi_lp(model, mu, alpha, k, p) / (k + 1)))
+            if counts[k]:
+                total += math.exp(p * k * math.log(alpha)
+                                  - (2 + p) * math.log(1 + k)
+                                  + math.log(counts[k]))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise ValueError(f"the extension series leave the float range at k={k}; lower K")
         cond3.append((k, total))
+    cond2_sup = max(v for _, v in cond2)
 
     ratio = exact_sphere_ratio(counts)
     saturated = any(c == 0 for c in counts[1:])

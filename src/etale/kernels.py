@@ -7,6 +7,9 @@ fiber is ``G[i, j] = F(x_i^-1 x_j)``; positive semidefiniteness of all
 such matrices is what "positive definite kernel" means here, and the
 induced inner product ``<d_a, d_b> = F(b^-1 a)`` turns finite balls
 into pre-Hilbert spaces on which left translation acts isometrically.
+
+Table-kernel entries are read and written as function entries, by
+``function_from_json`` and ``function_to_json``.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError)
 from .model import GroupoidElement, GroupoidModel
@@ -57,36 +61,25 @@ class HaagerupKernel(RadialKernel):
 
 
 class TableKernel:
-    """Kernel given by an explicit table on a ball of stated radius.
-
-    Entries missing inside the stated radius count as 0; evaluation
-    outside the radius raises.  Hermitian symmetry ``F(x^-1) =
-    conj(F(x))`` is completed where absent and validated where present.
-    """
+    """Kernel given by a finitely supported function f on a ball of stated
+    radius (default: f's longest word).  F is f completed by
+    ``involution(f)``, which must agree with f where both are defined; a
+    zero or missing entry inside the radius counts as 0, and evaluation
+    outside it raises."""
 
     def __init__(self, model: GroupoidModel, entries, radius=None):
-        table: dict[GroupoidElement, complex] = {}
-        for g, value in dict(entries).items():
-            g = GroupoidElement(*g)
-            value = complex(value)
-            if not cmath.isfinite(value):
-                raise ModelError(f"table kernel value at {g} is not finite")
-            table[g] = value
-        for g, value in list(table.items()):
-            gi = model.inverse(g)
-            mirror = table.get(gi)
-            if mirror is None:
-                table[gi] = value.conjugate()
-            elif abs(mirror - value.conjugate()) > 1e-12:
+        f = CcFunction(model, dict(entries))
+        if not all(map(cmath.isfinite, f.data.values())):
+            raise ModelError("table kernel values must be finite")
+        star = involution(f)
+        for g, value in f.items():
+            if abs(star.data.get(g, value) - value) > 1e-12:
                 raise ModelError(f"table kernel is not Hermitian at {g}")
-        if radius is None:
-            radius = max((model.length(g) for g in table), default=0)
         self.model = model
-        self.table = table
-        self.radius = int(radius)
-        for g in table:
-            if model.length(g) > self.radius:
-                raise ModelError("table entry outside the stated radius")
+        self.table = star.data | f.data
+        self.radius = f.max_length() if radius is None else int(radius)
+        if f.max_length() > self.radius:
+            raise ModelError("table entry outside the stated radius")
 
     def evaluate(self, model: GroupoidModel, g: GroupoidElement) -> complex:
         if model.length(g) > self.radius:
@@ -104,12 +97,8 @@ def kernel_from_json(model: GroupoidModel, data: dict):
         return HaagerupKernel(float(data["haagerup"]))
     if "table" in data:
         spec = data["table"]
-        backend = model.backend
-        entries = {}
-        for entry in spec["entries"]:
-            g = GroupoidElement(int(entry["unit"]), backend.word_from_json(entry["word"]))
-            entries[g] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        return TableKernel(model, entries, radius=spec.get("radius"))
+        f = function_from_json(model, spec["entries"])
+        return TableKernel(model, f.data, radius=spec.get("radius"))
     raise ModelError(f"unknown kernel descriptor {sorted(data)!r}")
 
 
@@ -119,11 +108,7 @@ def kernel_to_json(model: GroupoidModel, kernel) -> dict:
     if isinstance(kernel, HaagerupKernel):
         return {"haagerup": kernel.n}
     if isinstance(kernel, TableKernel):
-        backend = model.backend
-        entries = [{"unit": g.unit, "word": backend.word_to_json(g.word),
-                    "re": v.real, "im": v.imag}
-                   for g, v in kernel.table.items()]
-        entries.sort(key=lambda e: (e["unit"], len(str(e["word"])), str(e["word"])))
+        entries = function_to_json(CcFunction(model, kernel.table))
         return {"table": {"radius": kernel.radius, "entries": entries}}
     raise ModelError(f"cannot serialize kernel {kernel!r}")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -299,7 +300,7 @@ Backend = Union[FreeGroup, FiniteGroup]
 
 def _check_perm(perm, units: int) -> list[int]:
     p = [int(x) for x in perm]
-    if sorted(p) != list(range(units)):
+    if p != list(perm) or sorted(p) != list(range(units)):
         raise ModelError(f"action entry {perm!r} is not a permutation of {units} units")
     return p
 
@@ -317,13 +318,12 @@ class GroupoidModel:
             raise ModelError("unit space must be nonempty")
         self.backend = backend
         self.units = units
-        self.action = [list(map(int, p)) for p in action]
+        self.action = [_check_perm(p, units) for p in action]
         gens = backend.given_generators
         if len(self.action) != len(gens):
             raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
         letter_perm = {backend.identity: list(range(units))}
-        for g, perm in zip(gens, self.action):
-            p = _check_perm(perm, units)
+        for g, p in zip(gens, self.action):
             if letter_perm.setdefault(g, p) != p:
                 raise ModelError(f"conflicting action for generator {g}")
         # every other letter inverts a given one: letters()[c] . letters()[c']
@@ -480,9 +480,21 @@ def model_from_dict(data: dict) -> GroupoidModel:
     return build_model(backend, units, action)
 
 
-def load_model(path) -> GroupoidModel:
+def read_json(path):
+    """Parse the JSON input file at ``path``; every input file is read here.
+    NaN, ±Infinity and numbers past the float range such as ``1e999`` raise
+    ModelError, so every number read is finite."""
+    def finite(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise ModelError(f"{path}: {text} is not a finite number")
+        return x
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        return json.load(fh, parse_float=finite, parse_constant=finite)
+
+
+def load_model(path) -> GroupoidModel:
+    return model_from_dict(read_json(path))
 
 
 def save_model(model: GroupoidModel, path) -> None:

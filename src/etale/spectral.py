@@ -197,6 +197,8 @@ class _Solves:
 
     def __init__(self, f: CcFunction, L: int, ladder, max_iter: int, tol: float,
                  seed: int, budget):
+        if not tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {tol}")
         self.ladder = _truncation_ladder(L, ladder)
         self.parent, self.gen, right = f.model.ball_tree(self.ladder[-1], budget)
         ns = [f.model.ball_count(Lk) for Lk in self.ladder]
@@ -229,8 +231,8 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
     is one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
     ``_solves``, which carries the ladder, the solver settings, the tree
     and the operators shared between units."""
-    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
     f.model.unit_element(u)
+    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
     units = None if solves.unit_free else f.model.unit_labels(u, solves.parent, solves.gen)
     trace = [(Lk, *solves.rung(r, units)) for r, Lk in enumerate(solves.ladder)]
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))

@@ -6,8 +6,8 @@ from conftest import random_function
 import etale
 from etale import (BudgetError, CcFunction, ExpLengthKernel, GroupoidElement,
                    HaagerupKernel, ModelError, convolve, delta, i_norm,
-                   involution, lp_norm, omega_pairing, sphere_indicator,
-                   unit_indicator)
+                   involution, length_weighted, lp_norm, omega_pairing,
+                   sphere_indicator, unit_indicator)
 
 
 def brute_convolve(f, g):
@@ -43,6 +43,14 @@ def test_integer_line_square(z):
     assert sq.value(GroupoidElement(0, (1, 1))) == 1
     assert sq.value(GroupoidElement(0, (-1, -1))) == 1
     assert len(sq) == 3
+
+
+def test_negative_sphere_radius_refused(f2, z6):
+    for model in (f2, z6):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            sphere_indicator(model, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            length_weighted(model, 0.5, -1)
 
 
 def test_unit_indicator_is_identity(f2_32):

@@ -244,7 +244,10 @@ def test_usage_errors_exit_two(files, capsys):
                     ("norm", {"function": {"sphere_weighted": {"alpha": 1e200, "k": 2}}}),
                     ("norm", {"function": {"sphere_weighted": {"alpha": 0, "k": -1}}}),
                     ("normbound", {"alpha": 1e200, "k": 2}),
-                    ("norm", {"max_iter": 0}),
+                    ("norm", {"max_iter": 0}), ("norm", {"L": 3, "tol": -1}),
+                    ("norm", {"function": {"sphere": -1}, "L": 3}),
+                    # the extension series leave the float range at k = 670
+                    ("extend", {"alpha": 1, "p": 2, "K": 700}),
                     ("norm", {"unit": -1}), ("norm", {"unit": 1}),
                     # negative truncation radii
                     ("norm", {"L": -1}), ("norm", {"L": 2, "ladder": [-1, 2]}),
@@ -286,6 +289,60 @@ def test_usage_errors_exit_two(files, capsys):
                              ("delta", {"radius": 3000}, "exceed budget 100000000")):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", cfg)]) == 2
         assert message in capsys.readouterr().err
+
+
+F2_MODEL = '{"backend": {"free": 2}, "units": 1, "action": [[0], [0]]}'
+NORM_FILE = '{"function": {"file": FILE}, "L": 2}'
+
+
+def _entries(unit="0", extra=""):
+    return '[{"unit": %s, "word": "a", "re": 0.5%s}]' % (unit, extra)
+
+
+def _table(entries):
+    return '{"kernel": {"table": {"entries": %s}}}' % entries
+
+
+# NaN, Infinity and 1e999 in each kind of input, each where the reader let it
+# through: Infinity and 1e999 overflow an int() with a traceback, and int(NaN)
+# raises ValueError, so NaN goes where a float is taken as it is or into a key
+# no one reads.  Then table-kernel entries at units out of range.
+# (case, operation, model file text or fixture name, config, function file, message)
+NOT_FINITE = "is not a finite number"
+BAD_INPUT = [
+    ("model-NaN", "growth", F2_MODEL[:-1] + ', "note": NaN}', "{}", None, "NaN " + NOT_FINITE),
+    ("model-Infinity", "growth", F2_MODEL.replace("1,", "Infinity,"), "{}", None,
+     "Infinity " + NOT_FINITE),
+    ("model-1e999", "growth", F2_MODEL.replace("1,", "1e999,"), "{}", None, "1e999 " + NOT_FINITE),
+    ("config-NaN", "normbound", "f2", '{"p": NaN}', None, "NaN " + NOT_FINITE),
+    ("config-Infinity", "normbound", "f2", '{"p": Infinity}', None, "Infinity " + NOT_FINITE),
+    ("config-1e999", "delta", "f2", '{"radius": 1e999}', None, "1e999 " + NOT_FINITE),
+    ("function-NaN", "norm", "f2", NORM_FILE, _entries(extra=', "note": NaN'), "NaN " + NOT_FINITE),
+    ("function-Infinity", "norm", "f2", NORM_FILE, _entries("Infinity"), "Infinity " + NOT_FINITE),
+    ("function-1e999", "norm", "f2", NORM_FILE, _entries("1e999"), "1e999 " + NOT_FINITE),
+    ("kernel-NaN", "pdcheck", "f2", _table(_entries(extra=', "note": NaN')), None,
+     "NaN " + NOT_FINITE),
+    ("kernel-Infinity", "pdcheck", "f2", _table(_entries("Infinity")), None,
+     "Infinity " + NOT_FINITE),
+    ("kernel-1e999", "pdcheck", "f2", _table(_entries("1e999")), None, "1e999 " + NOT_FINITE),
+    ("kernel-unit-99", "pdcheck", "f2_32", _table(_entries("99")), None, "unit 99 out of range"),
+    ("kernel-unit--1", "pdcheck", "f2_32", _table(_entries("-1")), None, "unit -1 out of range"),
+]
+
+
+@pytest.mark.parametrize("op,model,cfg,function,message", [c[1:] for c in BAD_INPUT],
+                         ids=[c[0] for c in BAD_INPUT])
+def test_bad_input_exits_two(op, model, cfg, function, message, files, tmp_path, capsys):
+    model_path = files.get(model, tmp_path / "model.json")
+    if model not in files:
+        model_path.write_text(model)
+    if function is not None:
+        (tmp_path / "f.json").write_text(function)
+        cfg = cfg.replace("FILE", json.dumps(str(tmp_path / "f.json")))
+    (tmp_path / "config.json").write_text(cfg)
+    assert main([op, "--model", str(model_path), "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
 def test_budget_bounds_every_ball(files, capsys):

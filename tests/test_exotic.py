@@ -9,7 +9,7 @@ from etale import (GrowthHypothesisError, MeasureContext, certificate,
                    default_truncation, extension_criteria, growth_stats,
                    length_weighted, lp_norm, phi_chi_lp, threshold_band,
                    witness_first_crossing, witness_ratio)
-from etale.cli import _plain
+from etale.cli import _encode
 
 
 def test_phi_chi_lp_matches_explicit_norm(f2, mu_f2, f2_32, mu_f2_32):
@@ -61,6 +61,17 @@ def test_extension_traces(f2, mu_f2):
 
     fail = extension_criteria(f2, mu_f2, 0.65, 2, K=40)
     assert fail.cond2_trace[-1][1] > fail.cond2_trace[1][1]
+
+
+def test_extension_partial_sums_past_float_range_refused(f2, mu_f2):
+    # at alpha = 1 the k = 670 term overflows exp(); at alpha = 0.9995 the term
+    # is finite and the sum reaches inf
+    ext = extension_criteria(f2, mu_f2, 1, 2, K=669)
+    assert math.isfinite(ext.cond3_partials[-1][1])
+    for alpha in (1, 0.9995):
+        for K in (670, 700, 1400):
+            with pytest.raises(ValueError, match="at k=670"):
+                extension_criteria(f2, mu_f2, alpha, 2, K=K)
 
 
 def test_extension_cond4_certification(f2, mu_f2):
@@ -157,7 +168,7 @@ def test_certificate_certified(f2, mu_f2):
     assert cert.fails_at_q.verdict == "FailsToExtend"
     assert cert.witness_crossing == 52
     assert any(k == 52 and v > 1 for k, v in cert.witness_rows)
-    json.dumps(_plain(cert))  # report-ready
+    json.dumps(cert, default=_encode)  # report-ready
 
 
 def test_certificate_transformation_matches_group(f2, mu_f2, f2_32, mu_f2_32):

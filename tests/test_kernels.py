@@ -352,6 +352,18 @@ def test_pointwise_product(f2):
     assert all(r["min_eig"] >= -1e-9 for r in mixed.rows)
 
 
+def test_table_kernel_entries_read_as_function_entries(f2, f2_32):
+    entry = {"unit": 0, "word": "a", "re": 0.25}
+    kern = etale.kernel_from_json(f2, {"table": {"entries": [
+        {"unit": 0, "word": "", "re": 1.0}, entry, entry,
+        {"unit": 0, "word": "a b", "re": 0.0}]}})
+    assert kern.radius == 1  # the zero entry is absent
+    assert kern.evaluate(f2, GroupoidElement(0, (-1,))) == 0.5  # duplicates add up
+    for unit in (99, -1):
+        with pytest.raises(ModelError, match=f"unit {unit} out of range"):
+            etale.kernel_from_json(f2_32, {"table": {"entries": [entry | {"unit": unit}]}})
+
+
 def test_kernel_json_roundtrip(f2):
     for kern in (ExpLengthKernel(0.35), HaagerupKernel(2.5)):
         data = etale.kernel_to_json(f2, kern)

@@ -183,6 +183,9 @@ def test_malformed_model_data():
     with pytest.raises(ModelError):
         etale.model_from_dict({"backend": {"finite": {"table": [[0]]}},
                                "units": 1, "action": []})
+    for action in ([[0.5], [0]], [["0"], [0]]):
+        with pytest.raises(ModelError, match="not a permutation"):
+            etale.model_from_dict({"backend": {"free": 2}, "units": 1, "action": action})
 
 
 def test_word_json_roundtrip(f2, z6):

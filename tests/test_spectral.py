@@ -496,6 +496,21 @@ def test_seed_changes_start_not_value(f2):
         assert est.value == pytest.approx(runs[0].value, rel=1e-9)
 
 
+def test_unit_and_tol_refused_before_the_tree(f2, monkeypatch):
+    def tree(*args):
+        raise AssertionError("the ball tree was built")
+
+    chi = sphere_indicator(f2, 1)
+    monkeypatch.setattr(etale.GroupoidModel, "ball_tree", tree)
+    with pytest.raises(etale.ModelError, match="unit 99 out of range"):
+        reduced_norm_at_unit(chi, 99, 12)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            reduced_norm(chi, 3, tol=tol)
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            reduced_norm_at_unit(chi, 0, 3, tol=tol)
+
+
 def test_truncated_operator_checks_unit_and_budget(f2):
     chi = sphere_indicator(f2, 1)
     parent, gen, _ = f2.ball_tree(2)
