@@ -12,7 +12,7 @@ import cmath
 import json
 
 from .errors import BudgetError, ModelError
-from .model import GroupoidElement, GroupoidModel, MeasureContext, read_json
+from .model import GroupoidElement, GroupoidModel, MeasureContext, as_int, read_json
 
 
 class CcFunction:
@@ -226,7 +226,7 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
     out = CcFunction(model)
     for entry in entries:
         try:
-            u = int(entry["unit"])
+            u = as_int(entry["unit"])
             word = backend.word_from_json(entry["word"])
             value = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:

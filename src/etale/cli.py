@@ -31,11 +31,11 @@ from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       kernel_from_json, psd_check)
 from .metric import (band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
-from .model import GroupoidElement, GroupoidModel, MeasureContext, load_model, read_json
+from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_int, load_model,
+                    read_json)
 from .spectral import power_sequence_norm, reduced_norm, reduced_norm_at_unit, verify_norm_bound
 
-# malformed config values surface as TypeError/AttributeError from the
-# int()/float()/.get() coercions in the handlers
+# malformed config values raise ModelError (as_int) or TypeError/AttributeError
 USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, AttributeError)
 
 
@@ -72,9 +72,9 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
         raise ModelError("function spec must be a one-key object or an entry list")
     kind, val = next(iter(spec.items()))
     if kind == "sphere":
-        return sphere_indicator(model, int(val), budget=budget)
+        return sphere_indicator(model, as_int(val), budget=budget)
     if kind == "sphere_weighted":
-        return length_weighted(model, float(val["alpha"]), int(val["k"]), budget=budget)
+        return length_weighted(model, float(val["alpha"]), as_int(val["k"]), budget=budget)
     if kind == "delta":
         return function_from_json(model, [{"unit": 0, "re": 1.0} | val])
     if kind == "file":
@@ -96,7 +96,7 @@ def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, words):
 
 def _run_growth(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"K": 8, "k_min": 1})
-    rep = growth_stats(model, int(opts["K"]), k_min=int(opts["k_min"]))
+    rep = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
     ok = rep.certified_upper and rep.certified_lower
     verdict = "pass" if ok else "fail"
     if rep.subexponential:
@@ -106,12 +106,13 @@ def _run_growth(model, mu, cfg, seed, budget):
 
 def _run_delta(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
-    units = list(range(model.units)) if opts["units"] == "all" else [int(u) for u in opts["units"]]
+    units = (list(range(model.units)) if opts["units"] == "all"
+             else [as_int(u) for u in opts["units"]])
     if not units or not all(0 <= u < model.units for u in units):
         raise ModelError(f"delta needs a nonempty list of units in 0..{model.units - 1}: {units}")
     # every fiber has the same word metric: one scan serves every unit
-    est = hyperbolicity_delta(model, units[0], int(opts["radius"]),
-                              quad_budget=int(opts["quad_budget"]), budget=budget)
+    est = hyperbolicity_delta(model, units[0], as_int(opts["radius"]),
+                              quad_budget=as_int(opts["quad_budget"]), budget=budget)
     reports = [dataclasses.replace(est, unit=u) for u in units]
     rows = [("unit", "radius", "delta", "n_points", "quadruples")]
     rows += [(u, est.radius, est.delta, est.n_points, est.quadruples) for u in units]
@@ -127,14 +128,14 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
     mode = opts["mode"]
     tuples = []
     if "ball" in mode:
-        k = int(mode["ball"]["k"])
+        k = as_int(mode["ball"]["k"])
         if k < 0:
             raise ValueError("pdcheck ball radius k must be >= 0")
-        tuples.append(model.ball(int(mode["ball"].get("unit", 0)), k, budget=budget))
+        tuples.append(model.ball(as_int(mode["ball"].get("unit", 0)), k, budget=budget))
     elif "random" in mode:
         r = mode["random"]
-        count, max_size, max_len = (int(r.get("count", 100)), int(r.get("max_size", 10)),
-                                    int(r.get("max_len", 4)))
+        count, max_size, max_len = (as_int(r.get("count", 100)), as_int(r.get("max_size", 10)),
+                                    as_int(r.get("max_len", 4)))
         if count < 1 or max_size < 1 or max_len < 0:
             raise ValueError("pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
@@ -159,7 +160,7 @@ def _run_gns(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"kernel": {"exp_length": 0.5}, "unit": 0, "k": 1,
                        "null_tol": 1e-10, "isometry_tol": 1e-10})
     kern = kernel_from_json(model, opts["kernel"])
-    u, k = int(opts["unit"]), int(opts["k"])
+    u, k = as_int(opts["unit"]), as_int(opts["k"])
     data = gns_build(model, kern, u, k, null_tol=float(opts["null_tol"]), budget=budget)
     worst = max((gns_isometry_defect(model, kern, x, k, budget=budget)
                  for x in model.sphere(u, 1)), default=0.0)
@@ -184,11 +185,11 @@ def _run_haagerup(model, mu, cfg, seed, budget):
 def _run_bandcheck(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"k": 2, "n": 1, "unit": 0, "delta_radius": 3,
                        "support_cap": 200, "tol": 1e-9})
-    k, n, u, cap = int(opts["k"]), int(opts["n"]), int(opts["unit"]), int(opts["support_cap"])
+    k, n, u, cap = (as_int(opts[key]) for key in ("k", "n", "unit", "support_cap"))
     if cap < 1:
         raise ValueError("bandcheck support_cap must be >= 1")
     rng = np.random.default_rng(seed)
-    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]), budget=budget)
+    est = hyperbolicity_delta(model, 0, as_int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
 
     def random_sphere_function(kk, bound_one):
@@ -215,12 +216,12 @@ def _run_norm(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"function": {"sphere": 1}, "L": 8, "unit": None,
                        "max_iter": 2000, "tol": 1e-10, "ladder": None})
     f = _resolve_function(model, opts["function"], budget)
-    kwargs = dict(max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
+    kwargs = dict(max_iter=as_int(opts["max_iter"]), tol=float(opts["tol"]),
                   ladder=opts["ladder"], budget=budget, seed=seed)
     if opts["unit"] is None:
-        est = reduced_norm(f, int(opts["L"]), **kwargs)
+        est = reduced_norm(f, as_int(opts["L"]), **kwargs)
     else:
-        est = reduced_norm_at_unit(f, int(opts["unit"]), int(opts["L"]), **kwargs)
+        est = reduced_norm_at_unit(f, as_int(opts["unit"]), as_int(opts["L"]), **kwargs)
     ok = est.monotone
     return est, "pass" if ok else "fail", ok, {"norm_trace": est.csv_rows()}, opts
 
@@ -228,18 +229,18 @@ def _run_norm(model, mu, cfg, seed, budget):
 def _run_powerseq(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
     f = _resolve_function(model, opts["function"], budget)
-    seq = power_sequence_norm(f, int(opts["n_max"]), mu, budget=int(opts["conv_budget"]))
+    seq = power_sequence_norm(f, as_int(opts["n_max"]), mu, budget=as_int(opts["conv_budget"]))
     return seq, "pass", True, {"powerseq": seq.csv_rows()}, opts
 
 
 def _run_normbound(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"alpha": 0.5, "k": 1, "p": 2, "L": 6, "delta_radius": 3,
                        "max_iter": 2000, "tol": 1e-10})
-    est = hyperbolicity_delta(model, 0, int(opts["delta_radius"]), budget=budget)
+    est = hyperbolicity_delta(model, 0, as_int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
-    rep = verify_norm_bound(model, mu, float(opts["alpha"]), int(opts["k"]),
-                            float(opts["p"]), C, L=int(opts["L"]),
-                            max_iter=int(opts["max_iter"]), tol=float(opts["tol"]),
+    rep = verify_norm_bound(model, mu, float(opts["alpha"]), as_int(opts["k"]),
+                            float(opts["p"]), C, L=as_int(opts["L"]),
+                            max_iter=as_int(opts["max_iter"]), tol=float(opts["tol"]),
                             budget=budget, seed=seed)
     results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {}, opts
@@ -249,7 +250,7 @@ def _run_extend(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"alpha": _REQUIRED, "p": _REQUIRED, "K": None,
                        "beta_grid": [0.9, 0.99, 0.999]})
     rep = extension_criteria(model, mu, float(opts["alpha"]), float(opts["p"]),
-                             K=opts["K"] if opts["K"] is None else int(opts["K"]),
+                             K=opts["K"] if opts["K"] is None else as_int(opts["K"]),
                              beta_grid=[float(b) for b in opts["beta_grid"]])
     rows = [("k", "cond2_ratio", "cond3_partial")]
     for (k, r2), (_, r3) in zip(rep.cond2_trace, rep.cond3_partials):
@@ -259,7 +260,7 @@ def _run_extend(model, mu, cfg, seed, budget):
 
 def _run_band(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "K": 8, "k_min": 1})
-    growth = growth_stats(model, int(opts["K"]), k_min=int(opts["k_min"]))
+    growth = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
     band = threshold_band(growth, float(opts["q"]), float(opts["p"]))
     return band, "pass", True, {}, opts
 
@@ -267,12 +268,12 @@ def _run_band(model, mu, cfg, seed, budget):
 def _run_certify(model, mu, cfg, seed, budget):
     opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "alpha": None, "K": None,
                        "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
-    growth = growth_stats(model, int(opts["growth_K"]))
+    growth = growth_stats(model, as_int(opts["growth_K"]))
     cert = certificate(model, mu, growth, float(opts["q"]), float(opts["p"]),
                        alpha=None if opts["alpha"] is None else float(opts["alpha"]),
-                       K=None if opts["K"] is None else int(opts["K"]),
-                       delta_radius=int(opts["delta_radius"]),
-                       witness_cap=int(opts["witness_cap"]), budget=budget)
+                       K=None if opts["K"] is None else as_int(opts["K"]),
+                       delta_radius=as_int(opts["delta_radius"]),
+                       witness_cap=as_int(opts["witness_cap"]), budget=budget)
     rows = [("k", "witness_ratio")] + [list(r) for r in cert.witness_rows]
     ok = cert.verdict == "Certified"
     return cert, cert.verdict, ok, {"witness": rows}, opts

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError)
-from .model import GroupoidElement, GroupoidModel
+from .model import GroupoidElement, GroupoidModel, as_int
 
 
 class RadialKernel:
@@ -77,7 +77,7 @@ class TableKernel:
                 raise ModelError(f"table kernel is not Hermitian at {g}")
         self.model = model
         self.table = star.data | f.data
-        self.radius = f.max_length() if radius is None else int(radius)
+        self.radius = f.max_length() if radius is None else as_int(radius)
         if f.max_length() > self.radius:
             raise ModelError("table entry outside the stated radius")
 

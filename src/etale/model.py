@@ -36,6 +36,14 @@ DEFAULT_ENUMERATION_BUDGET = 5_000_000
 MAX_FINITE_ORDER = 256
 
 
+def as_int(value) -> int:
+    """``int(value)`` of an integral number; ModelError for 2.5, "2" or any other value."""
+    if not isinstance(value, (int, np.integer)) and not (
+            isinstance(value, float) and value.is_integer()):
+        raise ModelError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 class GroupoidElement(NamedTuple):
     """A groupoid element ``(range unit, group word)``."""
 
@@ -218,7 +226,7 @@ class FiniteGroup:
         self.inverse = inv
         gens = []
         for g in generators:
-            g = int(g)
+            g = as_int(g)
             if not 0 <= g < n:
                 raise ModelError(f"generator {g} out of range")
             for h in (g, int(inv[g])):
@@ -289,7 +297,7 @@ class FiniteGroup:
         return int(w)
 
     def word_from_json(self, data) -> int:
-        w = int(data)
+        w = as_int(data)
         if not 0 <= w < self.order:
             raise ModelError(f"element id {w} out of range")
         return w
@@ -461,19 +469,19 @@ def group_model(backend: Backend) -> GroupoidModel:
 def model_from_dict(data: dict) -> GroupoidModel:
     try:
         spec = data["backend"]
-        units = int(data["units"])
+        units = as_int(data["units"])
         action = data["action"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
     if "free" in spec:
-        backend: Backend = FreeGroup(int(spec["free"]))
+        backend: Backend = FreeGroup(as_int(spec["free"]))
     elif "finite" in spec:
         fin = spec["finite"]
         try:
             backend = FiniteGroup(fin["table"], fin["generators"])
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed finite backend: {exc}") from exc
-        if "order" in fin and int(fin["order"]) != backend.order:
+        if "order" in fin and as_int(fin["order"]) != backend.order:
             raise ModelError("declared order does not match the table")
     else:
         raise ModelError("backend must be 'free' or 'finite'")

@@ -2,20 +2,20 @@
 
 ``reduced_norm_at_unit`` compresses left convolution by ``f`` onto the
 radius-L ball of a source fiber (matrix ``M[y, y'] = f(y y'^-1)``) and
-estimates its largest singular value by Lanczos from a random start vector
-drawn from ``seed``: on M itself when ``f`` is self-adjoint, on ``M^H M``
-otherwise.  ``iterations`` counts Lanczos steps, and ``converged`` means
-the Ritz residual is at most ``tol * max(1, |theta|)``, so the Ritz value
-theta lies within the residual of a true eigenvalue of the operator solved;
-that it is the top one is certain only once an upper bound closes the gap.
-M is read off the ball's integer tree as one column and one value per
-(row, word of f) and applied as a numpy gather; ``M^H`` is the same
-operator for ``f^*``.  Compressions only grow with L, so the estimates
-form a nondecreasing trace of lower bounds.  One ball tree, built at the
-top rung, serves a call: every rung is a prefix of it, and every unit a
-labelling of its rows.  ``reduced_norm`` takes the largest over units; when
-f's values do not depend on the range unit, every fiber has the same
-operator and one unit is solved for all.
+estimates its largest singular value at each rung of an increasing ladder
+of radii, a nondecreasing trace.  ``reduced_norm`` takes the largest over
+units, and solves one for all when f's values do not depend on the range
+unit.  There are two methods:
+
+* ``"sphere_quotient"``, for a radial f with real coefficients >= 0 on a free
+  backend: M is nonnegative and commutes with the root stabilizer of the
+  tree, so its Perron vector is radial and each rung is the top eigenpair of
+  an (L+1)-row sphere quotient.  No ball is enumerated.
+* ``"lanczos"`` otherwise, from a random start drawn from ``seed``, on M or
+  ``M^H M`` read off one ball tree built at the top rung (see ``_operator``).
+
+``converged`` means the eigen-residual is at most ``tol * max(1, |theta|)``;
+``iterations`` counts Lanczos steps, 0 on the quotient.
 
 ``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
 and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
-from .errors import BudgetError
-from .model import FreeGroup, GroupoidModel, MeasureContext
+from .errors import BudgetError, count_text
+from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, MeasureContext,
+                    as_int)
 
 DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
@@ -74,8 +75,6 @@ def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
     every step while that costs no more than an apply, then every ~k/10
     steps: eigenvalues alone until the top one stalls, then with vectors
     for the residual.  Overflow in the recurrence raises ValueError."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
@@ -129,6 +128,7 @@ class NormEstimate:
     trace: list = field(default_factory=list)  # rows: (L, value, iterations, residual, converged)
     monotone: bool = True
     units_checked: list = field(default_factory=list)
+    method = "lanczos"  # not a field, so Lanczos reports keep their keys
 
     def csv_rows(self):
         rows = [("L", "value", "iterations", "residual", "converged")]
@@ -136,9 +136,17 @@ class NormEstimate:
         return rows
 
 
+@dataclass
+class QuotientEstimate(NormEstimate):
+    """A sphere-quotient estimate; ``limit``, the exact norm of f, bounds it."""
+
+    limit: float = math.inf
+    method: str = "sphere_quotient"
+
+
 def _truncation_ladder(L: int, ladder) -> list[int]:
     if ladder is not None:
-        out = sorted({int(x) for x in ladder})
+        out = sorted({as_int(x) for x in ladder})
         if not out or out[-1] != L:
             raise ValueError("ladder must be nonempty and end at L")
     else:
@@ -191,17 +199,16 @@ def _operator(f: CcFunction, right, ns):
 
 
 class _Solves:
-    """The ladder, the ball tree and the operators of one ``f``, shared
-    between units.  The tree is built, and charged to ``budget``, once at
-    the top rung."""
+    """The ladder, ball tree and operators of one ``f``, shared between units,
+    for Lanczos at every rung; the tree is built and charged at the top rung."""
 
-    def __init__(self, f: CcFunction, L: int, ladder, max_iter: int, tol: float,
+    estimate = NormEstimate
+
+    def __init__(self, f: CcFunction, ladder: list, max_iter: int, tol: float,
                  seed: int, budget):
-        if not tol >= 0:
-            raise ValueError(f"tol must be >= 0, got {tol}")
-        self.ladder = _truncation_ladder(L, ladder)
-        self.parent, self.gen, right = f.model.ball_tree(self.ladder[-1], budget)
-        ns = [f.model.ball_count(Lk) for Lk in self.ladder]
+        self.ladder = ladder
+        self.parent, self.gen, right = f.model.ball_tree(ladder[-1], budget)
+        ns = [f.model.ball_count(Lk) for Lk in ladder]
         f_star = involution(f)
         self.op, self.unit_free = _operator(f, right, ns)
         self.op_h = self.op if f_star == f else _operator(f_star, right, ns)[0]
@@ -223,23 +230,83 @@ class _Solves:
         return (math.sqrt(theta), *rest)
 
 
+class _Quotient:
+    """The quotient ``S[m, n] = B[m, n] sqrt(s_m / s_n)`` (s_m the sphere
+    sizes) of ``f = sum_k profile[k] chi_k`` on F_rank, with ``B[m, n]`` the
+    weight of the x in supp f with |w x| = n for any |w| = m; as
+    ``s_m B_k[m, n] = s_n N`` for N of ``_product_counts``, S sums
+    ``profile[k] N sqrt(s_n / s_m)``.  ``limit`` is ``sum_k profile[k] s_k phi(k)``
+    for Haagerup's spherical function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.
+    Built at the top rung once its (L+1)^2 entries are charged."""
+
+    unit_free = True
+
+    def __init__(self, rank: int, profile, ladder: list, tol: float, budget):
+        L, budget = ladder[-1], DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+        if (L + 1) ** 2 > budget:
+            raise BudgetError(f"sphere quotient of radius {L} needs {count_text((L + 1) ** 2)} "
+                              f"entries, budget is {budget}", required=(L + 1) ** 2, budget=budget)
+        q = 2 * rank - 1
+        log_2r, log_q = math.log(2 * rank), math.log(q)
+        S, limit = np.zeros((L + 1, L + 1)), 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, c in enumerate(map(float, profile)):
+                if c == 0:
+                    continue
+                limit += c * (1 + k * (q - 1) / (q + 1)) * (
+                    2 * rank * math.exp((k / 2 - 1) * log_q) if k else 1.0)
+                for m in range(L + 1 if k <= 2 * L else 0):  # else |w x| >= k - L > L
+                    for n, N in _product_counts(q, m, k):
+                        if m <= n <= L:  # the upper triangle, mirrored below
+                            # sqrt(s_n / s_m) = q^((n-m)/2), or sqrt(2 rank q^(n-1)) at m = 0
+                            S[m, n] += c * N * math.exp(
+                                ((n - m) * log_q + (m == 0 < n) * (log_2r - log_q)) / 2)
+            S += np.triu(S, 1).T
+            if not (np.isfinite(S.sum(axis=1)).all() and math.isfinite(limit)):
+                raise ValueError("the coefficients of f overflow float64 in the sphere quotient")
+        self.S, self.limit, self.ladder, self.tol = S, limit, ladder, tol
+
+    def rung(self, r: int, units):
+        """``(theta, 0, |S y - theta y|, converged)`` for rung r's top eigenpair."""
+        n = self.ladder[r] + 1
+        thetas, ys = np.linalg.eigh(self.S[:n, :n])
+        theta, y = float(thetas[-1]), ys[:, -1]
+        residual = float(np.linalg.norm(self.S[:n, :n] @ y - theta * y))
+        return theta, 0, residual, residual <= self.tol * max(1.0, theta)
+
+    def estimate(self, **fields):
+        return QuotientEstimate(limit=self.limit, **fields)
+
+
+def _solver(f: CcFunction, L: int, ladder, max_iter: int, tol: float, seed: int, budget):
+    """The shared solves of ``f``: the sphere quotient when f is radial with
+    real coefficients >= 0 on a free backend, Lanczos otherwise."""
+    if not (tol >= 0 and max_iter >= 1):
+        raise ValueError(f"tol must be >= 0 and max_iter >= 1, got {tol} and {max_iter}")
+    ladder = _truncation_ladder(L, ladder)
+    profile = radial_profile_of(f)
+    if profile and all(not isinstance(c, complex) and c >= 0 for c in profile):
+        return _Quotient(f.model.backend.rank, profile, ladder, tol, budget)
+    return _Solves(f, ladder, max_iter, tol, seed, budget)
+
+
 def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
                          tol: float = 1e-10, ladder=None, budget=None, seed: int = 0,
                          _solves=None) -> NormEstimate:
     """Truncated-convolution norm of ``f`` on the source fiber at ``u``,
     over an increasing ladder of truncation radii ending at L.  Each rung
-    is one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
-    ``_solves``, which carries the ladder, the solver settings, the tree
-    and the operators shared between units."""
+    is one top eigenpair of the sphere quotient, or one Lanczos solve started
+    from ``seed``.  ``reduced_norm`` passes ``_solves``, which carries the
+    ladder, the solver settings and what is shared between units."""
     f.model.unit_element(u)
-    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
+    solves = _solver(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
     units = None if solves.unit_free else f.model.unit_labels(u, solves.parent, solves.gen)
     trace = [(Lk, *solves.rung(r, units)) for r, Lk in enumerate(solves.ladder)]
     monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
     last = trace[-1]
-    return NormEstimate(value=last[1], L=last[0], unit=u, iterations=last[2],
-                        residual=last[3], converged=last[4], trace=trace,
-                        monotone=monotone, units_checked=[u])
+    return solves.estimate(value=last[1], L=last[0], unit=u, iterations=last[2],
+                           residual=last[3], converged=last[4], trace=trace,
+                           monotone=monotone, units_checked=[u])
 
 
 def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10,
@@ -254,7 +321,7 @@ def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10
     else:
         rng = np.random.default_rng(seed)
         units = sorted(rng.choice(model.units, size=UNIT_SAMPLE, replace=False).tolist())
-    solves = _Solves(f, L, ladder, max_iter, tol, seed, budget)
+    solves = _solver(f, L, ladder, max_iter, tol, seed, budget)
     # the first unit to reach the largest value
     best = max((reduced_norm_at_unit(f, u, L, _solves=solves)
                 for u in (units[:1] if solves.unit_free else units)),
@@ -272,43 +339,36 @@ def radial_profile_of(f: CcFunction):
     model = f.model
     if not isinstance(model.backend, FreeGroup):
         return None
-    if not f.data:
-        return []
-    top = f.max_length()
-    values = [None] * (top + 1)
-    counts = [0] * (top + 1)
+    values, counts = {}, {}  # per word length: f's value there and its support size
     for g, v in f.items():
         l = len(g.word)
-        if values[l] is None:
-            values[l] = v
-        elif values[l] != v:
+        if values.setdefault(l, v) != v:
             return None
-        counts[l] += 1
-    coeffs = []
-    for l in range(top + 1):
-        if values[l] is None:
-            coeffs.append(0)
-            continue
-        if counts[l] != model.units * model.sphere_count(l):
-            return None
-        coeffs.append(values[l])
-    if all(isinstance(c, int) or (c.imag == 0 and float(c.real).is_integer()) for c in coeffs):
-        return [int(c.real) if not isinstance(c, int) else c for c in coeffs]
-    if all(not isinstance(c, complex) or c.imag == 0 for c in coeffs):
-        return [float(c.real) if isinstance(c, complex) else float(c) for c in coeffs]
-    return coeffs
+        counts[l] = counts.get(l, 0) + 1
+    if any(n != model.units * model.sphere_count(l) for l, n in counts.items()):
+        return None
+    coeffs = [values.get(l, 0j) for l in range(max(values, default=-1) + 1)]
+    if any(c.imag for c in coeffs):
+        return coeffs
+    if all(c.real.is_integer() for c in coeffs):
+        return [int(c.real) for c in coeffs]
+    return [c.real for c in coeffs]
+
+
+def _product_counts(q: int, m: int, k: int):
+    """``(n, N)`` for n = m + k - 2c, c = 0..min(m, k) cancelled letters: with
+    q = 2 rank - 1, each word of length n is the product of N pairs of reduced
+    words of lengths m and k, N being 1, (q-1) q^(c-1), q^min(m,k) or
+    (q+1) q^(m-1) for no, partial, one-sided full or symmetric full cancellation."""
+    top = min(m, k)
+    for c in range(top + 1):
+        yield m + k - 2 * c, (1 if c == 0 else (q - 1) * q ** (c - 1) if c < top
+                              else (q + 1) * q ** (m - 1) if m == k else q ** top)
 
 
 def radial_convolve(rank: int, c1, c2, budget=None):
     """Sphere-coefficient expansion of the convolution of two radial
-    functions on a rank-``rank`` free group.
-
-    The product of a length-m and a length-n word has length m+n-2c
-    after cancelling c letters; for fixed reduced output there are
-    exactly 1, (q-1)q^(c-1), q^min(m,n) or (q+1)q^(m-1) factorizations
-    (no, partial, one-sided full, or symmetric full cancellation),
-    where q = 2*rank - 1.
-    """
+    functions on a rank-``rank`` free group, from ``_product_counts``."""
     if not c1 or not c2:
         return []
     if budget is not None:
@@ -325,28 +385,9 @@ def radial_convolve(rank: int, c1, c2, budget=None):
             if b == 0:
                 continue
             ab = a * b
-            top = min(m, n)
-            for c in range(top + 1):
-                if c == 0:
-                    N = 1
-                elif c < top:
-                    N = (q - 1) * q ** (c - 1)
-                elif m == n:
-                    N = (q + 1) * q ** (m - 1)
-                else:
-                    N = q ** top
-                out[m + n - 2 * c] += ab * N
+            for length, N in _product_counts(q, m, n):
+                out[length] += ab * N
     return out
-
-
-def _radial_log_l2(backend: FreeGroup, coeffs, logscale: float) -> float:
-    total = 0
-    for l, c in enumerate(coeffs):
-        if c != 0:
-            total += abs(c) ** 2 * backend.sphere_count(l)
-    if total == 0:
-        return float("-inf")
-    return 0.5 * math.log(total) + logscale
 
 
 # -- power sequence ---------------------------------------------------------
@@ -377,7 +418,7 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     entries = []
     if profile is not None:
         backend = model.backend
-        star = [c.conjugate() if isinstance(c, complex) else c for c in profile]
+        star = [c.conjugate() for c in profile]
         h = radial_convolve(backend.rank, star, profile, budget=budget)
         logscale = 0.0
         for n in range(1, n_max + 1):
@@ -388,8 +429,8 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                 if peak > 1e120 or (peak != 0 and peak < 1e-120):
                     h = [c / peak for c in h]
                     logscale += math.log(peak)
-            log_norm = _radial_log_l2(backend, h, logscale)
-            value = 0.0 if log_norm == float("-inf") else math.exp(log_norm / (2 * 2 ** n))
+            total = sum(abs(c) ** 2 * backend.sphere_count(l) for l, c in enumerate(h) if c != 0)
+            value = math.exp((0.5 * math.log(total) + logscale) / (2 * 2 ** n)) if total else 0.0
             entries.append((n, value))
         return PowerSeq(entries=entries, n_max=n_max, method="radial")
 

@@ -70,13 +70,20 @@ def test_out_directory_layout(files, tmp_path, f2):
     assert len(rows) == 10
 
 
+NEG_CHI1 = [{"unit": 0, "word": w, "re": -1.0} for w in ("a", "A", "b", "B")]
+
+
 def test_byte_reproducibility(files, tmp_path):
-    # the seed draws bandcheck's random functions and norm's start vectors
-    for op, table in (("bandcheck", "bandcheck"), ("norm", "norm_trace")):
+    # the seed draws bandcheck's random functions and norm's start vectors;
+    # -chi_1 keeps norm on Lanczos, which chi_1 (sphere quotient) leaves
+    for op, table, cfg in (("bandcheck", "bandcheck", {}),
+                           ("norm", "norm_trace", {"function": NEG_CHI1})):
         outs = []
         for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
             out = tmp_path / op / name
-            assert main([op, "--model", files["f2"], "--out", str(out), "--seed", seed]) == 0
+            cfg_path = write_cfg(files, f"repro_{op}", cfg)
+            assert main([op, "--model", files["f2"], "--config", cfg_path,
+                         "--out", str(out), "--seed", seed]) == 0
             outs.append(out)
         for rel in ("report.json", f"tables/{table}.csv"):
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
@@ -128,9 +135,22 @@ def test_gns_budget_bounds_the_checked_ball(files, capsys):
 
 
 def test_lanczos_overflow_is_a_usage_error(files, capsys):
-    # coefficients 1e300 are finite, but the recurrence's dot products are not
-    cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": 1e150, "k": 2}},
+    # coefficients -1e300 are finite, but the recurrence's dot products are not
+    # (negative, so the solve is Lanczos and not the sphere quotient)
+    cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": -1e100, "k": 3}},
                                     "L": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+
+
+def test_quotient_overflow_is_a_usage_error(files, capsys):
+    # the coefficient 1e308 is finite and a whole number, but its sphere
+    # quotient entries are not finite
+    cfg = write_cfg(files, "huge_quotient",
+                    {"function": {"sphere_weighted": {"alpha": 1e154, "k": 2}}, "L": 3})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
@@ -271,7 +291,16 @@ def test_usage_errors_exit_two(files, capsys):
                     ("normbound", {"k": -1}),
                     # negative truncations
                     ("extend", {"alpha": 0.5, "p": 4, "K": -1}),
-                    ("certify", {"q": 2, "p": 4, "K": -1})):
+                    ("certify", {"q": 2, "p": 4, "K": -1}),
+                    # non-integral numbers where an integer is read
+                    ("norm", {"L": 3.7, "ladder": [2.9, 3.7]}),
+                    ("norm", {"L": 3, "ladder": [2.5, 3]}),
+                    ("norm", {"function": {"sphere": 1.5}}), ("norm", {"unit": 0.5}),
+                    ("norm", {"function": {"sphere_weighted": {"alpha": 0.5, "k": 1.2}}}),
+                    ("growth", {"K": 8.5}), ("delta", {"radius": 2.5}),
+                    ("delta", {"units": [0.5]}),
+                    ("gns", {"k": 1.5}), ("powerseq", {"n_max": 2.5}),
+                    ("normbound", {"L": 5.5}), ("extend", {"alpha": 0.5, "p": 4, "K": 9.5})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')
@@ -306,7 +335,8 @@ def _table(entries):
 # NaN, Infinity and 1e999 in each kind of input, each where the reader let it
 # through: Infinity and 1e999 overflow an int() with a traceback, and int(NaN)
 # raises ValueError, so NaN goes where a float is taken as it is or into a key
-# no one reads.  Then table-kernel entries at units out of range.
+# no one reads.  Then table-kernel entries at units out of range, and
+# non-integral numbers where an integer is read, which int() truncated.
 # (case, operation, model file text or fixture name, config, function file, message)
 NOT_FINITE = "is not a finite number"
 BAD_INPUT = [
@@ -327,6 +357,15 @@ BAD_INPUT = [
     ("kernel-1e999", "pdcheck", "f2", _table(_entries("1e999")), None, "1e999 " + NOT_FINITE),
     ("kernel-unit-99", "pdcheck", "f2_32", _table(_entries("99")), None, "unit 99 out of range"),
     ("kernel-unit--1", "pdcheck", "f2_32", _table(_entries("-1")), None, "unit -1 out of range"),
+    ("model-free-2.5", "growth", F2_MODEL.replace("2}", "2.5}"), "{}", None,
+     "expected an integer, got 2.5"),
+    ("model-units-1.9", "growth", F2_MODEL.replace("1,", "1.9,"), "{}", None,
+     "expected an integer, got 1.9"),
+    ("function-word-1.5", "norm", "z6", NORM_FILE, '[{"unit": 0, "word": 1.5, "re": 1.0}]',
+     "expected an integer, got 1.5"),
+    ("function-unit-0.5", "norm", "f2", NORM_FILE, _entries("0.5"), "expected an integer, got 0.5"),
+    ("config-L-3.7", "norm", "z", '{"L": 3.7, "ladder": [2.9, 3.7]}', None,
+     "expected an integer, got 3.7"),
 ]
 
 

@@ -186,6 +186,20 @@ def test_malformed_model_data():
     for action in ([[0.5], [0]], [["0"], [0]]):
         with pytest.raises(ModelError, match="not a permutation"):
             etale.model_from_dict({"backend": {"free": 2}, "units": 1, "action": action})
+    # non-integral numbers are refused, not truncated
+    z2 = {"table": [[0, 1], [1, 0]], "generators": [1]}
+    for data in ({"backend": {"free": 2.5}, "units": 1, "action": [[0], [0]]},
+                 {"backend": {"free": 2}, "units": 1.9, "action": [[0], [0]]},
+                 {"backend": {"finite": z2 | {"order": 2.5}}, "units": 1, "action": [[0]]},
+                 {"backend": {"finite": z2 | {"generators": [1.5]}}, "units": 1,
+                  "action": [[0]]}):
+        with pytest.raises(ModelError, match="expected an integer"):
+            etale.model_from_dict(data)
+    z2_model = etale.model_from_dict({"backend": {"finite": z2}, "units": 1, "action": [[0]]})
+    assert z2_model.backend.word_from_json(1) == 1
+    for word in (1.5, "1"):
+        with pytest.raises(ModelError, match="expected an integer"):
+            z2_model.backend.word_from_json(word)
 
 
 def test_word_json_roundtrip(f2, z6):

@@ -403,8 +403,8 @@ def test_converged_means_residual_within_tol(z):
 
 def test_lanczos_step_count_on_tree(f2):
     # F2 chi_1 at L=10 (118,097 rows) converges in ~50 Lanczos steps; power
-    # iteration needed 222
-    est = reduced_norm_at_unit(sphere_indicator(f2, 1), 0, 10, ladder=[10])
+    # iteration needed 222.  -chi_1 has the same norm and stays on Lanczos
+    est = reduced_norm_at_unit(-sphere_indicator(f2, 1), 0, 10, ladder=[10])
     assert est.converged
     assert est.iterations <= 80
 
@@ -418,7 +418,7 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    chi = sphere_indicator(f2_32, 1)
+    chi = -sphere_indicator(f2_32, 1)  # negative: Lanczos, not the sphere quotient
     monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
     monkeypatch.setattr(spectral, "_operator", counted("build", spectral._operator))
     monkeypatch.setattr(etale.FreeGroup, "ball_tree", counted("tree", etale.FreeGroup.ball_tree))
@@ -454,7 +454,7 @@ def test_over_budget_top_rung_refused_before_any_solve(f2, monkeypatch):
         raise AssertionError("a rung was solved")
 
     monkeypatch.setattr(spectral, "_lanczos", solve)
-    chi = sphere_indicator(f2, 1)
+    chi = -sphere_indicator(f2, 1)  # negative: Lanczos, not the sphere quotient
     with pytest.raises(BudgetError) as err:
         reduced_norm(chi, 6, ladder=[2, 4, 6], budget=f2.ball_count(4))
     assert err.value.required == f2.ball_count(6)
@@ -521,8 +521,71 @@ def test_truncated_operator_checks_unit_and_budget(f2):
             reduced_norm_at_unit(chi, u, 2)
     with pytest.raises(BudgetError):
         f2.ball_tree(3, 52)
-    with pytest.raises(BudgetError):
-        reduced_norm_at_unit(chi, 0, 3, budget=52)
+    with pytest.raises(BudgetError):  # -chi_1 enumerates the ball; chi_1 does not
+        reduced_norm_at_unit(-chi, 0, 3, budget=52)
+
+
+# (rank, coefficients of chi_0, chi_1, ..., L): chi_1, chi_2, chi_3, 0.25 chi_2,
+# 0.7 chi_1 and chi_0 + chi_1 + 0.5 chi_2 on F_1, F_2 and F_3
+QUOTIENT_CASES = [(1, [0, 1], 300), (1, [0, 0, 1], 40), (1, [0, 0, 0, 1], 25),
+                  (1, [0, 0, 0.25], 60), (1, [0, 0.7], 100), (1, [1, 1, 0.5], 50),
+                  (2, [0, 1], 10), (2, [0, 0, 1], 8), (2, [0, 0, 0, 1], 6),
+                  (2, [0, 0, 0.25], 7), (2, [0, 0.7], 9), (2, [1, 1, 0.5], 8),
+                  (3, [0, 1], 6), (3, [0, 0, 1], 5), (3, [1, 1, 0.5], 6)]
+
+
+def test_quotient_limit_is_the_exact_norm():
+    for rank, coeffs, limit in ((2, [0, 1], 2 * math.sqrt(3)), (1, [0, 1], 2.0),
+                                (3, [0, 1], 2 * math.sqrt(5)), (2, [0, 0, 1], 8.0)):
+        f = radial_function(etale.group_model(etale.FreeGroup(rank)), coeffs)
+        est = reduced_norm(f, 4)
+        assert est.method == "sphere_quotient"
+        assert est.limit == pytest.approx(limit, rel=1e-15, abs=0)
+
+
+def test_quotient_matches_lanczos_on_negated_function():
+    # -f is signed, so it stays on Lanczos, and its operator is -M: the same norm
+    for rank, coeffs, L in QUOTIENT_CASES:
+        f = radial_function(etale.group_model(etale.FreeGroup(rank)), coeffs)
+        est = reduced_norm(f, L)
+        ref = reduced_norm(-f, L, ladder=[L])
+        assert (est.method, ref.method) == ("sphere_quotient", "lanczos")
+        assert est.value == pytest.approx(ref.value, rel=1e-13, abs=0)
+        assert est.iterations == 0 and ref.iterations > 0
+        assert all(row[4] for row in est.trace) and est.monotone
+        assert all(row[1] <= est.limit for row in est.trace)
+        assert est.units_checked == [0] and est.unit == 0
+    # complex, non-radial and finite-backend functions keep Lanczos too
+    f2 = etale.group_model(etale.FreeGroup(2))
+    z6 = etale.load_model(ROOT / "models" / "z6.json")
+    for f in (radial_function(f2, [0, 1j]), delta(f2, GroupoidElement(0, (1,))),
+              sphere_indicator(z6, 1)):
+        assert reduced_norm(f, 3).method == "lanczos"
+
+
+def test_quotient_at_radius_1000_builds_no_ball(f2, monkeypatch):
+    def tree(*args):
+        raise AssertionError("the ball tree was built")
+
+    chi = sphere_indicator(f2, 1)
+    near = reduced_norm(chi, 12).value
+    monkeypatch.setattr(etale.GroupoidModel, "ball_tree", tree)
+    est = reduced_norm(chi, 1000)
+    assert est.converged and [row[0] for row in est.trace] == [4, 6, 8, 10, 12, 1000]
+    assert est.trace[-2][1] == near
+    assert near <= est.value <= est.limit == 2 * math.sqrt(3)
+
+
+def test_over_budget_quotient_refused_before_any_work(f2, monkeypatch):
+    def count(*args):
+        raise AssertionError("a quotient entry was computed")
+
+    monkeypatch.setattr(spectral, "_product_counts", count)
+    chi = sphere_indicator(f2, 1)
+    for budget, L in ((120, 10), (None, 2236)):  # 11^2 and 2237^2 entries
+        with pytest.raises(BudgetError) as err:
+            reduced_norm_at_unit(chi, 0, L, budget=budget)
+        assert err.value.required == (L + 1) ** 2
 
 
 def test_import_leaves_scipy_out():
