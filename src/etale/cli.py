@@ -338,9 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once: parsing is a tenth of its cost
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         model = load_model(args.model)
         mu = MeasureContext.uniform(model)

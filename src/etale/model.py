@@ -200,7 +200,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, generators: Sequence[int]):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.array([[as_int(x) for x in row] for row in table], dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ModelError("multiplication table must be square")
         n = table.shape[0]

@@ -17,12 +17,11 @@ unit.  There are two methods:
 ``converged`` means the eigen-residual is at most ``tol * max(1, |theta|)``;
 ``iterations`` counts Lanczos steps, 0 on the quotient.
 
-``power_sequence_norm`` squares ``f^* * f`` repeatedly by convolution
-and reports ``|h_n|_2 ^ (1/(2*2^n))``, which climbs to the same norm
-from the algebra side.  Sphere-symmetric functions on free backends
-are squared in a radial representation (one coefficient per sphere,
-exact product expansion), which keeps the support size linear in the
-radius instead of exponential.
+``power_sequence_norm`` reports ``|h_n|_2 ^ (1/(2*2^n))`` for
+``h_n = (f^* * f)^(2^n)``, which climbs to the same norm from the algebra
+side.  A sphere-symmetric f on a free backend runs on the banded sphere
+quotient, one coefficient per sphere; any other f is squared by sparse
+convolution.
 """
 from __future__ import annotations
 
@@ -231,13 +230,11 @@ class _Solves:
 
 
 class _Quotient:
-    """The quotient ``S[m, n] = B[m, n] sqrt(s_m / s_n)`` (s_m the sphere
-    sizes) of ``f = sum_k profile[k] chi_k`` on F_rank, with ``B[m, n]`` the
-    weight of the x in supp f with |w x| = n for any |w| = m; as
-    ``s_m B_k[m, n] = s_n N`` for N of ``_product_counts``, S sums
-    ``profile[k] N sqrt(s_n / s_m)``.  ``limit`` is ``sum_k profile[k] s_k phi(k)``
-    for Haagerup's spherical function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.
-    Built at the top rung once its (L+1)^2 entries are charged."""
+    """The dense (L+1)-row sphere quotient S of ``f = sum_k profile[k] chi_k``
+    on F_rank: the bands of ``_radial_bands`` at radius L, mirrored below the
+    diagonal.  ``limit`` is ``sum_k profile[k] s_k phi(k)`` for Haagerup's
+    spherical function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.  Built at
+    the top rung once its (L+1)^2 entries are charged."""
 
     unit_free = True
 
@@ -247,20 +244,14 @@ class _Quotient:
             raise BudgetError(f"sphere quotient of radius {L} needs {count_text((L + 1) ** 2)} "
                               f"entries, budget is {budget}", required=(L + 1) ** 2, budget=budget)
         q = 2 * rank - 1
-        log_2r, log_q = math.log(2 * rank), math.log(q)
         S, limit = np.zeros((L + 1, L + 1)), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, c in enumerate(map(float, profile)):
-                if c == 0:
-                    continue
-                limit += c * (1 + k * (q - 1) / (q + 1)) * (
-                    2 * rank * math.exp((k / 2 - 1) * log_q) if k else 1.0)
-                for m in range(L + 1 if k <= 2 * L else 0):  # else |w x| >= k - L > L
-                    for n, N in _product_counts(q, m, k):
-                        if m <= n <= L:  # the upper triangle, mirrored below
-                            # sqrt(s_n / s_m) = q^((n-m)/2), or sqrt(2 rank q^(n-1)) at m = 0
-                            S[m, n] += c * N * math.exp(
-                                ((n - m) * log_q + (m == 0 < n) * (log_2r - log_q)) / 2)
+            for k, c in enumerate(profile):
+                if c:
+                    limit += c * (1 + k * (q - 1) / (q + 1)) * (
+                        2 * rank * math.exp((k / 2 - 1) * math.log(q)) if k else 1.0)
+            for d, w in _radial_bands(rank, profile, L):
+                S[np.arange(len(w)), np.arange(d, L + 1)] = w
             S += np.triu(S, 1).T
             if not (np.isfinite(S.sum(axis=1)).all() and math.isfinite(limit)):
                 raise ValueError("the coefficients of f overflow float64 in the sphere quotient")
@@ -334,8 +325,8 @@ def reduced_norm(f: CcFunction, L: int, max_iter: int = 2000, tol: float = 1e-10
 
 def radial_profile_of(f: CcFunction):
     """Per-sphere coefficients of ``f`` when it is sphere-symmetric over
-    every fiber of a free backend; None otherwise.  Integer-valued
-    profiles are returned as ints so later arithmetic stays exact."""
+    every fiber of a free backend, as floats, or as complex numbers when
+    any is complex; None otherwise."""
     model = f.model
     if not isinstance(model.backend, FreeGroup):
         return None
@@ -347,46 +338,42 @@ def radial_profile_of(f: CcFunction):
         counts[l] = counts.get(l, 0) + 1
     if any(n != model.units * model.sphere_count(l) for l, n in counts.items()):
         return None
-    coeffs = [values.get(l, 0j) for l in range(max(values, default=-1) + 1)]
-    if any(c.imag for c in coeffs):
-        return coeffs
-    if all(c.real.is_integer() for c in coeffs):
-        return [int(c.real) for c in coeffs]
-    return [c.real for c in coeffs]
+    coeffs = [complex(values.get(l, 0)) for l in range(max(values, default=-1) + 1)]
+    return coeffs if any(c.imag for c in coeffs) else [c.real for c in coeffs]
 
 
-def _product_counts(q: int, m: int, k: int):
-    """``(n, N)`` for n = m + k - 2c, c = 0..min(m, k) cancelled letters: with
-    q = 2 rank - 1, each word of length n is the product of N pairs of reduced
-    words of lengths m and k, N being 1, (q-1) q^(c-1), q^min(m,k) or
-    (q+1) q^(m-1) for no, partial, one-sided full or symmetric full cancellation."""
-    top = min(m, k)
-    for c in range(top + 1):
-        yield m + k - 2 * c, (1 if c == 0 else (q - 1) * q ** (c - 1) if c < top
-                              else (q + 1) * q ** (m - 1) if m == k else q ** top)
-
-
-def radial_convolve(rank: int, c1, c2, budget=None):
-    """Sphere-coefficient expansion of the convolution of two radial
-    functions on a rank-``rank`` free group, from ``_product_counts``."""
-    if not c1 or not c2:
-        return []
-    if budget is not None:
-        cost = len(c1) * len(c2) * min(len(c1), len(c2))
-        if cost > budget:
-            raise BudgetError(f"radial convolution cost {cost} exceeds budget {budget}",
-                              required=cost, budget=budget)
+def _radial_bands(rank: int, profile, R: int) -> list:
+    """The upper bands ``(d, w)``, ``S[m, m + d] = w[m]``, of the symmetric
+    sphere quotient ``S[m, n] = sum_k profile[k] N sqrt(s_n / s_m)`` (s_m the
+    sphere sizes) of ``f = sum_k profile[k] chi_k`` on F_rank at radius R: a
+    word of length n = m + k - 2c is the product of N words of lengths m and
+    k with c letters cancelled, N = 1 at c = 0, q^c at m = c, else
+    (q-1) q^(c-1) (q = 2 rank - 1).  So each band d = k - 2c >= 0 is constant
+    but at m = c and m = 0; the k are summed in ascending order."""
     q = 2 * rank - 1
-    out = [0] * (len(c1) + len(c2) - 1)
-    for m, a in enumerate(c1):
-        if a == 0:
-            continue
-        for n, b in enumerate(c2):
-            if b == 0:
-                continue
-            ab = a * b
-            for length, N in _product_counts(q, m, n):
-                out[length] += ab * N
+    log_q, log_2r_q = math.log(q), math.log(2 * rank) - math.log(q)
+    dtype = np.result_type(float, *profile)
+    bands: dict = {}
+    for k, coef in enumerate(profile):
+        for c in range(max(0, k - R), k // 2 + 1 if coef else 0):  # c <= R - d
+            d = k - 2 * c
+            w = bands.setdefault(d, np.zeros(R + 1 - d, dtype=dtype))
+            # sqrt(s_(m+d) / s_m) = q^(d/2), or sqrt(2 rank q^(d-1)) at m = 0 < d
+            root = math.exp(d * log_q / 2)
+            w[c] += coef * q ** c * (math.exp((d * log_q + log_2r_q) / 2) if c == 0 < d else root)
+            w[c + 1:] += coef * ((q - 1) * q ** (c - 1) if c else 1) * root
+    return sorted(bands.items())
+
+
+def radial_convolve(bands, y):
+    """``S y`` for the symmetric banded S of ``_radial_bands``: the convolution
+    by f of a radial function g, in the coordinates ``y_l = g_l sqrt(s_l)``
+    whose Euclidean norm is ``|g|_2``, on spheres 0..R (``len(y) = R + 1``)."""
+    out = np.zeros(len(y), dtype=np.result_type(y, *(w for _, w in bands)))
+    for d, w in bands:
+        out[:len(w)] += w * y[d:]
+        if d:
+            out[d:] += w * y[:len(w)]
     return out
 
 
@@ -409,29 +396,38 @@ class PowerSeq:
 
 def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                         budget: int = DEFAULT_POWER_BUDGET) -> PowerSeq:
-    """Square ``h = f^* * f`` by convolution ``n_max`` times and report
-    ``|h_n|_2 ^ (1/(2*2^n))`` for each n."""
+    """``|h_n|_2 ^ (1/(2*2^n))`` for ``h_n = (f^* * f)^(2^n)``, n = 1..n_max.
+    Radial functions commute, so for a radial f on a free backend that is
+    ``|S^j e_0| ^ (1/j)``, j = 2^(n+1), for f's sphere quotient S at the
+    radius R = 2^(n_max+1) K (K = ``len(profile) - 1``) no power passes: j
+    renormalized banded products, whose (R+1)(2K+1) multiply-adds each are
+    charged to ``budget`` before any band is built.  Any other f squares h
+    by sparse convolution, each square charged on its own."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     model = f.model
     profile = radial_profile_of(f)
     entries = []
     if profile is not None:
-        backend = model.backend
-        star = [c.conjugate() for c in profile]
-        h = radial_convolve(backend.rank, star, profile, budget=budget)
-        logscale = 0.0
-        for n in range(1, n_max + 1):
-            h = radial_convolve(backend.rank, h, h, budget=budget)
-            logscale *= 2
-            if h and not isinstance(h[0], int):
-                peak = max(abs(c) for c in h)
-                if peak > 1e120 or (peak != 0 and peak < 1e-120):
-                    h = [c / peak for c in h]
-                    logscale += math.log(peak)
-            total = sum(abs(c) ** 2 * backend.sphere_count(l) for l, c in enumerate(h) if c != 0)
-            value = math.exp((0.5 * math.log(total) + logscale) / (2 * 2 ** n)) if total else 0.0
-            entries.append((n, value))
+        K = max(len(profile) - 1, 0)
+        R = 2 ** (n_max + 1) * K
+        cost = 2 ** (n_max + 1) * (R + 1) * (2 * K + 1)
+        if budget is not None and cost > budget:
+            raise BudgetError(f"radial power sequence needs {count_text(cost)} multiply-adds, "
+                              f"budget is {budget}", required=cost, budget=budget)
+        bands = _radial_bands(model.backend.rank, profile, R)
+        y, logs = np.eye(1, R + 1)[0], []  # e_0, and log |S^j e_0| = fsum(logs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, 2 ** (n_max + 1) + 1):
+                y = radial_convolve(bands, y)
+                norm = float(np.linalg.norm(y))
+                if not math.isfinite(norm):
+                    raise ValueError("the coefficients of f overflow float64 in the power sequence")
+                logs.append(math.log(norm) if norm else -math.inf)  # norm 0 only when f = 0
+                y /= norm or 1.0
+                y[abs(y) < np.finfo(float).tiny] = 0  # subnormal tails: no digit, much time
+                if j > 2 and j & (j - 1) == 0:  # j = 2^(n+1)
+                    entries.append((j.bit_length() - 2, math.exp(math.fsum(logs) / j)))
         return PowerSeq(entries=entries, n_max=n_max, method="radial")
 
     h = convolve(involution(f), f, budget=budget)

@@ -1,17 +1,22 @@
 """End-to-end CLI behavior: reports, tables, exit codes, reproducibility."""
 import csv
 import dataclasses
+import importlib
+import importlib.util
 import json
 import math
 import shutil
 import subprocess
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 import etale
 from etale.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -148,14 +153,16 @@ def test_lanczos_overflow_is_a_usage_error(files, capsys):
 
 def test_quotient_overflow_is_a_usage_error(files, capsys):
     # the coefficient 1e308 is finite and a whole number, but its sphere
-    # quotient entries are not finite
-    cfg = write_cfg(files, "huge_quotient",
-                    {"function": {"sphere_weighted": {"alpha": 1e154, "k": 2}}, "L": 3})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+    # quotient entries, and the power sequence's products, are not finite
+    huge = {"sphere_weighted": {"alpha": 1e154, "k": 2}}
+    for op, cfg in (("norm", {"function": huge, "L": 3}),
+                    ("powerseq", {"function": huge, "n_max": 2})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([op, "--model", files["f2"], "--config",
+                         write_cfg(files, "huge_quotient", cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
 
 
 def test_haagerup_cli(files, capsys):
@@ -361,6 +368,9 @@ BAD_INPUT = [
      "expected an integer, got 2.5"),
     ("model-units-1.9", "growth", F2_MODEL.replace("1,", "1.9,"), "{}", None,
      "expected an integer, got 1.9"),
+    ("model-table-1.5", "growth", '{"backend": {"finite": {"table": [[0, 1.5], [1, 0]], '
+     '"generators": [1]}}, "units": 1, "action": [[0]]}', "{}", None,
+     "expected an integer, got 1.5"),
     ("function-word-1.5", "norm", "z6", NORM_FILE, '[{"unit": 0, "word": 1.5, "re": 1.0}]',
      "expected an integer, got 1.5"),
     ("function-unit-0.5", "norm", "f2", NORM_FILE, _entries("0.5"), "expected an integer, got 0.5"),
@@ -444,3 +454,17 @@ def test_console_script_installed(files, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["operation"] == "growth"
+
+
+def test_traced_entry_points_exist():
+    # bench/layertrace.py wraps each of these names with no fallback, so one
+    # deleted from etale would break every traced bench run
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for layer, names in layertrace.ENTRY_POINTS.items():
+        module = importlib.import_module(f"etale.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            scope = vars(getattr(module, owner)) if owner else vars(module)
+            assert callable(scope.get(attr)), f"etale.{layer}.{name} is gone"

@@ -36,13 +36,6 @@ def radial_function(model, coeffs):
     return CcFunction(model, data)
 
 
-def strip_zeros(coeffs):
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def test_identity_has_norm_one(f2, z2_swap):
     for model in (f2, z2_swap):
         est = reduced_norm(unit_indicator(model), 2)
@@ -124,22 +117,44 @@ def test_radial_profile_detection(f2, f2_32, z6):
        c1=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
        c2=st.lists(st.integers(-3, 3), min_size=1, max_size=3))
 def test_radial_convolve_matches_sparse(rank, c1, c2):
+    # compared in the sphere coordinates y_l = g_l sqrt(s_l), to 1e-14 of the
+    # largest coefficient
     model = etale.group_model(etale.FreeGroup(rank))
     product = convolve(radial_function(model, c1), radial_function(model, c2))
     profile = radial_profile_of(product)
     assert profile is not None
-    assert strip_zeros(profile) == strip_zeros(radial_convolve(rank, c1, c2))
+    R = len(c1) + len(c2) - 2
+    roots = np.sqrt([float(model.sphere_count(l)) for l in range(R + 1)])
+    expect = np.zeros(R + 1)
+    expect[:len(profile)] = profile
+    y = np.zeros(R + 1)
+    y[:len(c2)] = c2
+    got = radial_convolve(spectral._radial_bands(rank, c1, R), y * roots)
+    np.testing.assert_allclose(got, expect * roots, rtol=0, atol=1e-14 * max(1, *abs(got)))
 
 
-def test_radial_convolve_budget():
+def test_radial_convolve_budget(f2, mu_f2, monkeypatch):
+    # 2^(n_max+1) products with S of radius R = 2^(n_max+1) K, each of
+    # (R+1)(2K+1) multiply-adds, are charged before any band is built
+    def bands(*args):
+        raise AssertionError("a band was built")
+
+    chi = sphere_indicator(f2, 1)
+    ok = power_sequence_norm(chi, 3, mu_f2, budget=16 * 17 * 3)
+    monkeypatch.setattr(spectral, "_radial_bands", bands)
     with pytest.raises(BudgetError) as err:
-        radial_convolve(2, [1] * 30, [1] * 30, budget=100)
-    assert err.value.required == 27000
+        power_sequence_norm(chi, 3, mu_f2, budget=16 * 17 * 3 - 1)
+    assert err.value.required == 16 * 17 * 3
+    with pytest.raises(BudgetError) as err:
+        power_sequence_norm(sphere_indicator(f2, 2), 40, mu_f2)
+    assert err.value.required == 2 ** 41 * (2 ** 42 + 1) * 5
+    assert ok.method == "radial" and len(ok.entries) == 3
 
 
 def test_power_sequence_line_binomials(z, mu_z):
     # the 2m-step return counts of the +/-1 walk are central binomials
-    ps = power_sequence_norm(sphere_indicator(z, 1), 5, mu_z)
+    chi = sphere_indicator(z, 1)
+    ps = power_sequence_norm(chi, 5, mu_z)
     assert ps.method == "radial"
     for n, value in ps.entries:
         m = 2 ** (n + 1)
@@ -147,6 +162,19 @@ def test_power_sequence_line_binomials(z, mu_z):
     vals = ps.values()
     assert vals == sorted(vals)
     assert ps.csv_rows()[0] == ("n", "value")
+    # n_max = 12 is 2^13 products of 8,193 rows by 3 diagonals: refused under the
+    # default budget, and in well under a second when the budget allows it
+    cost = 2 ** 13 * 8193 * 3
+    with pytest.raises(BudgetError) as err:
+        power_sequence_norm(chi, 12, mu_z)
+    assert err.value.required == cost
+    start = time.perf_counter()
+    ps = power_sequence_norm(chi, 12, mu_z, budget=cost)
+    assert time.perf_counter() - start < 1.0
+    for n, value in ps.entries:
+        m = 2 ** (n + 1)
+        expect = math.exp(math.log(math.comb(2 * m, m)) / (2 * m))
+        assert value == pytest.approx(expect, rel=2e-15)
 
 
 def test_power_sequence_radial_vs_sparse(f2, mu_f2):
@@ -163,11 +191,12 @@ def test_power_sequence_radial_vs_sparse(f2, mu_f2):
 
 
 def test_power_sequence_mixed_profile(f2, mu_f2):
-    f = radial_function(f2, [0, 1, 0.5])
-    ps = power_sequence_norm(f, 1, mu_f2)
-    h = convolve(involution(f), f)
-    h = convolve(h, h)
-    assert ps.entries[0][1] == pytest.approx(lp_norm(h, 2, mu_f2) ** 0.25, rel=1e-11)
+    for coeffs in ([0, 1, 0.5], [0.5, 1 + 0.5j]):
+        f = radial_function(f2, coeffs)
+        ps = power_sequence_norm(f, 1, mu_f2)
+        h = convolve(involution(f), f)
+        h = convolve(h, h)
+        assert ps.entries[0][1] == pytest.approx(lp_norm(h, 2, mu_f2) ** 0.25, rel=1e-11)
 
 
 def test_power_sequence_of_identity(f2, mu_f2):
@@ -580,7 +609,7 @@ def test_over_budget_quotient_refused_before_any_work(f2, monkeypatch):
     def count(*args):
         raise AssertionError("a quotient entry was computed")
 
-    monkeypatch.setattr(spectral, "_product_counts", count)
+    monkeypatch.setattr(spectral, "_radial_bands", count)
     chi = sphere_indicator(f2, 1)
     for budget, L in ((120, 10), (None, 2236)):  # 11^2 and 2237^2 entries
         with pytest.raises(BudgetError) as err:
