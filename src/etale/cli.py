@@ -126,6 +126,8 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
                        "tol": 1e-9})
     kern = kernel_from_json(model, opts["kernel"])
     mode = opts["mode"]
+    if not isinstance(mode, dict) or len(mode) != 1:
+        raise ModelError("pdcheck mode must have exactly one key, 'ball' or 'random'")
     tuples = []
     if "ball" in mode:
         k = as_int(mode["ball"]["k"])

@@ -199,6 +199,8 @@ def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,
                 witness_cap: int = 400, budget=None) -> Certificate:
     """Assemble the two-sided certificate at ``alpha`` (default: the
     band's sample point).  ``budget`` bounds the delta ball's elements."""
+    if witness_cap < 0:
+        raise ValueError("witness_cap must be >= 0")
     band = threshold_band(growth, q, p)
     if alpha is None:
         if band.sample_alpha is None:

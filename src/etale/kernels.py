@@ -254,11 +254,12 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
     diameter, so each check reads F once per sphere: no ball is enumerated,
     no budget applies, and every non-vacuous row is ``spot_checked`` at
     ``radius + 1``.  Every list must be nonempty, every eps lie in (0, 1]
-    and every k be >= 0.
+    and every k be an integer >= 0.
     """
     if not (n_list and k_list and eps_list):
         raise ValueError("n_list, k_list and eps_list must each be nonempty")
     n_list = sorted(float(n) for n in n_list)
+    k_list = [as_int(k) for k in k_list]
     eps_list = [float(eps) for eps in eps_list]
     if not all(0 < eps <= 1 for eps in eps_list):
         raise ValueError("every eps must lie in (0, 1]")

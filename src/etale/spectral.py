@@ -44,7 +44,8 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 
 def _apply(op, v):
     """``M @ v`` for an operator ``(cols, vals)`` of ``_operator``,
-    accumulated in place one word of f at a time."""
+    accumulated in place one word of f at a time; ``vals[k]`` is word k's
+    row of values, or its one value in every row."""
     cols, vals = op
     x = np.append(v, 0)
     out = np.zeros(cols.shape[1], dtype=np.result_type(vals, v))
@@ -61,19 +62,18 @@ def _apply(op, v):
     return out
 
 
-def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
-    """Lanczos on a Hermitian operator A of order n, given as ``apply(v)``
-    with ``work`` multiply-adds, from a seeded random start.  Only the
-    three-term recurrence is kept, no basis: lost orthogonality adds ghost
-    copies of converged Ritz values but no wrong ones (Paige).  Returns
-    ``(|theta|, steps, residual, converged)`` for the Ritz value theta of
-    largest modulus, with residual ``beta_k |s_k|``, the norm of
-    ``A y - theta y`` for its Ritz vector y.
+def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
+    """Lanczos on a Hermitian operator A of order n, given as ``apply(v)``,
+    from a seeded random start.  Only the three-term recurrence is kept, no
+    basis: lost orthogonality adds ghost copies of converged Ritz values but
+    no wrong ones (Paige).  Returns ``(|theta|, steps, residual, converged)``
+    for the Ritz value theta of largest modulus, with residual
+    ``beta_k |s_k|``, the norm of ``A y - theta y`` for its Ritz vector y.
 
-    The dense spectrum of the tridiagonal T_k (~k^3 work) is computed after
-    every step while that costs no more than an apply, then every ~k/10
-    steps: eigenvalues alone until the top one stalls, then with vectors
-    for the residual.  Overflow in the recurrence raises ValueError."""
+    The dense spectrum of the tridiagonal T_k is computed every
+    ``max(1, k // 10)`` steps: eigenvalues alone until the top one stalls,
+    then with vectors for the residual.  Overflow in the recurrence raises
+    ValueError."""
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
@@ -94,7 +94,7 @@ def _lanczos(apply, n: int, work: int, max_iter: int, tol: float, seed: int):
                 alphas.append(alpha)
                 betas.append(beta)
                 if k >= next_check or k == max_iter or beta == 0.0:
-                    next_check = k + (1 if k ** 3 <= work else max(1, k // 10))
+                    next_check = k + max(1, k // 10)
                     T = np.diag(alphas) + np.diag(betas[:-1], -1)
                     if not stalled:
                         top = float(np.max(np.abs(np.linalg.eigvalsh(T))))
@@ -161,14 +161,14 @@ def _operator(f: CcFunction, right, ns):
     ``(u.w_i, w_i^-1)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
     ``(at, unit_free)``: ``at(r, units)`` is the ``(cols, vals)`` of rung r at
     the tree's unit labels with ``M[i, cols[k, i]] = vals[k, i]`` for the words
-    x_k of f, sorted by column in each row; column n is a zero pad.  When
-    ``unit_free``, f's values do not depend on the range unit, and neither do
-    f^*'s, so ``at(r, None)`` needs no labels.
+    x_k of f, in f's order; column n is a zero pad.  When ``unit_free``, f's
+    values do not depend on the range unit, and neither do f^*'s: ``vals[k]``
+    is x_k's one value, and ``at(r, None)`` needs no labels.
 
-    One walk per x_k serves every rung as its first n columns clamped at n: a
-    reduced path never re-enters a ball it has left, and a finite backend's
-    tree is the whole group.  The top rung is clamped and sorted in place, so
-    no unsorted copy is kept."""
+    Only the walks of the x_k at the top rung are kept: rung r's columns are
+    their first n clamped at n, built when asked for, since a reduced path
+    never re-enters a ball it has left and a finite backend's tree is the
+    whole group.  Row sums follow f's word order, fixed for a given f."""
     by_word: dict = {}  # word -> its value of f at every range unit
     for g, v in f.items():
         by_word.setdefault(g.word, np.zeros(f.model.units, dtype=complex))[g.unit] = v
@@ -181,20 +181,15 @@ def _operator(f: CcFunction, right, ns):
         for c in f.model.backend.spell(x):
             col = right[col, c]
         top[k] = col
-    rungs = []  # (cols, order): order[k, i] is the word sorted to cols[k, i]
-    for r, n in enumerate(ns):
-        cols = np.minimum(top[:, :n], n, out=top if r == len(ns) - 1 else None)
-        order = np.argsort(cols, axis=0, kind="stable")
-        cols.sort(axis=0)
-        rungs.append((cols, order))
+    unit_free = bool(np.all(table == table[:, :1]))
 
     def at(r: int, units):
-        cols, order = rungs[r]
-        vals = table[order, 0 if units is None else units[:cols.shape[1]]]
+        n = ns[r]
+        vals = table[:, 0] if unit_free else table[:, units[:n]]
         if vals.dtype.kind == "c" and not vals.imag.any():
             vals = vals.real.copy()
-        return cols, vals
-    return at, bool(np.all(table == table[:, :1]))
+        return np.minimum(top[:, :n], n), vals
+    return at, unit_free
 
 
 class _Solves:
@@ -217,15 +212,14 @@ class _Solves:
         """``(value, iterations, residual, converged)`` for the largest
         singular value of f's operator M at rung r and the unit labels
         ``units``: Lanczos on M when f is self-adjoint, on ``M^H M`` otherwise."""
-        cols, _ = op = self.op(r, units)
-        n = cols.shape[1]
+        op = self.op(r, units)
+        n = op[0].shape[1]
         if self.op_h is self.op:
-            return _lanczos(lambda v: _apply(op, v), n, cols.size, *self.args)
+            return _lanczos(lambda v: _apply(op, v), n, *self.args)
         # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
         # is the conjugate of f(u.w_i, w_i^-1 w_j)
         op_h = self.op_h(r, units)
-        theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n,
-                                cols.size + op_h[0].size, *self.args)
+        theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n, *self.args)
         return (math.sqrt(theta), *rest)
 
 

@@ -170,6 +170,11 @@ def test_haagerup_cli(files, capsys):
     code, report = run_json(capsys, ["haagerup", "--model", files["f2"], "--config", cfg])
     assert code == 0
     assert report["verdict"] == "pass"
+    # an integral float reads as its integer, as every other integer key does
+    cfg = write_cfg(files, "haag", {"n_list": [2, 4], "k_list": [1, 2.0], "eps_list": [0.1]})
+    code, report_float = run_json(capsys, ["haagerup", "--model", files["f2"], "--config", cfg])
+    assert code == 0
+    assert report_float["results"] == report["results"]
 
 
 def test_delta_cli_all_units(files, capsys):
@@ -309,6 +314,17 @@ def test_usage_errors_exit_two(files, capsys):
                     ("gns", {"k": 1.5}), ("powerseq", {"n_max": 2.5}),
                     ("normbound", {"L": 5.5}), ("extend", {"alpha": 0.5, "p": 4, "K": 9.5})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
+    # one error line each: a mode must name one check, k_list holds integers,
+    # and the witness scan cap is a radius
+    for op, model, bad, message in (
+            ("pdcheck", "z6", {"mode": {"ball": {"k": 2}, "random": {"count": 3}}},
+             "pdcheck mode must have exactly one key"),
+            ("haagerup", "f2", {"k_list": [2.5]}, "expected an integer, got 2.5"),
+            ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0")):
+        capsys.readouterr()
+        assert main([op, "--model", files[model], "--config", write_cfg(files, "bad", bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     inf_kernel = files["root"] / "inf_kernel.json"
     inf_kernel.write_text('{"kernel": {"table": {"entries": [{"unit": 0, "word": "", "re": 1e999}]}}}')
     assert main(["pdcheck", "--model", files["f2"], "--config", str(inf_kernel)]) == 2

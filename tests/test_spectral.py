@@ -256,7 +256,6 @@ def operator_at(f, u, L):
 def dense_operator(f, u, L):
     """The truncated operator of ``operator_at`` as a dense matrix."""
     cols, vals = operator_at(f, u, L)
-    assert np.all(np.diff(cols, axis=0) >= 0)  # sorted by column in each row
     n = cols.shape[1]
     D = np.zeros((n, n + 1), dtype=complex)
     for k in range(len(cols)):
@@ -378,40 +377,51 @@ def test_zero_operator_has_norm_zero(z2_swap):
 
 
 def test_apply_matches_gather_sum(f2, f2_32):
-    # row-by-row accumulation in place gives the bits of the (k, n) gather-sum
+    # row-by-row accumulation in place gives the bits of the (k, n) gather-sum;
+    # a unit-free f holds one value per word, repeated along its row here
     rng = np.random.default_rng(3)
     from conftest import random_function
     cases = [sphere_indicator(f2, 1), random_function(f2, rng, 2, 12),
-             random_function(f2_32, rng, 2, 40), CcFunction(f2)]
+             random_function(f2_32, rng, 2, 40), CcFunction(f2),
+             (0.5 - 1.5j) * sphere_indicator(f2_32, 2)]
     for f in cases:
         cols, vals = op = operator_at(f, 0, 4)
         n = cols.shape[1]
+        rows = np.broadcast_to(vals[:, None] if vals.ndim == 1 else vals, cols.shape)
         for v in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
             x = np.append(v, 0)[cols]
             if vals.dtype.kind == "c":
-                want = ((vals.real * x.real - vals.imag * x.imag).sum(0)
-                        + 1j * (vals.real * x.imag + vals.imag * x.real).sum(0))
+                want = ((rows.real * x.real - rows.imag * x.imag).sum(0)
+                        + 1j * (rows.real * x.imag + rows.imag * x.real).sum(0))
             else:
-                want = (vals * x).sum(0)
+                want = (rows * x).sum(0)
             assert np.array_equal(_apply(op, v), want)
 
 
-def test_real_operator_gathered_without_complex_copy(f2):
-    # a real f keeps a real value table, so one gather allocates little
-    # beyond the float64 values it returns (a complex gather and its real
-    # copy took three times that)
+def test_real_operator_gathered_without_complex_copy(f2, f2_32):
+    # a unit-free f holds one value per word, not one per word and row
     parent, gen, right = f2.ball_tree(10)
     at, unit_free = _operator(sphere_indicator(f2, 1), right, [f2.ball_count(10)])
     assert unit_free
-    labels = f2.unit_labels(0, parent, gen)
+    cols, vals = at(0, None)
+    assert cols.shape == (4, f2.ball_count(10)) and vals.shape == (4,)
+    # a real unit-dependent f keeps a real value table, so one gather
+    # allocates little beyond the columns and float64 values it returns (a
+    # complex gather and its real copy took twice that)
+    g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
+                           for w in ((1,), (-1,), (2,), (-2,))})
+    parent, gen, right = f2_32.ball_tree(8)
+    at, unit_free = _operator(g, right, [f2_32.ball_count(8)])
+    assert not unit_free
+    labels = f2_32.unit_labels(0, parent, gen)
     tracemalloc.start()
     try:
         cols, vals = at(0, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vals.dtype == np.float64 and vals.shape == (4, f2.ball_count(10))
-    assert peak <= 1.1 * vals.nbytes
+    assert vals.dtype == np.float64 and vals.shape == cols.shape == (4, f2_32.ball_count(8))
+    assert peak <= 1.1 * (cols.nbytes + vals.nbytes)
 
 
 def test_converged_means_residual_within_tol(z):
@@ -431,7 +441,7 @@ def test_converged_means_residual_within_tol(z):
 
 
 def test_lanczos_step_count_on_tree(f2):
-    # F2 chi_1 at L=10 (118,097 rows) converges in ~50 Lanczos steps; power
+    # F2 chi_1 at L=10 (118,097 rows) converges in ~60 Lanczos steps; power
     # iteration needed 222.  -chi_1 has the same norm and stays on Lanczos
     est = reduced_norm_at_unit(-sphere_indicator(f2, 1), 0, 10, ladder=[10])
     assert est.converged
