@@ -31,8 +31,8 @@ from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       kernel_from_json, psd_check)
 from .metric import (band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
-from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_int, load_model,
-                    read_json)
+from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_int,
+                    load_model, read_json, take_keys)
 from .spectral import power_sequence_norm, reduced_norm, reduced_norm_at_unit, verify_norm_bound
 
 # malformed config values raise ModelError (as_int) or TypeError/AttributeError
@@ -48,21 +48,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _take(cfg: dict, defaults: dict) -> dict:
-    unknown = set(cfg) - set(defaults)
-    if unknown:
-        raise ModelError(f"unknown config keys: {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(cfg)
-    missing = [k for k, v in out.items() if v is _REQUIRED]
-    if missing:
-        raise ModelError(f"missing required config keys: {missing}")
-    return out
-
-
-_REQUIRED = object()
-
-
 def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     """Function inputs: {"sphere": k}, {"sphere_weighted": {"alpha", "k"}},
     {"delta": {"unit", "word"}}, {"file": path}, or an inline entry list."""
@@ -74,9 +59,11 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     if kind == "sphere":
         return sphere_indicator(model, as_int(val), budget=budget)
     if kind == "sphere_weighted":
+        val = take_keys(val, {"alpha": REQUIRED, "k": REQUIRED})
         return length_weighted(model, float(val["alpha"]), as_int(val["k"]), budget=budget)
     if kind == "delta":
-        return function_from_json(model, [{"unit": 0, "re": 1.0} | val])
+        entry = take_keys(val, {"unit": 0, "word": REQUIRED, "re": 1.0, "im": 0.0})
+        return function_from_json(model, [entry])
     if kind == "file":
         return load_function(model, val)
     raise ModelError(f"unknown function spec {kind!r}")
@@ -95,7 +82,7 @@ def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, words):
 # (results, verdict, passed, tables, resolved config)
 
 def _run_growth(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"K": 8, "k_min": 1})
+    opts = take_keys(cfg, {"K": 8, "k_min": 1})
     rep = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
     ok = rep.certified_upper and rep.certified_lower
     verdict = "pass" if ok else "fail"
@@ -105,7 +92,7 @@ def _run_growth(model, mu, cfg, seed, budget):
 
 
 def _run_delta(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
+    opts = take_keys(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
     units = (list(range(model.units)) if opts["units"] == "all"
              else [as_int(u) for u in opts["units"]])
     if not units or not all(0 <= u < model.units for u in units):
@@ -122,22 +109,22 @@ def _run_delta(model, mu, cfg, seed, budget):
 
 
 def _run_pdcheck(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"kernel": {"exp_length": 0.5}, "mode": {"ball": {"unit": 0, "k": 2}},
-                       "tol": 1e-9})
+    opts = take_keys(cfg, {"kernel": {"exp_length": 0.5}, "mode": {"ball": {"unit": 0, "k": 2}},
+                           "tol": 1e-9})
     kern = kernel_from_json(model, opts["kernel"])
     mode = opts["mode"]
     if not isinstance(mode, dict) or len(mode) != 1:
         raise ModelError("pdcheck mode must have exactly one key, 'ball' or 'random'")
     tuples = []
     if "ball" in mode:
-        k = as_int(mode["ball"]["k"])
+        ball = take_keys(mode["ball"], {"unit": 0, "k": REQUIRED})
+        k = as_int(ball["k"])
         if k < 0:
             raise ValueError("pdcheck ball radius k must be >= 0")
-        tuples.append(model.ball(as_int(mode["ball"].get("unit", 0)), k, budget=budget))
+        tuples.append(model.ball(as_int(ball["unit"]), k, budget=budget))
     elif "random" in mode:
-        r = mode["random"]
-        count, max_size, max_len = (as_int(r.get("count", 100)), as_int(r.get("max_size", 10)),
-                                    as_int(r.get("max_len", 4)))
+        r = take_keys(mode["random"], {"count": 100, "max_size": 10, "max_len": 4})
+        count, max_size, max_len = (as_int(r[key]) for key in ("count", "max_size", "max_len"))
         if count < 1 or max_size < 1 or max_len < 0:
             raise ValueError("pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
@@ -159,8 +146,8 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
 
 
 def _run_gns(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"kernel": {"exp_length": 0.5}, "unit": 0, "k": 1,
-                       "null_tol": 1e-10, "isometry_tol": 1e-10})
+    opts = take_keys(cfg, {"kernel": {"exp_length": 0.5}, "unit": 0, "k": 1,
+                           "null_tol": 1e-10, "isometry_tol": 1e-10})
     kern = kernel_from_json(model, opts["kernel"])
     u, k = as_int(opts["unit"]), as_int(opts["k"])
     data = gns_build(model, kern, u, k, null_tol=float(opts["null_tol"]), budget=budget)
@@ -175,8 +162,8 @@ def _run_gns(model, mu, cfg, seed, budget):
 
 
 def _run_haagerup(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"n_list": [2, 3, 4], "k_list": [1, 2, 4, 8],
-                       "eps_list": [0.1, 0.01]})
+    opts = take_keys(cfg, {"n_list": [2, 3, 4], "k_list": [1, 2, 4, 8],
+                           "eps_list": [0.1, 0.01]})
     rep = haagerup_witness_check(model, opts["n_list"], opts["k_list"], opts["eps_list"])
     rows = [("n", "k", "sup_dev", "expected", "ok")]
     for r in rep.deviation_rows:
@@ -185,8 +172,8 @@ def _run_haagerup(model, mu, cfg, seed, budget):
 
 
 def _run_bandcheck(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"k": 2, "n": 1, "unit": 0, "delta_radius": 3,
-                       "support_cap": 200, "tol": 1e-9})
+    opts = take_keys(cfg, {"k": 2, "n": 1, "unit": 0, "delta_radius": 3,
+                           "support_cap": 200, "tol": 1e-9})
     k, n, u, cap = (as_int(opts[key]) for key in ("k", "n", "unit", "support_cap"))
     if cap < 1:
         raise ValueError("bandcheck support_cap must be >= 1")
@@ -215,8 +202,8 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
 
 
 def _run_norm(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"function": {"sphere": 1}, "L": 8, "unit": None,
-                       "max_iter": 2000, "tol": 1e-10, "ladder": None})
+    opts = take_keys(cfg, {"function": {"sphere": 1}, "L": 8, "unit": None,
+                           "max_iter": 2000, "tol": 1e-10, "ladder": None})
     f = _resolve_function(model, opts["function"], budget)
     kwargs = dict(max_iter=as_int(opts["max_iter"]), tol=float(opts["tol"]),
                   ladder=opts["ladder"], budget=budget, seed=seed)
@@ -229,15 +216,15 @@ def _run_norm(model, mu, cfg, seed, budget):
 
 
 def _run_powerseq(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
+    opts = take_keys(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
     f = _resolve_function(model, opts["function"], budget)
     seq = power_sequence_norm(f, as_int(opts["n_max"]), mu, budget=as_int(opts["conv_budget"]))
     return seq, "pass", True, {"powerseq": seq.csv_rows()}, opts
 
 
 def _run_normbound(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"alpha": 0.5, "k": 1, "p": 2, "L": 6, "delta_radius": 3,
-                       "max_iter": 2000, "tol": 1e-10})
+    opts = take_keys(cfg, {"alpha": 0.5, "k": 1, "p": 2, "L": 6, "delta_radius": 3,
+                           "max_iter": 2000, "tol": 1e-10})
     est = hyperbolicity_delta(model, 0, as_int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
     rep = verify_norm_bound(model, mu, float(opts["alpha"]), as_int(opts["k"]),
@@ -249,8 +236,8 @@ def _run_normbound(model, mu, cfg, seed, budget):
 
 
 def _run_extend(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"alpha": _REQUIRED, "p": _REQUIRED, "K": None,
-                       "beta_grid": [0.9, 0.99, 0.999]})
+    opts = take_keys(cfg, {"alpha": REQUIRED, "p": REQUIRED, "K": None,
+                           "beta_grid": [0.9, 0.99, 0.999]})
     rep = extension_criteria(model, mu, float(opts["alpha"]), float(opts["p"]),
                              K=opts["K"] if opts["K"] is None else as_int(opts["K"]),
                              beta_grid=[float(b) for b in opts["beta_grid"]])
@@ -261,15 +248,15 @@ def _run_extend(model, mu, cfg, seed, budget):
 
 
 def _run_band(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "K": 8, "k_min": 1})
+    opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "K": 8, "k_min": 1})
     growth = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
     band = threshold_band(growth, float(opts["q"]), float(opts["p"]))
     return band, "pass", True, {}, opts
 
 
 def _run_certify(model, mu, cfg, seed, budget):
-    opts = _take(cfg, {"q": _REQUIRED, "p": _REQUIRED, "alpha": None, "K": None,
-                       "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
+    opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "alpha": None, "K": None,
+                           "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
     growth = growth_stats(model, as_int(opts["growth_K"]))
     cert = certificate(model, mu, growth, float(opts["q"]), float(opts["p"]),
                        alpha=None if opts["alpha"] is None else float(opts["alpha"]),

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError)
-from .model import GroupoidElement, GroupoidModel, as_int
+from .model import REQUIRED, GroupoidElement, GroupoidModel, as_int, take_keys
 
 
 class RadialKernel:
@@ -96,9 +96,9 @@ def kernel_from_json(model: GroupoidModel, data: dict):
     if "haagerup" in data:
         return HaagerupKernel(float(data["haagerup"]))
     if "table" in data:
-        spec = data["table"]
+        spec = take_keys(data["table"], {"entries": REQUIRED, "radius": None})
         f = function_from_json(model, spec["entries"])
-        return TableKernel(model, f.data, radius=spec.get("radius"))
+        return TableKernel(model, f.data, radius=spec["radius"])
     raise ModelError(f"unknown kernel descriptor {sorted(data)!r}")
 
 

@@ -44,6 +44,26 @@ def as_int(value) -> int:
     return int(value)
 
 
+REQUIRED = object()  # a ``take_keys`` default that the object must give
+
+
+def take_keys(obj, defaults: dict) -> dict:
+    """``obj`` over ``defaults``, for a config object or one nested in it: a
+    value that is not an object, a key not in ``defaults``, or a ``REQUIRED``
+    one left out raises ModelError."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"expected a JSON object, got {obj!r}")
+    unknown = set(obj) - set(defaults)
+    if unknown:
+        raise ModelError(f"unknown config keys: {sorted(unknown)}")
+    out = dict(defaults)
+    out.update(obj)
+    missing = [k for k, v in out.items() if v is REQUIRED]
+    if missing:
+        raise ModelError(f"missing required config keys: {missing}")
+    return out
+
+
 class GroupoidElement(NamedTuple):
     """A groupoid element ``(range unit, group word)``."""
 

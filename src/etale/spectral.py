@@ -11,11 +11,13 @@ unit.  There are two methods:
   backend: M is nonnegative and commutes with the root stabilizer of the
   tree, so its Perron vector is radial and each rung is the top eigenpair of
   an (L+1)-row sphere quotient.  No ball is enumerated.
-* ``"lanczos"`` otherwise, from a random start drawn from ``seed``, on M or
-  ``M^H M`` read off one ball tree built at the top rung (see ``_operator``).
+* ``"lanczos"`` otherwise, on M or ``M^H M`` read off one ball tree built at
+  the top rung (see ``_operator``): ``eigh`` of the dense matrix at a rung of
+  at most ``DENSE_ROWS`` rows, Lanczos from a random start drawn from
+  ``seed`` past it.
 
 ``converged`` means the eigen-residual is at most ``tol * max(1, |theta|)``;
-``iterations`` counts Lanczos steps, 0 on the quotient.
+``iterations`` counts Lanczos steps, 0 on the quotient and on dense rungs.
 
 ``power_sequence_norm`` reports ``|h_n|_2 ^ (1/(2*2^n))`` for
 ``h_n = (f^* * f)^(2^n)``, which climbs to the same norm from the algebra
@@ -38,6 +40,10 @@ from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, Measur
 DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
 UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyond it
+# rungs of at most this many rows are solved densely, the measured crossover:
+# from 64 rows on, eigh with vectors takes a slower path (up to twice the
+# time), and an operator that Lanczos settles in a few steps is cheaper there
+DENSE_ROWS = 63
 
 
 # -- Lanczos ----------------------------------------------------------------
@@ -112,6 +118,31 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
         raise ValueError("the coefficients of f overflow float64 in the Lanczos "
                          f"recurrence ({exc})") from None
     return top, max_iter, residual, False
+
+
+def _dense(op, hermitian: bool, tol: float):
+    """The ``_lanczos`` tuple with 0 steps for the top eigenpair of A = M
+    (``hermitian``) or ``M^H M``, from ``eigh`` of the dense M of the
+    operator ``op``: one fancy-index add per word of f into an (n, n + 1)
+    array, whose pad column n is then dropped.  Overflow raises ValueError."""
+    cols, vals = op
+    n = cols.shape[1]
+    M = np.zeros((n, n + 1), dtype=np.result_type(vals, float))
+    rows = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, a in zip(cols, vals):
+            M[rows, c] += a
+        M = M[:, :n]
+        A = M if hermitian else M.conj().T @ M
+        theta = residual = math.inf
+        if np.isfinite(A).all():
+            thetas, ys = np.linalg.eigh(A)
+            i = int(np.argmax(np.abs(thetas)))
+            theta, y = float(thetas[i]), ys[:, i]
+            residual = float(np.linalg.norm(A @ y - theta * y))
+    if not math.isfinite(theta + residual):
+        raise ValueError("the coefficients of f overflow float64 in the dense eigensolve")
+    return abs(theta), 0, residual, residual <= tol * max(1.0, abs(theta))
 
 
 @dataclass
@@ -194,7 +225,8 @@ def _operator(f: CcFunction, right, ns):
 
 class _Solves:
     """The ladder, ball tree and operators of one ``f``, shared between units,
-    for Lanczos at every rung; the tree is built and charged at the top rung."""
+    for a dense or Lanczos solve at every rung; the tree is built and charged
+    at the top rung."""
 
     estimate = NormEstimate
 
@@ -211,16 +243,21 @@ class _Solves:
     def rung(self, r: int, units):
         """``(value, iterations, residual, converged)`` for the largest
         singular value of f's operator M at rung r and the unit labels
-        ``units``: Lanczos on M when f is self-adjoint, on ``M^H M`` otherwise."""
+        ``units``: on M when f is self-adjoint, on ``M^H M`` otherwise; dense
+        up to ``DENSE_ROWS`` rows, by Lanczos past them."""
         op = self.op(r, units)
         n = op[0].shape[1]
-        if self.op_h is self.op:
+        hermitian = self.op_h is self.op
+        if n <= DENSE_ROWS:
+            theta, *rest = _dense(op, hermitian, self.args[1])
+        elif hermitian:
             return _lanczos(lambda v: _apply(op, v), n, *self.args)
-        # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
-        # is the conjugate of f(u.w_i, w_i^-1 w_j)
-        op_h = self.op_h(r, units)
-        theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n, *self.args)
-        return (math.sqrt(theta), *rest)
+        else:
+            # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
+            # is the conjugate of f(u.w_i, w_i^-1 w_j)
+            op_h = self.op_h(r, units)
+            theta, *rest = _lanczos(lambda v: _apply(op_h, _apply(op, v)), n, *self.args)
+        return (theta if hermitian else math.sqrt(theta), *rest)
 
 
 class _Quotient:
@@ -265,7 +302,7 @@ class _Quotient:
 
 def _solver(f: CcFunction, L: int, ladder, max_iter: int, tol: float, seed: int, budget):
     """The shared solves of ``f``: the sphere quotient when f is radial with
-    real coefficients >= 0 on a free backend, Lanczos otherwise."""
+    real coefficients >= 0 on a free backend, dense or Lanczos otherwise."""
     if not (tol >= 0 and max_iter >= 1):
         raise ValueError(f"tol must be >= 0 and max_iter >= 1, got {tol} and {max_iter}")
     ladder = _truncation_ladder(L, ladder)
@@ -280,9 +317,10 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
                          _solves=None) -> NormEstimate:
     """Truncated-convolution norm of ``f`` on the source fiber at ``u``,
     over an increasing ladder of truncation radii ending at L.  Each rung
-    is one top eigenpair of the sphere quotient, or one Lanczos solve started
-    from ``seed``.  ``reduced_norm`` passes ``_solves``, which carries the
-    ladder, the solver settings and what is shared between units."""
+    is one top eigenpair of the sphere quotient or of the dense operator, or
+    one Lanczos solve started from ``seed``.  ``reduced_norm`` passes
+    ``_solves``, which carries the ladder, the solver settings and what is
+    shared between units."""
     f.model.unit_element(u)
     solves = _solver(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
     units = None if solves.unit_free else f.model.unit_labels(u, solves.parent, solves.gen)

@@ -140,15 +140,18 @@ def test_gns_budget_bounds_the_checked_ball(files, capsys):
 
 
 def test_lanczos_overflow_is_a_usage_error(files, capsys):
-    # coefficients -1e300 are finite, but the recurrence's dot products are not
-    # (negative, so the solve is Lanczos and not the sphere quotient)
-    cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": -1e100, "k": 3}},
-                                    "L": 3})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+    # coefficients -1e300 are finite, but the dense solve's matrix entries
+    # (L = 3, 53 rows) and the Lanczos recurrence's dot products (L = 4, 161
+    # rows) are not; negative, so the solve is not the sphere quotient
+    for L, solver in ((3, "dense eigensolve"), (4, "Lanczos")):
+        cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": -1e100, "k": 3}},
+                                        "L": L})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+        assert solver in err[0]
 
 
 def test_quotient_overflow_is_a_usage_error(files, capsys):
@@ -315,10 +318,25 @@ def test_usage_errors_exit_two(files, capsys):
                     ("normbound", {"L": 5.5}), ("extend", {"alpha": 0.5, "p": 4, "K": 9.5})):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     # one error line each: a mode must name one check, k_list holds integers,
-    # and the witness scan cap is a radius
+    # the witness scan cap is a radius, and objects nested in the config
+    # refuse unknown keys as the config itself does
     for op, model, bad, message in (
             ("pdcheck", "z6", {"mode": {"ball": {"k": 2}, "random": {"count": 3}}},
              "pdcheck mode must have exactly one key"),
+            ("pdcheck", "z6", {"mode": {"random": {"cout": 3}}}, "unknown config keys: ['cout']"),
+            ("pdcheck", "z6", {"mode": {"ball": {"k": 1, "radius": 2}}},
+             "unknown config keys: ['radius']"),
+            ("pdcheck", "z6", {"mode": {"ball": {"unit": 0}}},
+             "missing required config keys: ['k']"),
+            ("norm", "f2", {"function": {"sphere_weighted": {"alpha": 0.5, "k": 1, "beta": 2}}},
+             "unknown config keys: ['beta']"),
+            ("norm", "f2", {"function": {"sphere_weighted": {"alpha": 0.5}}},
+             "missing required config keys: ['k']"),
+            ("norm", "f2", {"function": {"delta": {"word": "a", "unti": 1}}},
+             "unknown config keys: ['unti']"),
+            ("pdcheck", "z6", {"kernel": {"table": {"entries": [], "raduis": 2}}},
+             "unknown config keys: ['raduis']"),
+            ("pdcheck", "z6", {"kernel": {"table": []}}, "expected a JSON object, got []"),
             ("haagerup", "f2", {"k_list": [2.5]}, "expected an integer, got 2.5"),
             ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0")):
         capsys.readouterr()

@@ -1,5 +1,6 @@
 """Kernels, Gram positivity, and the induced inner-product structure."""
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -375,5 +376,10 @@ def test_kernel_json_roundtrip(f2):
     assert back.table == table.table
     with pytest.raises(ModelError):
         etale.kernel_from_json(f2, {"nope": 1})
+    for spec, message in (({"entries": [], "raduis": 1}, "unknown config keys: ['raduis']"),
+                          ({"radius": 1}, "missing required config keys: ['entries']"),
+                          ([], "expected a JSON object")):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            etale.kernel_from_json(f2, {"table": spec})
     with pytest.raises(ModelError):
         etale.kernel_from_json(f2, {"exp_length": 0.5, "haagerup": 2})

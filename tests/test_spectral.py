@@ -306,44 +306,53 @@ def svd_top(M):
     return np.linalg.svd(M if M.imag.any() else M.real, compute_uv=False)[0]
 
 
-def test_non_abelian_norm_matches_dense_svd(s3):
+def test_non_abelian_norm_matches_dense_svd(s3, monkeypatch):
     # positive coefficients and not self-adjoint, so the solve runs on M^H M;
     # and every delta_x - delta_y on unit 0, whose operator rows sum to zero
-    # (power iteration from the all-ones vector reported 0.0 for them)
+    # (power iteration from the all-ones vector reported 0.0 for them).  At
+    # most 6 rows, so dense; with the cutoff at 0 the same rungs run Lanczos
     f = CcFunction(s3, {GroupoidElement(u, e): 1.0 + (u + 2 * e) % 5
                         for u in range(3) for e in (0, 1, 3, 4)})
     assert involution(f) != f
     cases = [(f, L) for L in (1, 2, 3)]
     cases += [(delta(s3, GroupoidElement(0, x)) - delta(s3, GroupoidElement(0, y)), 2)
               for x in range(6) for y in range(x)]
-    for g, L in cases:
-        for u in range(3):
-            top = svd_top(brute_operator(g, u, L))
-            est = reduced_norm_at_unit(g, u, L, ladder=[L])
-            assert est.converged
-            assert est.value == pytest.approx(top, rel=1e-9)
+    for dense_rows in (spectral.DENSE_ROWS, 0):
+        monkeypatch.setattr(spectral, "DENSE_ROWS", dense_rows)
+        for g, L in cases:
+            for u in range(3):
+                top = svd_top(brute_operator(g, u, L))
+                est = reduced_norm_at_unit(g, u, L, ladder=[L])
+                assert est.converged
+                assert est.value == pytest.approx(top, rel=1e-9)
 
 
-def test_odd_and_zero_row_functions_match_dense_svd(z, f2, z6):
+def test_odd_and_zero_row_functions_match_dense_svd(z, f2, z6, monkeypatch):
     # the functions power iteration from the all-ones vector got wrong:
     # odd ones converged to a lower singular value, and the start vector
-    # lay in the kernel of the zero-row one
+    # lay in the kernel of the zero-row one.  Odd Z at L = 8 (17 rows) and the
+    # zero-row one are solved densely, odd Z at L = 40 (81 rows) and odd F2
+    # (161 and 1457 rows) by Lanczos; with the cutoff at 0 every one by Lanczos
     a, b = GroupoidElement(0, (1,)), GroupoidElement(0, (2,))
     odd_z = delta(z, a) - delta(z, z.inverse(a))
     odd_f2 = delta(f2, a) + delta(f2, f2.inverse(a)) - delta(f2, b) - delta(f2, f2.inverse(b))
     zero_rows = delta(z6, GroupoidElement(0, 1)) - delta(z6, GroupoidElement(0, 0))
-    for f, L, value in ((odd_z, 8, 1.9696), (odd_f2, 4, 3.0889), (odd_f2, 6, 3.2454),
-                        (zero_rows, 4, 2.0)):
-        est = reduced_norm(f, L, ladder=[L])
-        assert est.converged
-        assert est.value == pytest.approx(svd_top(dense_operator(f, 0, L)), rel=1e-9)
-        assert est.value == pytest.approx(value, abs=5e-5)
+    for f, L, value in ((odd_z, 8, 1.9696), (odd_z, 40, 1.9985), (odd_f2, 4, 3.0889),
+                        (odd_f2, 6, 3.2454), (zero_rows, 4, 2.0)):
+        top = svd_top(dense_operator(f, 0, L))
+        assert top == pytest.approx(value, abs=5e-5)
+        for dense_rows in (spectral.DENSE_ROWS, 0):
+            monkeypatch.setattr(spectral, "DENSE_ROWS", dense_rows)
+            est = reduced_norm(f, L, ladder=[L])
+            assert est.converged and (est.iterations > 0) == (f.model.ball_count(L) > dense_rows)
+            assert est.value == pytest.approx(top, rel=1e-9)
 
 
-def test_close_top_singular_values_converge():
+def test_close_top_singular_values_converge(monkeypatch):
     # an independent U(0.5, 1.5) coefficient on (u, x) and on (u.x, x^-1)
     # for every unit u and generator x: not self-adjoint, and the top two
-    # singular values at unit 14 lie within 2e-5 of each other
+    # singular values at unit 14 lie within 2e-5 of each other.  The 53-row
+    # rungs are dense; with the cutoff at 0 the same rungs run Lanczos
     model = etale.load_model(ROOT / "models" / "f2_32units.json")
     rng = random.Random(19)
     data = {}
@@ -354,26 +363,78 @@ def test_close_top_singular_values_converge():
             data[model.inverse(g)] = round(rng.uniform(0.5, 1.5), 6)
     f = CcFunction(model, data)
     assert involution(f) != f
-    tops = []
-    for u in range(model.units):
-        top2 = np.linalg.svd(dense_operator(f, u, 3).real, compute_uv=False)[:2]
-        est = reduced_norm_at_unit(f, u, 3, ladder=[3])
-        assert est.converged
-        assert est.value == pytest.approx(top2[0], rel=1e-9)
-        tops.append(top2)
+    tops = [np.linalg.svd(dense_operator(f, u, 3).real, compute_uv=False)[:2]
+            for u in range(model.units)]
     assert min((s0 - s1) / s0 for s0, s1 in tops) < 2e-5
-    est = reduced_norm(f, 3)
-    assert est.converged and est.unit == int(np.argmax([t[0] for t in tops]))
+    for dense_rows in (spectral.DENSE_ROWS, 0):
+        monkeypatch.setattr(spectral, "DENSE_ROWS", dense_rows)
+        for u, top2 in enumerate(tops):
+            est = reduced_norm_at_unit(f, u, 3, ladder=[3])
+            assert est.converged and (est.iterations > 0) == (dense_rows == 0)
+            assert est.value == pytest.approx(top2[0], rel=1e-9)
+        est = reduced_norm(f, 3)
+        assert est.converged and est.unit == int(np.argmax([t[0] for t in tops]))
 
 
 def test_zero_operator_has_norm_zero(z2_swap):
     # z2_swap has no word of length 2, so alpha^2 chi_2 is the zero function
     f = etale.length_weighted(z2_swap, 0.5, 2)
     assert len(f) == 0
-    est = reduced_norm(f, 4)
-    assert (est.value, est.iterations, est.residual, est.converged) == (0.0, 1, 0.0, True)
+    est = reduced_norm(f, 4)  # 2 rows: solved densely
+    assert (est.value, est.iterations, est.residual, est.converged) == (0.0, 0, 0.0, True)
     mu = MeasureContext.uniform(z2_swap)
     assert verify_norm_bound(z2_swap, mu, 0.5, 2, 2.0, 1.0, L=4).lhs == 0.0
+
+
+def test_dense_rungs_match_svd(f2, f2_32, z6, z2_swap):
+    # every rung up to DENSE_ROWS rows is one eigh of the dense operator (of
+    # M^H M when f is not self-adjoint), checked against the SVD of the
+    # operator built by word products
+    rng = np.random.default_rng(23)
+    from conftest import random_function
+    a, b = GroupoidElement(0, (1,)), GroupoidElement(0, (2,))
+    odd = delta(f2, a) + delta(f2, f2.inverse(a)) - delta(f2, b) - delta(f2, f2.inverse(b))
+    cases = [
+        odd,  # real, self-adjoint, spectrum symmetric about 0
+        -unit_indicator(f2) - sphere_indicator(f2, 1),  # its top eigenvalue is negative
+        delta(f2, a) + 2.0 * delta(f2, b),  # real, M^H M
+        1j * delta(f2, a) - 1j * delta(f2, f2.inverse(a)),  # complex, self-adjoint
+        (0.5 - 1.5j) * sphere_indicator(f2, 1),  # complex, M^H M
+        random_function(f2, rng, 2, 12),
+        CcFunction(f2_32, {GroupoidElement(u, w): complex(u + 1, len(w) - u % 3)
+                           for u in range(0, 32, 3) for w in ((), (1,), (-2,), (1, 2))}),
+        CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
+                           for w in ((1,), (-1,), (2,), (-2,))}),
+        sphere_indicator(z6, 1), -sphere_indicator(z6, 2), random_function(z6, rng, 3, 4),
+        sphere_indicator(z2_swap, 1), random_function(z2_swap, rng, 1, 3),
+        CcFunction(f2),
+    ]
+    for f in cases:
+        assert f.model.ball_count(3) <= spectral.DENSE_ROWS
+        for u in sorted({0, f.model.units - 1, 3 % f.model.units}):
+            est = reduced_norm_at_unit(f, u, 3, ladder=[0, 1, 2, 3])
+            for L, value, iterations, residual, converged in est.trace:
+                assert iterations == 0 and converged
+                assert value == pytest.approx(svd_top(brute_operator(f, u, L)), rel=1e-13, abs=0)
+    # converged keeps its rule: residual <= tol * max(1, theta)
+    for tol in (0.0, 1e-10):
+        est = reduced_norm_at_unit(odd, 0, 3, tol=tol, ladder=[3])
+        assert 0 < est.residual < 1e-13 and est.converged == (tol > 0)
+
+
+def test_dense_and_lanczos_agree_across_the_cutoff(z):
+    # on Z the ball of radius L has 2L + 1 rows: a dense rung of exactly
+    # DENSE_ROWS rows and a Lanczos rung of two more, of one operator each
+    L = (spectral.DENSE_ROWS - 1) // 2
+    assert z.ball_count(L) == spectral.DENSE_ROWS
+    a = GroupoidElement(0, (1,))
+    odd = delta(z, a) - delta(z, z.inverse(a))  # not self-adjoint: M^H M
+    for f in (-sphere_indicator(z, 1), odd, (2 - 1j) * delta(z, a) + delta(z, z.inverse(a))):
+        est = reduced_norm_at_unit(f, 0, L + 1, ladder=[L, L + 1])
+        (_, dense, k0, _, ok0), (_, lanczos, k1, _, ok1) = est.trace
+        assert k0 == 0 < k1 and ok0 and ok1
+        assert dense == pytest.approx(svd_top(brute_operator(f, 0, L)), rel=1e-13, abs=0)
+        assert lanczos == pytest.approx(svd_top(brute_operator(f, 0, L + 1)), rel=1e-13, abs=0)
 
 
 def test_apply_matches_gather_sum(f2, f2_32):
@@ -449,7 +510,9 @@ def test_lanczos_step_count_on_tree(f2):
 
 
 def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
-    calls = {"solve": 0, "build": 0, "tree": 0, "labels": 0}
+    # ladder [3, 4] has 53 and 161 rows: one dense and one Lanczos rung
+    assert f2.ball_count(3) <= spectral.DENSE_ROWS < f2.ball_count(4)
+    calls = {"dense": 0, "lanczos": 0, "build": 0, "tree": 0, "labels": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -457,29 +520,31 @@ def test_unit_solves_shared_and_operators_built_once(f2, f2_32, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    chi = -sphere_indicator(f2_32, 1)  # negative: Lanczos, not the sphere quotient
-    monkeypatch.setattr(spectral, "_lanczos", counted("solve", spectral._lanczos))
+    chi = -sphere_indicator(f2_32, 1)  # negative: not the sphere quotient
+    monkeypatch.setattr(spectral, "_dense", counted("dense", spectral._dense))
+    monkeypatch.setattr(spectral, "_lanczos", counted("lanczos", spectral._lanczos))
     monkeypatch.setattr(spectral, "_operator", counted("build", spectral._operator))
     monkeypatch.setattr(etale.FreeGroup, "ball_tree", counted("tree", etale.FreeGroup.ball_tree))
     monkeypatch.setattr(etale.GroupoidModel, "unit_labels",
                         counted("labels", etale.GroupoidModel.unit_labels))
     # self-adjoint and the same values at every range unit: one tree and one
     # column build for the whole ladder, one solve per rung and no unit labels
-    est = reduced_norm(chi, 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 1, "tree": 1, "labels": 0}
+    est = reduced_norm(chi, 4, ladder=[3, 4])
+    assert calls == {"dense": 1, "lanczos": 1, "build": 1, "tree": 1, "labels": 0}
     assert est.units_checked == list(range(32)) and est.unit == 0
+    assert [row[2] == 0 for row in est.trace] == [True, False]
     # not self-adjoint: one column build for f and one for f^*
-    calls.update(solve=0, build=0, tree=0)
+    calls.update(dense=0, lanczos=0, build=0, tree=0)
     f = delta(f2, GroupoidElement(0, (1,))) + 2.0 * delta(f2, GroupoidElement(0, (2,)))
-    reduced_norm(f, 3, ladder=[2, 3])
-    assert calls == {"solve": 2, "build": 2, "tree": 1, "labels": 0}
+    reduced_norm(f, 4, ladder=[3, 4])
+    assert calls == {"dense": 1, "lanczos": 1, "build": 2, "tree": 1, "labels": 0}
     # unit-dependent: every unit is labelled and solved at every rung, and the
     # reported unit is the first to reach the maximum
     g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
                            for w in ((1,), (-1,), (2,), (-2,))})
-    calls.update(solve=0, tree=0)
-    reduced_norm(g, 3, ladder=[2, 3])
-    assert calls["solve"] == 2 * 32 and calls["labels"] == 32
+    calls.update(dense=0, lanczos=0, tree=0)
+    reduced_norm(g, 4, ladder=[3, 4])
+    assert (calls["dense"], calls["lanczos"], calls["labels"]) == (32, 32, 32)
     calls.update(tree=0)
     est = reduced_norm(g, 2, ladder=[2])
     assert calls["tree"] == 1
@@ -492,8 +557,9 @@ def test_over_budget_top_rung_refused_before_any_solve(f2, monkeypatch):
     def solve(*args):
         raise AssertionError("a rung was solved")
 
+    monkeypatch.setattr(spectral, "_dense", solve)
     monkeypatch.setattr(spectral, "_lanczos", solve)
-    chi = -sphere_indicator(f2, 1)  # negative: Lanczos, not the sphere quotient
+    chi = -sphere_indicator(f2, 1)  # negative: not the sphere quotient
     with pytest.raises(BudgetError) as err:
         reduced_norm(chi, 6, ladder=[2, 4, 6], budget=f2.ball_count(4))
     assert err.value.required == f2.ball_count(6)
@@ -583,14 +649,17 @@ def test_quotient_limit_is_the_exact_norm():
 
 
 def test_quotient_matches_lanczos_on_negated_function():
-    # -f is signed, so it stays on Lanczos, and its operator is -M: the same norm
+    # -f is signed, so it stays off the quotient, and its operator is -M: the
+    # same norm, solved densely up to DENSE_ROWS rows and by Lanczos past them
     for rank, coeffs, L in QUOTIENT_CASES:
-        f = radial_function(etale.group_model(etale.FreeGroup(rank)), coeffs)
+        model = etale.group_model(etale.FreeGroup(rank))
+        f = radial_function(model, coeffs)
         est = reduced_norm(f, L)
         ref = reduced_norm(-f, L, ladder=[L])
         assert (est.method, ref.method) == ("sphere_quotient", "lanczos")
         assert est.value == pytest.approx(ref.value, rel=1e-13, abs=0)
-        assert est.iterations == 0 and ref.iterations > 0
+        assert est.iterations == 0
+        assert (ref.iterations == 0) == (model.ball_count(L) <= spectral.DENSE_ROWS)
         assert all(row[4] for row in est.trace) and est.monotone
         assert all(row[1] <= est.limit for row in est.trace)
         assert est.units_checked == [0] and est.unit == 0
