@@ -221,10 +221,17 @@ def function_to_json(f: CcFunction) -> list[dict]:
     return entries
 
 
+ENTRY_KEYS = frozenset({"unit", "word", "re", "im"})
+
+
 def function_from_json(model: GroupoidModel, entries) -> CcFunction:
+    """The function of a list of ``{unit, word, re, im}`` entries; duplicates
+    add up, and a key outside those four raises ModelError."""
     backend = model.backend
     out = CcFunction(model)
     for entry in entries:
+        if isinstance(entry, dict) and (unknown := entry.keys() - ENTRY_KEYS):
+            raise ModelError(f"unknown function entry keys {sorted(unknown)} in {entry!r}")
         try:
             u = as_int(entry["unit"])
             word = backend.word_from_json(entry["word"])

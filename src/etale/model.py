@@ -370,7 +370,7 @@ class GroupoidModel:
             # unit; then verify it is a right action: perm(e.g) == perm(g) o perm(e)
             # for all e, g
             parent, gen, right = backend.ball_tree(backend.max_radius)
-            perm = np.array([self.unit_labels(u, parent, gen) for u in range(units)]).T
+            perm = self.unit_labels(np.arange(units), parent, gen)
             if not np.array_equal(perm[right.T], self.letter_perms[:, perm]):
                 raise ModelError("action permutations are not compatible with the multiplication table")
 
@@ -435,17 +435,21 @@ class GroupoidModel:
         self._charge(L, budget)
         return self.backend.ball_tree(L)
 
-    def unit_labels(self, u: int, parent, gen) -> np.ndarray:
+    def unit_labels(self, u, parent, gen) -> np.ndarray:
         """``u . w_i`` for every row i of a ball tree, one sphere at a time:
-        the parent of a row lies on the sphere before it."""
-        units = np.empty(len(gen), dtype=np.int64)
-        units[0] = self.unit_element(u).unit
+        the parent of a row lies on the sphere before it.  For an array of
+        units ``u`` the labels are stacked, one column per unit."""
+        us = np.atleast_1d(u)
+        for x in us.tolist():
+            self.unit_element(x)
+        units = np.empty((len(gen), len(us)), dtype=np.int64)
+        units[0] = us
         lo, k = 1, 1
         while lo < len(gen):
             hi = lo + self.sphere_count(k)
-            units[lo:hi] = self.letter_perms[gen[lo:hi], units[parent[lo:hi]]]
+            units[lo:hi] = self.letter_perms[gen[lo:hi, None], units[parent[lo:hi]]]
             lo, k = hi, k + 1
-        return units
+        return units if np.ndim(u) else units[:, 0]
 
     def source_ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Source-fiber ball (all elements with source ``u``), as inverses of ball(u, k)."""

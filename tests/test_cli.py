@@ -154,6 +154,20 @@ def test_lanczos_overflow_is_a_usage_error(files, capsys):
         assert solver in err[0]
 
 
+def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32):
+    # not self-adjoint and unit-dependent, at L = 3 (53 rows): the units are
+    # ranked on a stack of M^H M, whose entries at unit 5's 1e200 are not
+    # finite, so every unit is solved and the first to overflow exits
+    entries = [{"unit": u, "word": w, "re": 1e200 if (u, w) == (5, "a") else 1.0 + u / 32}
+               for u in range(32) for w in ("a", "b")]
+    cfg = write_cfg(files, "huge_unit", {"function": entries, "L": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--model", files["f2_32"], "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the coefficients of f overflow float64 in the dense eigensolve"]
+
+
 def test_quotient_overflow_is_a_usage_error(files, capsys):
     # the coefficient 1e308 is finite and a whole number, but its sphere
     # quotient entries, and the power sequence's products, are not finite
@@ -319,8 +333,18 @@ def test_usage_errors_exit_two(files, capsys):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]) == 2
     # one error line each: a mode must name one check, k_list holds integers,
     # the witness scan cap is a radius, and objects nested in the config
-    # refuse unknown keys as the config itself does
+    # refuse unknown keys as the config itself does, function entries too
+    # (inline, from a file or in a table kernel), where a misspelt value key
+    # read as a zero entry
+    entry_file = files["root"] / "misspelt_entries.json"
+    entry_file.write_text('[{"unit": 0, "word": "a", "re": 1.0, "imag": 2.0}]')
     for op, model, bad, message in (
+            ("norm", "f2", {"function": [{"unit": 0, "word": "a", "rex": 2.0}], "L": 3},
+             "unknown function entry keys ['rex']"),
+            ("norm", "f2", {"function": {"file": str(entry_file)}, "L": 3},
+             "unknown function entry keys ['imag']"),
+            ("pdcheck", "z6", {"kernel": {"table": {"entries": [{"unit": 0, "word": 0, "val": 1}]}}},
+             "unknown function entry keys ['val']"),
             ("pdcheck", "z6", {"mode": {"ball": {"k": 2}, "random": {"count": 3}}},
              "pdcheck mode must have exactly one key"),
             ("pdcheck", "z6", {"mode": {"random": {"cout": 3}}}, "unknown config keys: ['cout']"),

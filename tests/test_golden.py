@@ -6,7 +6,10 @@ with ``tests/golden/OP-M/``.  Configs are the defaults with the required
 keys filled in and ``norm`` cut to ``L: 4``, so the whole set runs in
 seconds.
 ``band`` and ``certify`` need exponential growth, so on the other models
-only their exit code (2) is pinned.
+only their exit code (2) is pinned.  ``EXTRA`` adds ``norm`` of functions
+whose values depend on the unit, where the units are ranked before any
+ladder is solved: a seeded self-adjoint f on ``f2_32units``, and
+``z2_swap``'s delta at unit 1, whose two units tie.
 
 A change that alters a report on purpose rewrites the goldens with
 
@@ -15,6 +18,7 @@ A change that alters a report on purpose rewrites the goldens with
 and the diff of ``tests/golden/`` shows every changed byte.
 """
 import json
+import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -42,14 +46,37 @@ CONFIGS = {
     "certify": {"q": 2, "p": 4},
 }
 
-CASES = [(op, m) for op in CONFIGS for m in MODELS]
+
+def unit_dependent_f2_32(seed: int) -> list:
+    """A coefficient in [0.5, 1.5] drawn from ``seed`` for each generator at
+    each of the 32 units; ``(u, x)`` and its inverse ``(u.x, x^-1)`` share
+    it, so f is self-adjoint."""
+    action = json.loads((ROOT / "models" / "f2_32units.json").read_text())["action"]
+    rng, out = random.Random(seed), []
+    for u in range(len(action[0])):
+        for x, x_inv, perm in (("a", "A", action[0]), ("b", "B", action[1])):
+            c = round(rng.uniform(0.5, 1.5), 6)
+            out += [{"unit": u, "word": x, "re": c}, {"unit": perm[u], "word": x_inv, "re": c}]
+    return out
 
 
-def run_case(op: str, model: str, tmp: Path) -> Path:
+EXTRA = {
+    "norm-f2_32units-unitdep": ("norm", "f2_32units",
+                                {"function": unit_dependent_f2_32(19), "L": 3,
+                                 "ladder": [1, 2, 3]}),
+    "norm-z2_swap-delta": ("norm", "z2_swap", {"function": {"delta": {"unit": 1, "word": 1}}}),
+}
+
+# (golden directory, operation, model, config)
+CASES = [(f"{op}-{m}", op, m, CONFIGS[op]) for op in CONFIGS for m in MODELS]
+CASES += [(name, *case) for name, case in EXTRA.items()]
+
+
+def run_case(op: str, model: str, config: dict, tmp: Path) -> Path:
     """Run one case under ``tmp``; return the directory holding the CLI's
     files plus ``exit_code``."""
     cfg, out = tmp / "config.json", tmp / "out"
-    cfg.write_text(json.dumps(CONFIGS[op]))
+    cfg.write_text(json.dumps(config))
     out.mkdir()
     code = main([op, "--model", str(ROOT / "models" / f"{model}.json"),
                  "--config", str(cfg), "--out", str(out)])
@@ -65,18 +92,18 @@ def files_under(root: Path) -> dict:
 def regenerate() -> None:
     """Rewrite every golden directory from the current code."""
     shutil.rmtree(GOLDEN, ignore_errors=True)
-    for op, model in CASES:
+    for name, op, model, config in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            shutil.copytree(run_case(op, model, Path(tmp)), GOLDEN / f"{op}-{model}")
+            shutil.copytree(run_case(op, model, config, Path(tmp)), GOLDEN / name)
 
 
-@pytest.mark.parametrize("op,model", CASES, ids=[f"{op}-{m}" for op, m in CASES])
-def test_golden_report(op, model, tmp_path):
-    got = files_under(run_case(op, model, tmp_path))
-    want = files_under(GOLDEN / f"{op}-{model}")
+@pytest.mark.parametrize("name,op,model,config", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(name, op, model, config, tmp_path):
+    got = files_under(run_case(op, model, config, tmp_path))
+    want = files_under(GOLDEN / name)
     assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], f"{op}-{model}: {name} differs"
+    for file in want:
+        assert got[file] == want[file], f"{name}: {file} differs"
 
 
 if __name__ == "__main__":

@@ -378,7 +378,9 @@ def test_kernel_json_roundtrip(f2):
         etale.kernel_from_json(f2, {"nope": 1})
     for spec, message in (({"entries": [], "raduis": 1}, "unknown config keys: ['raduis']"),
                           ({"radius": 1}, "missing required config keys: ['entries']"),
-                          ([], "expected a JSON object")):
+                          ([], "expected a JSON object"),
+                          ({"entries": [{"unit": 0, "word": "a", "re": 1.0, "rex": 2.0}]},
+                           "unknown function entry keys ['rex']")):
         with pytest.raises(ModelError, match=re.escape(message)):
             etale.kernel_from_json(f2, {"table": spec})
     with pytest.raises(ModelError):

@@ -591,6 +591,73 @@ def test_unit_sample_beyond_cap():
     assert est.value == pytest.approx(2 * math.cos(math.pi / 8), abs=1e-9)
 
 
+def loop_oracle(f, L, units, **kwargs):
+    """``reduced_norm`` as a loop over every unit: the first to reach the
+    largest top-rung value, each unit solved on its own."""
+    best = max((reduced_norm_at_unit(f, u, L, **kwargs) for u in units),
+               key=lambda est: est.value)
+    best.units_checked = units
+    return best
+
+
+def test_unit_ranking_matches_loop_over_units(f2_32, z2_swap, monkeypatch):
+    rng = np.random.default_rng(29)
+    a, b = (np.array(p) for p in f2_32.action)
+    # self-adjoint: (u, x) and its inverse (u.x, x^-1) share a coefficient
+    seeded = {}
+    for u in range(32):
+        for x, perm in (((1,), a), ((2,), b)):
+            c = rng.uniform(0.5, 1.5)
+            seeded[GroupoidElement(u, x)] = seeded[GroupoidElement(int(perm[u]), (-x[0],))] = c
+    seeded = CcFunction(f2_32, seeded)
+    assert involution(seeded) == seeded
+    skew = CcFunction(f2_32, {GroupoidElement(u, w): complex(*rng.uniform(-1, 1, 2))
+                              for u in range(32) for w in ((1,), (2,), (1, 2))})
+    assert involution(skew) != skew
+    # 70 units on a cycle, past UNIT_SAMPLE
+    cycle70 = etale.build_model(etale.FreeGroup(1), 70, [[(u + 1) % 70 for u in range(70)]])
+    f70 = CcFunction(cycle70, {GroupoidElement(u, w): rng.uniform(0.5, 1.5)
+                               for u in range(70) for w in ((1,), (-1,))})
+    # on a 64-cycle, f(y, -1) = f(1 - y, 1): the reflection y -> 1 - y maps
+    # the fiber at 0 onto the fiber at 1 reversed, so their operators are
+    # permutation-similar, and a wide bump of coefficients at 1/2 puts them
+    # on top.  At L = 28 (57 rows) their values agree only to rounding, and
+    # eigvalsh may order the two units otherwise than eigh does
+    cycle = etale.build_model(etale.FreeGroup(1), 64, [[(u + 1) % 64 for u in range(64)]])
+    up = [1 + 2 * math.exp(-((y + 32) % 64 - 32.5) ** 2 / 342) for y in range(64)]
+    similar = CcFunction(cycle, {g: v for y in range(64) for g, v in (
+        (GroupoidElement(y, (1,)), up[y]), (GroupoidElement(y, (-1,)), up[(1 - y) % 64]))})
+    sim = [reduced_norm_at_unit(similar, u, 28, ladder=[28]).value for u in range(64)]
+    assert sim[0] == pytest.approx(sim[1], rel=1e-13) and max(sim) == max(sim[:2])
+    tie = delta(z2_swap, GroupoidElement(1, 1))
+    for f, L, kwargs in ((seeded, 3, {}), (skew, 2, {}), (seeded, 3, {"ladder": [1, 2, 3]}),
+                         (skew, 3, {"ladder": [0, 2, 3]}), (tie, 8, {}),
+                         (f70, 5, {"ladder": [2, 5], "seed": 4}),
+                         (similar, 28, {"ladder": [12, 28]})):
+        est = reduced_norm(f, L, **kwargs)
+        units = est.units_checked
+        assert units == sorted(units) and len(units) == min(f.model.units, spectral.UNIT_SAMPLE)
+        assert est == loop_oracle(f, L, units, **kwargs)
+    assert reduced_norm(tie, 8).unit == 0
+    # the stacked labels are the per-unit labels side by side
+    parent, gen, _ = f2_32.ball_tree(3)
+    assert np.array_equal(f2_32.unit_labels(np.arange(32), parent, gen),
+                          np.stack([f2_32.unit_labels(u, parent, gen) for u in range(32)], 1))
+    # one stacked eigvalsh ranks the units; one unit runs the ladder
+    calls = {"eigvalsh": 0, "dense": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(spectral, "_dense", counted("dense", spectral._dense))
+    reduced_norm(seeded, 3, ladder=[1, 2, 3])
+    assert calls == {"eigvalsh": 1, "dense": 3}
+
+
 def test_seed_changes_start_not_value(f2):
     f = delta(f2, GroupoidElement(0, (1,))) - 0.5 * delta(f2, GroupoidElement(0, (-2, 1)))
     runs = [reduced_norm(f, 5, seed=s) for s in (0, 1, 2, 0)]
