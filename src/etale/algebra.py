@@ -11,8 +11,8 @@ from __future__ import annotations
 import cmath
 import json
 
-from .errors import BudgetError, ModelError
-from .model import GroupoidElement, GroupoidModel, MeasureContext, as_int, read_json
+from .errors import ModelError, charge
+from .model import GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, read_json
 
 
 class CcFunction:
@@ -150,10 +150,8 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
     for b, vb in g.data.items():
         by_range.setdefault(b.unit, []).append((b, vb))
     if budget is not None:
-        pairs = sum(len(by_range.get(model.source_unit(a), ())) for a in f.data)
-        if pairs > budget:
-            raise BudgetError(f"convolution needs {pairs} pair products, budget is {budget}",
-                              required=pairs, budget=budget)
+        charge("convolution", sum(len(by_range.get(model.source_unit(a), ())) for a in f.data),
+               "pair products", budget)
     acc: dict[GroupoidElement, complex] = {}
     for a, va in f.data.items():
         u = model.source_unit(a)
@@ -235,13 +233,10 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
         try:
             u = as_int(entry["unit"])
             word = backend.word_from_json(entry["word"])
-            value = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            value = complex(as_float(entry.get("re", 0.0)), as_float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed function entry {entry!r}: {exc}") from exc
-        if not cmath.isfinite(value):
-            raise ModelError(f"function entry {entry!r} has a non-finite value")
-        if not 0 <= u < model.units:
-            raise ModelError(f"unit {u} out of range")
+        model.unit_element(u)  # range-checks u
         key = GroupoidElement(u, word)
         s = out.data.get(key, 0j) + value
         if s == 0:

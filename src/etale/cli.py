@@ -5,7 +5,9 @@ report: ``{tool_version, model_digest, operation, parameters, results,
 verdict}``.  With ``--out DIR`` the report goes to ``DIR/report.json``
 and tabular data to ``DIR/tables/*.csv``; otherwise the report is
 printed.  Input files are read by ``model.read_json`` (finite numbers
-only) and reports written by ``json.dumps`` with the ``_encode`` hook.
+only), and each handler reads its config through ``take_keys`` (a JSON
+object), ``as_int`` and ``as_float``; reports are written by
+``json.dumps`` with the ``_encode`` hook.
 Output is byte-reproducible for a fixed seed.
 
 Exit codes: 0 all checked properties passed, 1 a property failed,
@@ -29,23 +31,15 @@ from .errors import BudgetError, ModelError
 from .exotic import certificate, extension_criteria, threshold_band
 from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       kernel_from_json, psd_check)
-from .metric import (band_check, growth_stats, hyperbolicity_delta,
+from .metric import (DEFAULT_QUADRUPLE_BUDGET, band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
-from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_int,
+from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int,
                     load_model, read_json, take_keys)
-from .spectral import power_sequence_norm, reduced_norm, reduced_norm_at_unit, verify_norm_bound
+from .spectral import (DEFAULT_POWER_BUDGET, power_sequence_norm, reduced_norm,
+                       reduced_norm_at_unit, verify_norm_bound)
 
-# malformed config values raise ModelError (as_int) or TypeError/AttributeError
+# malformed config values raise ModelError (as_int, as_float) or TypeError/AttributeError
 USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, AttributeError)
-
-
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    cfg = read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ModelError("config must be a JSON object")
-    return cfg
 
 
 def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
@@ -60,7 +54,7 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
         return sphere_indicator(model, as_int(val), budget=budget)
     if kind == "sphere_weighted":
         val = take_keys(val, {"alpha": REQUIRED, "k": REQUIRED})
-        return length_weighted(model, float(val["alpha"]), as_int(val["k"]), budget=budget)
+        return length_weighted(model, as_float(val["alpha"]), as_int(val["k"]), budget=budget)
     if kind == "delta":
         entry = take_keys(val, {"unit": 0, "word": REQUIRED, "re": 1.0, "im": 0.0})
         return function_from_json(model, [entry])
@@ -92,7 +86,7 @@ def _run_growth(model, mu, cfg, seed, budget):
 
 
 def _run_delta(model, mu, cfg, seed, budget):
-    opts = take_keys(cfg, {"radius": 3, "units": [0], "quad_budget": 100_000_000})
+    opts = take_keys(cfg, {"radius": 3, "units": [0], "quad_budget": DEFAULT_QUADRUPLE_BUDGET})
     units = (list(range(model.units)) if opts["units"] == "all"
              else [as_int(u) for u in opts["units"]])
     if not units or not all(0 <= u < model.units for u in units):
@@ -137,7 +131,7 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
     results = []
     ok = True
     for i, t in enumerate(tuples):
-        res = psd_check(model, kern, t, tol=float(opts["tol"]))
+        res = psd_check(model, kern, t, tol=as_float(opts["tol"]))
         results.append(res)
         rows.append((i, res.size, res.min_eig, res.passed))
         ok = ok and res.passed
@@ -150,10 +144,10 @@ def _run_gns(model, mu, cfg, seed, budget):
                            "null_tol": 1e-10, "isometry_tol": 1e-10})
     kern = kernel_from_json(model, opts["kernel"])
     u, k = as_int(opts["unit"]), as_int(opts["k"])
-    data = gns_build(model, kern, u, k, null_tol=float(opts["null_tol"]), budget=budget)
+    data = gns_build(model, kern, u, k, null_tol=as_float(opts["null_tol"]), budget=budget)
     worst = max((gns_isometry_defect(model, kern, x, k, budget=budget)
                  for x in model.sphere(u, 1)), default=0.0)
-    ok = worst <= float(opts["isometry_tol"])
+    ok = worst <= as_float(opts["isometry_tol"])
     results = {"unit": u, "k": k, "dim": data.dim, "null_dim": data.null_dim,
                "quotient_dim": data.quotient_dim,
                "min_eig": float(data.eigenvalues[0]) if data.dim else 0.0,
@@ -195,7 +189,7 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
 
     f = random_sphere_function(k, bound_one=False)
     g = random_sphere_function(n, bound_one=True)
-    rep = band_check(f, g, k, n, u, C, tol=float(opts["tol"]))
+    rep = band_check(f, g, k, n, u, C, tol=as_float(opts["tol"]))
     rows = [("m", "l1_mass", "bound", "ok")] + [list(r) for r in rep.rows]
     results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {"bandcheck": rows}, opts
@@ -205,7 +199,7 @@ def _run_norm(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"function": {"sphere": 1}, "L": 8, "unit": None,
                            "max_iter": 2000, "tol": 1e-10, "ladder": None})
     f = _resolve_function(model, opts["function"], budget)
-    kwargs = dict(max_iter=as_int(opts["max_iter"]), tol=float(opts["tol"]),
+    kwargs = dict(max_iter=as_int(opts["max_iter"]), tol=as_float(opts["tol"]),
                   ladder=opts["ladder"], budget=budget, seed=seed)
     if opts["unit"] is None:
         est = reduced_norm(f, as_int(opts["L"]), **kwargs)
@@ -216,7 +210,8 @@ def _run_norm(model, mu, cfg, seed, budget):
 
 
 def _run_powerseq(model, mu, cfg, seed, budget):
-    opts = take_keys(cfg, {"function": {"sphere": 1}, "n_max": 3, "conv_budget": 10_000_000})
+    opts = take_keys(cfg, {"function": {"sphere": 1}, "n_max": 3,
+                           "conv_budget": DEFAULT_POWER_BUDGET})
     f = _resolve_function(model, opts["function"], budget)
     seq = power_sequence_norm(f, as_int(opts["n_max"]), mu, budget=as_int(opts["conv_budget"]))
     return seq, "pass", True, {"powerseq": seq.csv_rows()}, opts
@@ -227,9 +222,9 @@ def _run_normbound(model, mu, cfg, seed, budget):
                            "max_iter": 2000, "tol": 1e-10})
     est = hyperbolicity_delta(model, 0, as_int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
-    rep = verify_norm_bound(model, mu, float(opts["alpha"]), as_int(opts["k"]),
-                            float(opts["p"]), C, L=as_int(opts["L"]),
-                            max_iter=as_int(opts["max_iter"]), tol=float(opts["tol"]),
+    rep = verify_norm_bound(model, mu, as_float(opts["alpha"]), as_int(opts["k"]),
+                            as_float(opts["p"]), C, L=as_int(opts["L"]),
+                            max_iter=as_int(opts["max_iter"]), tol=as_float(opts["tol"]),
                             budget=budget, seed=seed)
     results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {}, opts
@@ -238,9 +233,9 @@ def _run_normbound(model, mu, cfg, seed, budget):
 def _run_extend(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"alpha": REQUIRED, "p": REQUIRED, "K": None,
                            "beta_grid": [0.9, 0.99, 0.999]})
-    rep = extension_criteria(model, mu, float(opts["alpha"]), float(opts["p"]),
+    rep = extension_criteria(model, mu, as_float(opts["alpha"]), as_float(opts["p"]),
                              K=opts["K"] if opts["K"] is None else as_int(opts["K"]),
-                             beta_grid=[float(b) for b in opts["beta_grid"]])
+                             beta_grid=[as_float(b) for b in opts["beta_grid"]])
     rows = [("k", "cond2_ratio", "cond3_partial")]
     for (k, r2), (_, r3) in zip(rep.cond2_trace, rep.cond3_partials):
         rows.append((k, r2, r3))
@@ -250,7 +245,7 @@ def _run_extend(model, mu, cfg, seed, budget):
 def _run_band(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "K": 8, "k_min": 1})
     growth = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
-    band = threshold_band(growth, float(opts["q"]), float(opts["p"]))
+    band = threshold_band(growth, as_float(opts["q"]), as_float(opts["p"]))
     return band, "pass", True, {}, opts
 
 
@@ -258,8 +253,8 @@ def _run_certify(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "alpha": None, "K": None,
                            "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
     growth = growth_stats(model, as_int(opts["growth_K"]))
-    cert = certificate(model, mu, growth, float(opts["q"]), float(opts["p"]),
-                       alpha=None if opts["alpha"] is None else float(opts["alpha"]),
+    cert = certificate(model, mu, growth, as_float(opts["q"]), as_float(opts["p"]),
+                       alpha=None if opts["alpha"] is None else as_float(opts["alpha"]),
                        K=None if opts["K"] is None else as_int(opts["K"]),
                        delta_radius=as_int(opts["delta_radius"]),
                        witness_cap=as_int(opts["witness_cap"]), budget=budget)
@@ -335,7 +330,7 @@ def main(argv=None) -> int:
     try:
         model = load_model(args.model)
         mu = MeasureContext.uniform(model)
-        cfg = _load_config(args)
+        cfg = {} if args.config is None else read_json(args.config)
         results, verdict, passed, tables, opts = HANDLERS[args.operation](
             model, mu, cfg, args.seed, args.budget)
         parameters = dict(opts)

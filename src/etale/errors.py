@@ -25,6 +25,15 @@ def count_text(n: int) -> str:
     return str(n) if n < 10 ** 30 else f"about 10^{math.log10(n):.2f}"
 
 
+def charge(what: str, required: int, unit: str, budget) -> None:
+    """Refuse ``required`` units of work past ``budget`` (None allows any
+    count) before any is done: the one place a BudgetError is built from a
+    work estimate, as ``{what} needs {required} {unit}, budget is {budget}``."""
+    if budget is not None and required > budget:
+        raise BudgetError(f"{what} needs {count_text(required)} {unit}, budget is {budget}",
+                          required=required, budget=budget)
+
+
 class KernelDomainError(ValueError):
     """Kernel evaluated outside its stated domain (table kernels only)."""
 

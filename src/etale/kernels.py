@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError)
-from .model import REQUIRED, GroupoidElement, GroupoidModel, as_int, take_keys
+from .model import REQUIRED, GroupoidElement, GroupoidModel, as_float, as_int, take_keys
 
 
 class RadialKernel:
@@ -92,9 +92,9 @@ def kernel_from_json(model: GroupoidModel, data: dict):
     if not isinstance(data, dict) or len(data) != 1:
         raise ModelError("kernel descriptor must have exactly one key")
     if "exp_length" in data:
-        return ExpLengthKernel(float(data["exp_length"]))
+        return ExpLengthKernel(as_float(data["exp_length"]))
     if "haagerup" in data:
-        return HaagerupKernel(float(data["haagerup"]))
+        return HaagerupKernel(as_float(data["haagerup"]))
     if "table" in data:
         spec = take_keys(data["table"], {"entries": REQUIRED, "radius": None})
         f = function_from_json(model, spec["entries"])
@@ -258,9 +258,9 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
     """
     if not (n_list and k_list and eps_list):
         raise ValueError("n_list, k_list and eps_list must each be nonempty")
-    n_list = sorted(float(n) for n in n_list)
+    n_list = sorted(as_float(n) for n in n_list)
     k_list = [as_int(k) for k in k_list]
-    eps_list = [float(eps) for eps in eps_list]
+    eps_list = [as_float(eps) for eps in eps_list]
     if not all(0 < eps <= 1 for eps in eps_list):
         raise ValueError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):

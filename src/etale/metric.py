@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CcFunction, convolve
-from .errors import BudgetError, NonComposableError, PreconditionError, count_text
+from .errors import NonComposableError, PreconditionError, charge
 from .model import GroupoidElement, GroupoidModel
 
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
@@ -168,10 +168,7 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
         raise ValueError("delta radius must be >= 0")
     n = model.ball_count(radius)
     quadruples = (n * (n + 1) // 2) ** 2
-    if quadruples > quad_budget:
-        raise BudgetError(
-            f"{count_text(quadruples)} quadruples exceed budget {quad_budget}",
-            required=quadruples, budget=quad_budget)
+    charge(f"four-point scan of radius {radius}", quadruples, "quadruples", quad_budget)
     best = _four_point_defect(distance_matrix(model, model.ball(u, radius, budget)))
     return DeltaEstimate(delta=float(best), radius=radius, unit=u,
                          n_points=n, quadruples=quadruples)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetError, ModelError, NonComposableError, count_text
+from .errors import ModelError, NonComposableError, charge
 
 Word = Union[tuple, int]
 
@@ -37,11 +38,20 @@ MAX_FINITE_ORDER = 256
 
 
 def as_int(value) -> int:
-    """``int(value)`` of an integral number; ModelError for 2.5, "2" or any other value."""
-    if not isinstance(value, (int, np.integer)) and not (
+    """``int(value)`` of an integral number; ModelError for 2.5, "2", true or any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) and not (
             isinstance(value, float) and value.is_integer()):
         raise ModelError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value) -> float:
+    """``float(value)`` of a number finite as a float; ModelError for "0.5",
+    true, NaN, an integer past the float range or any other value."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ModelError(f"expected a finite number, got {value!r}")
 
 
 REQUIRED = object()  # a ``take_keys`` default that the object must give
@@ -406,13 +416,8 @@ class GroupoidModel:
 
     def _charge(self, k: int, budget, u: int = 0) -> None:
         self.unit_element(u)
-        if budget is None:
-            budget = DEFAULT_ENUMERATION_BUDGET
-        required = self.ball_count(k)
-        if required > budget:
-            raise BudgetError(
-                f"ball of radius {k} needs {count_text(required)} elements, budget is {budget}",
-                required=required, budget=budget)
+        charge(f"ball of radius {k}", self.ball_count(k), "elements",
+               DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
 
     def sphere(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber sphere: elements of word length k with range ``u``,

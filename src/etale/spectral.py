@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
-from .errors import BudgetError, count_text
+from .errors import BudgetError, charge
 from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, MeasureContext,
                     as_int)
 
@@ -46,6 +46,7 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 # from 64 rows on, eigh with vectors takes a slower path (up to twice the
 # time), and an operator that Lanczos settles in a few steps is cheaper there
 DENSE_ROWS = 63
+DENSE_OVERFLOW = "the coefficients of f overflow float64 in the dense eigensolve"
 
 
 # -- Lanczos ----------------------------------------------------------------
@@ -125,32 +126,35 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
 def _dense_matrix(op, hermitian: bool):
     """A = M (``hermitian``) or ``M^H M`` for the dense M of the operator
     ``op``, one per unit for a stack of labels: one fancy-index add per word
-    of f into an (n, n + 1) array, whose pad column n is then dropped.  Huge
-    coefficients overflow, so call it under ``np.errstate``."""
+    of f into an (n, n + 1) array, whose pad column n is then dropped.  An A
+    that overflows float64 raises ValueError."""
     cols, vals = op
     n = cols.shape[1]
     M = np.zeros((*vals.shape[1:-1], n, n + 1), dtype=np.result_type(vals, float))
     rows = np.arange(n)
-    for c, a in zip(cols, vals):
-        M[..., rows, c] += a
-    M = M[..., :n]
-    return M if hermitian else M.conj().swapaxes(-1, -2) @ M
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, a in zip(cols, vals):
+            M[..., rows, c] += a
+        M = M[..., :n]
+        A = M if hermitian else M.conj().swapaxes(-1, -2) @ M
+    if not np.isfinite(A).all():
+        raise ValueError(DENSE_OVERFLOW)
+    return A
 
 
 def _dense(op, hermitian: bool, tol: float):
     """The ``_lanczos`` tuple with 0 steps for the top eigenpair of A = M
-    (``hermitian``) or ``M^H M``, from ``eigh`` of ``_dense_matrix``.
-    Overflow raises ValueError."""
+    (``hermitian``) or ``M^H M``, from ``eigh`` of ``_dense_matrix``.  A
+    finite A near the float64 limit can still overflow its top eigenvalue or
+    residual, which raises ValueError."""
+    A = _dense_matrix(op, hermitian)
+    thetas, ys = np.linalg.eigh(A)
+    i = int(np.argmax(np.abs(thetas)))
+    theta, y = float(thetas[i]), ys[:, i]
     with np.errstate(over="ignore", invalid="ignore"):
-        A = _dense_matrix(op, hermitian)
-        theta = residual = math.inf
-        if np.isfinite(A).all():
-            thetas, ys = np.linalg.eigh(A)
-            i = int(np.argmax(np.abs(thetas)))
-            theta, y = float(thetas[i]), ys[:, i]
-            residual = float(np.linalg.norm(A @ y - theta * y))
+        residual = float(np.linalg.norm(A @ y - theta * y))
     if not math.isfinite(theta + residual):
-        raise ValueError("the coefficients of f overflow float64 in the dense eigensolve")
+        raise ValueError(DENSE_OVERFLOW)
     return abs(theta), 0, residual, residual <= tol * max(1.0, abs(theta))
 
 
@@ -276,15 +280,12 @@ class _Solves:
         ``eigvalsh`` of the stacked A = M or ``M^H M`` of every unit, which
         agrees with each unit's ``eigh`` within about n eps |A| (at most
         1.3e-15 relative measured at 53 rows).  Every unit at a Lanczos top
-        rung, or when A is not finite, so that the first to overflow raises."""
+        rung."""
         if self.rows > DENSE_ROWS:
             return units
         hermitian = self.op_h is self.op
         labels = model.unit_labels(np.array(units), self.parent, self.gen).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            A = _dense_matrix(self.op(len(self.ladder) - 1, labels), hermitian)
-            if not np.isfinite(A).all():
-                return units
+        A = _dense_matrix(self.op(len(self.ladder) - 1, labels), hermitian)
         theta = np.abs(np.linalg.eigvalsh(A)).max(axis=1)
         value = theta if hermitian else np.sqrt(theta)
         best = float(value.max())
@@ -301,10 +302,9 @@ class _Quotient:
     unit_free = True
 
     def __init__(self, rank: int, profile, ladder: list, tol: float, budget):
-        L, budget = ladder[-1], DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-        if (L + 1) ** 2 > budget:
-            raise BudgetError(f"sphere quotient of radius {L} needs {count_text((L + 1) ** 2)} "
-                              f"entries, budget is {budget}", required=(L + 1) ** 2, budget=budget)
+        L = ladder[-1]
+        charge(f"sphere quotient of radius {L}", (L + 1) ** 2, "entries",
+               DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
         q = 2 * rank - 1
         S, limit = np.zeros((L + 1, L + 1)), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -474,10 +474,8 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     if profile is not None:
         K = max(len(profile) - 1, 0)
         R = 2 ** (n_max + 1) * K
-        cost = 2 ** (n_max + 1) * (R + 1) * (2 * K + 1)
-        if budget is not None and cost > budget:
-            raise BudgetError(f"radial power sequence needs {count_text(cost)} multiply-adds, "
-                              f"budget is {budget}", required=cost, budget=budget)
+        charge("radial power sequence", 2 ** (n_max + 1) * (R + 1) * (2 * K + 1),
+               "multiply-adds", budget)
         bands = _radial_bands(model.backend.rank, profile, R)
         y, logs = np.eye(1, R + 1)[0], []  # e_0, and log |S^j e_0| = fsum(logs)
         with np.errstate(over="ignore", invalid="ignore"):

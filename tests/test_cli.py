@@ -142,10 +142,13 @@ def test_gns_budget_bounds_the_checked_ball(files, capsys):
 def test_lanczos_overflow_is_a_usage_error(files, capsys):
     # coefficients -1e300 are finite, but the dense solve's matrix entries
     # (L = 3, 53 rows) and the Lanczos recurrence's dot products (L = 4, 161
-    # rows) are not; negative, so the solve is not the sphere quotient
-    for L, solver in ((3, "dense eigensolve"), (4, "Lanczos")):
-        cfg = write_cfg(files, "huge", {"function": {"sphere_weighted": {"alpha": -1e100, "k": 3}},
-                                        "L": L})
+    # rows) are not; negative, so the solve is not the sphere quotient.  At
+    # 1e308 on a and A the dense A = M is finite, but its eigen-residual is not
+    huge = {"sphere_weighted": {"alpha": -1e100, "k": 3}}
+    edge = [{"unit": 0, "word": w, "re": 1e308} for w in ("a", "A")]
+    for f, L, solver in ((huge, 3, "dense eigensolve"), (huge, 4, "Lanczos"),
+                         (edge, 2, "dense eigensolve")):
+        cfg = write_cfg(files, "huge", {"function": f, "L": L})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
@@ -154,10 +157,13 @@ def test_lanczos_overflow_is_a_usage_error(files, capsys):
         assert solver in err[0]
 
 
-def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32):
+def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32, monkeypatch):
     # not self-adjoint and unit-dependent, at L = 3 (53 rows): the units are
     # ranked on a stack of M^H M, whose entries at unit 5's 1e200 are not
-    # finite, so every unit is solved and the first to overflow exits
+    # finite, so the ranking exits before any unit is solved
+    calls = []
+    for name in ("_dense", "_lanczos"):
+        monkeypatch.setattr(etale.spectral, name, lambda *a, name=name: calls.append(name))
     entries = [{"unit": u, "word": w, "re": 1e200 if (u, w) == (5, "a") else 1.0 + u / 32}
                for u in range(32) for w in ("a", "b")]
     cfg = write_cfg(files, "huge_unit", {"function": entries, "L": 3})
@@ -166,6 +172,7 @@ def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32):
         assert main(["norm", "--model", files["f2_32"], "--config", cfg]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: the coefficients of f overflow float64 in the dense eigensolve"]
+    assert calls == []
 
 
 def test_quotient_overflow_is_a_usage_error(files, capsys):
@@ -378,9 +385,28 @@ def test_usage_errors_exit_two(files, capsys):
     assert main(["delta", "--model", files["f2"],
                  "--config", write_cfg(files, "bad", {"units": []})]) == 2
     assert "nonempty list of units" in capsys.readouterr().err
+    # where a number is read, a string, a boolean, an integer past the float
+    # range or a config that is not an object: one error line, no report
+    big, out = 10 ** 400, files["root"] / "refused"
+    for op, bad, message in (
+            ("extend", {"alpha": 0.5, "p": 2, "beta_grid": ["nan"]}, "got 'nan'"),
+            ("band", {"q": "2", "p": "inf"}, "expected a finite number, got '2'"),
+            ("normbound", {"p": "nan"}, "expected a finite number, got 'nan'"),
+            ("pdcheck", {"kernel": {"exp_length": "0.5"}}, "got '0.5'"),
+            ("norm", {"function": [{"unit": 0, "word": "a", "re": "2"}]}, "got '2'"),
+            ("normbound", {"alpha": big}, "expected a finite number, got 1000"),
+            ("pdcheck", {"tol": big}, "got 1000"), ("extend", {"alpha": 0.5, "p": big}, "got 1000"),
+            ("norm", {"function": [{"unit": 0, "word": "a", "re": big}]}, "got 1000"),
+            ("growth", {"K": True}, "expected an integer, got True"),
+            ("growth", [1, 2], "expected a JSON object, got [1, 2]")):
+        argv = [op, "--model", files["f2"], "--config", write_cfg(files, "bad", bad)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not out.exists()
     # budget counts past Python's 4,300-digit int-to-str limit still print
     for op, cfg, message in (("norm", {"L": 20000}, "budget is 5000000"),
-                             ("delta", {"radius": 3000}, "exceed budget 100000000")):
+                             ("delta", {"radius": 3000}, "quadruples, budget is 100000000")):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", cfg)]) == 2
         assert message in capsys.readouterr().err
 
@@ -473,13 +499,15 @@ def test_delta_refuses_before_enumerating(files, capsys, monkeypatch):
     monkeypatch.setattr(etale.FreeGroup, "ball_words", lambda self, L: calls.append(L))
     cfg = write_cfg(files, "delta_far", {"radius": 100_000})
     assert main(["delta", "--model", files["z"], "--config", cfg]) == 2
-    assert "quadruples exceed budget 100000000" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: four-point scan of radius 100000 needs {(200_001 * 100_001) ** 2} quadruples, "
+        "budget is 100000000"]
     # on f2 the ball count at radius 20,000 has 9,543 digits
     start = time.perf_counter()
     cfg = write_cfg(files, "delta_far", {"radius": 20_000})
     assert main(["delta", "--model", files["f2"], "--config", cfg]) == 2
     assert time.perf_counter() - start < 0.5
-    assert "quadruples exceed budget 100000000" in capsys.readouterr().err
+    assert "quadruples, budget is 100000000" in capsys.readouterr().err
     assert calls == []
 
 

@@ -145,9 +145,12 @@ def test_radial_convolve_budget(f2, mu_f2, monkeypatch):
     with pytest.raises(BudgetError) as err:
         power_sequence_norm(chi, 3, mu_f2, budget=16 * 17 * 3 - 1)
     assert err.value.required == 16 * 17 * 3
+    assert str(err.value) == "radial power sequence needs 816 multiply-adds, budget is 815"
     with pytest.raises(BudgetError) as err:
         power_sequence_norm(sphere_indicator(f2, 2), 40, mu_f2)
     assert err.value.required == 2 ** 41 * (2 ** 42 + 1) * 5
+    assert str(err.value) == (f"radial power sequence needs {2 ** 41 * (2 ** 42 + 1) * 5} "
+                              "multiply-adds, budget is 10000000")
     assert ok.method == "radial" and len(ok.entries) == 3
 
 
@@ -228,6 +231,8 @@ def test_power_sequence_budget_refuses_before_squaring(f2, mu_f2):
     with pytest.raises(BudgetError) as err:
         power_sequence_norm(f, 3, mu_f2)
     assert err.value.required == 9841 ** 2
+    assert str(err.value) == ("power sequence exceeded budget at n=3: convolution needs "
+                              "96845281 pair products, budget is 10000000")
     assert time.perf_counter() - start < 1.0
 
 
