@@ -9,7 +9,10 @@ seconds.
 only their exit code (2) is pinned.  ``EXTRA`` adds ``norm`` of functions
 whose values depend on the unit, where the units are ranked before any
 ladder is solved: a seeded self-adjoint f on ``f2_32units``, and
-``z2_swap``'s delta at unit 1, whose two units tie.
+``z2_swap``'s delta at unit 1, whose two units tie.  It also adds
+``pdcheck``'s random mode at the benchmark's size on ``f2`` and ``z6``, the
+same draw with a unit-dependent table kernel on ``z2_swap``, and ``gns`` at
+k = 3 on ``f2``.
 
 A change that alters a report on purpose rewrites the goldens with
 
@@ -60,11 +63,22 @@ def unit_dependent_f2_32(seed: int) -> list:
     return out
 
 
+RANDOM = {"random": {"count": 60, "max_size": 12, "max_len": 4}}
+
+# Hermitian on z2_swap: (u, 1) and its inverse (1 - u, 1) carry conjugate values
+SWAP_TABLE = {"table": {"entries": [
+    {"unit": 0, "word": 0, "re": 1.0}, {"unit": 1, "word": 0, "re": 0.8},
+    {"unit": 0, "word": 1, "re": 0.3, "im": 0.4}, {"unit": 1, "word": 1, "re": 0.3, "im": -0.4}]}}
+
 EXTRA = {
     "norm-f2_32units-unitdep": ("norm", "f2_32units",
                                 {"function": unit_dependent_f2_32(19), "L": 3,
                                  "ladder": [1, 2, 3]}),
     "norm-z2_swap-delta": ("norm", "z2_swap", {"function": {"delta": {"unit": 1, "word": 1}}}),
+    "pdcheck-random-f2": ("pdcheck", "f2", {"kernel": {"exp_length": 0.6}, "mode": RANDOM}),
+    "pdcheck-random-z6": ("pdcheck", "z6", {"kernel": {"exp_length": 0.6}, "mode": RANDOM}),
+    "pdcheck-random-z2_swap-table": ("pdcheck", "z2_swap", {"kernel": SWAP_TABLE, "mode": RANDOM}),
+    "gns-f2-k3": ("gns", "f2", {"k": 3}),
 }
 
 # (golden directory, operation, model, config)
