@@ -30,7 +30,7 @@ from .algebra import (CcFunction, function_from_json, length_weighted,
 from .errors import BudgetError, ModelError
 from .exotic import certificate, extension_criteria, threshold_band
 from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
-                      kernel_from_json, psd_check)
+                      gram_stack, kernel_from_json, psd_check, psd_results)
 from .metric import (DEFAULT_QUADRUPLE_BUDGET, band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
 from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int,
@@ -63,12 +63,14 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     raise ModelError(f"unknown function spec {kind!r}")
 
 
-def _random_fiber_tuple(model: GroupoidModel, rng, max_size: int, words):
-    """Up to ``max_size`` of the ball ``words``, drawn at a random unit."""
-    u = int(rng.integers(model.units))
-    size = min(int(rng.integers(1, max_size + 1)), len(words))
-    idx = rng.choice(len(words), size=size, replace=False)
-    return [GroupoidElement(u, words[i]) for i in sorted(idx)]
+def _random_draws(rng, units: int, count: int, max_size: int, pool: int) -> list:
+    """``count`` tuples as ``(unit, indices)``: a random unit, and up to
+    ``max_size`` distinct indices into a pool of ``pool`` words, sorted."""
+    draws = []
+    for _ in range(count):
+        u, size = int(rng.integers(units)), min(int(rng.integers(1, max_size + 1)), pool)
+        draws.append((u, sorted(rng.choice(pool, size=size, replace=False).tolist())))
+    return draws
 
 
 # -- handlers ---------------------------------------------------------------
@@ -109,13 +111,13 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
     mode = opts["mode"]
     if not isinstance(mode, dict) or len(mode) != 1:
         raise ModelError("pdcheck mode must have exactly one key, 'ball' or 'random'")
-    tuples = []
     if "ball" in mode:
         ball = take_keys(mode["ball"], {"unit": 0, "k": REQUIRED})
         k = as_int(ball["k"])
         if k < 0:
             raise ValueError("pdcheck ball radius k must be >= 0")
-        tuples.append(model.ball(as_int(ball["unit"]), k, budget=budget))
+        elements = model.ball(as_int(ball["unit"]), k, budget=budget)
+        results = [psd_check(model, kern, elements, tol=as_float(opts["tol"]))]
     elif "random" in mode:
         r = take_keys(mode["random"], {"count": 100, "max_size": 10, "max_len": 4})
         count, max_size, max_len = (as_int(r[key]) for key in ("count", "max_size", "max_len"))
@@ -124,17 +126,21 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         rng = np.random.default_rng(seed)
         # every fiber's ball has the same words: read them once
         words = [g.word for g in model.ball(0, max_len, budget=budget)]
-        tuples += [_random_fiber_tuple(model, rng, max_size, words) for _ in range(count)]
+        draws = _random_draws(rng, model.units, count, max_size, len(words))
+        # one Gram stack and one eigvalsh per tuple size, in order of first draw
+        tol = as_float(opts["tol"])
+        checks = {}
+        for size in dict.fromkeys(len(idx) for _, idx in draws):
+            picks = [i for i, (_, idx) in enumerate(draws) if len(idx) == size]
+            G = gram_stack(model, kern, [draws[i][0] for i in picks],
+                           [[words[j] for j in draws[i][1]] for i in picks])
+            checks.update(zip(picks, psd_results(G, tol)))
+        results = [checks[i] for i in range(count)]
     else:
         raise ModelError("pdcheck mode must be 'ball' or 'random'")
     rows = [("tuple", "size", "min_eig", "passed")]
-    results = []
-    ok = True
-    for i, t in enumerate(tuples):
-        res = psd_check(model, kern, t, tol=as_float(opts["tol"]))
-        results.append(res)
-        rows.append((i, res.size, res.min_eig, res.passed))
-        ok = ok and res.passed
+    rows += [(i, res.size, res.min_eig, res.passed) for i, res in enumerate(results)]
+    ok = all(res.passed for res in results)
     return ({"checks": results, "all_passed": ok}, "pass" if ok else "fail",
             ok, {"pdcheck": rows}, opts)
 
@@ -145,7 +151,7 @@ def _run_gns(model, mu, cfg, seed, budget):
     kern = kernel_from_json(model, opts["kernel"])
     u, k = as_int(opts["unit"]), as_int(opts["k"])
     data = gns_build(model, kern, u, k, null_tol=as_float(opts["null_tol"]), budget=budget)
-    worst = max((gns_isometry_defect(model, kern, x, k, budget=budget)
+    worst = max((gns_isometry_defect(model, kern, x, k, budget=budget, data=data)
                  for x in model.sphere(u, 1)), default=0.0)
     ok = worst <= as_float(opts["isometry_tol"])
     results = {"unit": u, "k": k, "dim": data.dim, "null_dim": data.null_dim,

@@ -8,6 +8,10 @@ such matrices is what "positive definite kernel" means here, and the
 induced inner product ``<d_a, d_b> = F(b^-1 a)`` turns finite balls
 into pre-Hilbert spaces on which left translation acts isometrically.
 
+Grams are built for stacks of same-size tuples and checked by one stacked
+``eigvalsh``, so ``pdcheck`` stacks its random tuples by size; ``gns``
+builds one ball Gram per run, as a radial kernel's is the same in every fiber.
+
 Table-kernel entries are read and written as function entries, by
 ``function_from_json`` and ``function_to_json``.
 """
@@ -116,30 +120,33 @@ def kernel_to_json(model: GroupoidModel, kernel) -> dict:
 # -- Gram matrices and positivity -------------------------------------------
 
 def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
-    """Gram matrix ``G[i, j] = F(x_i^-1 x_j)`` for a tuple in one range fiber.
-
-    A radial kernel is evaluated once per word length up to the largest
-    ``length(x_i^-1 x_j)`` and gathered; a table kernel is looked up pair
-    by pair."""
+    """Gram matrix ``G[i, j] = F(x_i^-1 x_j)`` for a tuple in one range fiber:
+    the ``gram_stack`` of that one tuple."""
     elements = list(elements)
-    if not elements:
-        return np.zeros((0, 0), dtype=complex)
-    u = elements[0].unit
+    u = elements[0].unit if elements else 0
     if any(g.unit != u for g in elements):
         raise PreconditionError("Gram matrix needs elements in a common range fiber")
+    return gram_stack(model, kernel, [u], [[g.word for g in elements]])[0]
+
+
+def gram_stack(model: GroupoidModel, kernel, units, stack) -> np.ndarray:
+    """Gram matrices, shape (tuples, size, size), of a stack of same-size word
+    tuples, tuple t in the range fiber at ``units[t]``.  A radial kernel is
+    evaluated once per word length up to the largest ``length(x_i^-1 x_j)``
+    and gathered through one ``pair_lengths`` of the whole stack; a table
+    kernel is looked up pair by pair."""
     backend = model.backend
     if isinstance(kernel, RadialKernel):
-        lengths = backend.pair_lengths([g.word for g in elements])
-        values = [kernel.at_length(k) for k in range(lengths.max() + 1)]
+        lengths = backend.pair_lengths(stack)
+        values = [kernel.at_length(k) for k in range(int(lengths.max(initial=0)) + 1)]
         return np.array(values, dtype=complex)[lengths]
-    inv_words = [backend.inv(g.word) for g in elements]
-    src = [model.source_unit(g) for g in elements]
-    n = len(elements)
-    G = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            z = GroupoidElement(src[i], backend.mul(inv_words[i], elements[j].word))
-            G[i, j] = kernel.evaluate(model, z)
+    n = len(stack[0]) if stack else 0
+    G = np.zeros((len(stack), n, n), dtype=complex)
+    for G_t, u, words in zip(G, units, stack):
+        for row, a in zip(G_t, words):
+            src, a_inv = model.act(u, a), backend.inv(a)
+            row[:] = [kernel.evaluate(model, GroupoidElement(src, backend.mul(a_inv, b)))
+                      for b in words]
     return G
 
 
@@ -152,11 +159,16 @@ class PsdResult:
 
 def psd_check(model: GroupoidModel, kernel, elements, tol: float = 1e-9) -> PsdResult:
     """Positive semidefiniteness of the Gram matrix, up to ``-tol``."""
-    G = gram_matrix(model, kernel, elements)
-    if G.shape[0] == 0:
-        return PsdResult(size=0, min_eig=0.0, passed=True)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
-    return PsdResult(size=G.shape[0], min_eig=min_eig, passed=min_eig >= -tol)
+    return psd_results(gram_matrix(model, kernel, elements)[None], tol)[0]
+
+
+def psd_results(G: np.ndarray, tol: float = 1e-9) -> list:
+    """A ``PsdResult`` per matrix of the stack G, up to ``-tol``, by one stacked
+    ``eigvalsh``, which gives each matrix's own ``eigvalsh`` bit for bit."""
+    if G.shape[1] == 0:
+        return [PsdResult(size=0, min_eig=0.0, passed=True)] * len(G)
+    return [PsdResult(size=G.shape[1], min_eig=e, passed=e >= -tol)
+            for e in np.linalg.eigvalsh(G)[:, 0].tolist()]
 
 
 # -- GNS data ---------------------------------------------------------------
@@ -207,15 +219,21 @@ def gns_build(model: GroupoidModel, kernel, u: int, k: int,
 
 
 def gns_isometry_defect(model: GroupoidModel, kernel, x: GroupoidElement,
-                        k: int, budget=None) -> float:
+                        k: int, budget=None, data: GnsData | None = None) -> float:
     """Largest ``|F((x a)^-1 x b) - F(a^-1 b)|`` over a, b in the radius-k
     ball of the source fiber of ``x``: the Gram matrix of the translates
     against that of the ball, zero when left translation by ``x`` is an
     exact isometry for the kernel's inner product on the truncation.  Only
-    the ball is enumerated (and charged to ``budget``)."""
-    domain = model.ball(model.source_unit(x), k, budget=budget)
+    the ball is enumerated (and charged to ``budget``).  ``data``, from
+    ``gns_build`` of the same kernel, lends its Gram when it is the ball's: at
+    radius k, and at x's source unit or for a radial kernel."""
+    source = model.source_unit(x)
+    domain = model.ball(source, k, budget=budget)
     moved = [model.compose(x, a) for a in domain]
-    defect = gram_matrix(model, kernel, moved) - gram_matrix(model, kernel, domain)
+    shared = data is not None and data.radius == k and (
+        data.unit == source or isinstance(kernel, RadialKernel))
+    gram = data.gram if shared else gram_matrix(model, kernel, domain)
+    defect = gram_matrix(model, kernel, moved) - gram
     return float(np.max(np.abs(defect))) if defect.size else 0.0
 
 
@@ -265,33 +283,24 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
         raise ValueError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):
         raise ValueError("every k must be >= 0")
-    unit_rows, deviation_rows, monotone_rows, vanishing_rows = [], [], [], []
-    passed = True
     max_radius = model.backend.max_radius
+    unit_rows = [{"n": n, "ok": HaagerupKernel(n).at_length(0) == 1.0} for n in n_list]
 
-    for n in n_list:
-        ok = HaagerupKernel(n).at_length(0) == 1.0
-        unit_rows.append({"n": n, "ok": ok})
-        passed = passed and ok
-
-    sups: dict[tuple, float] = {}
+    deviation_rows, sups = [], {}
     for n in n_list:
         kern = HaagerupKernel(n)
         for k in k_list:
             k_eff = k if max_radius is None else min(k, max_radius)
             measured = max(abs(1 - kern.at_length(j)) for j in range(k_eff + 1))
             expected = 1.0 - math.exp(-k_eff / n)
-            ok = abs(measured - expected) <= 1e-12
             sups[(n, k)] = measured
-            deviation_rows.append({"n": n, "k": k, "sup_dev": measured,
-                                   "expected": expected, "ok": ok})
-            passed = passed and ok
-    for k in k_list:
-        for lo, hi in zip(n_list, n_list[1:]):
-            ok = sups[(hi, k)] <= sups[(lo, k)] + 1e-12
-            monotone_rows.append({"k": k, "n_small": lo, "n_large": hi, "ok": ok})
-            passed = passed and ok
+            deviation_rows.append({"n": n, "k": k, "sup_dev": measured, "expected": expected,
+                                   "ok": abs(measured - expected) <= 1e-12})
+    monotone_rows = [{"k": k, "n_small": lo, "n_large": hi,
+                      "ok": sups[(hi, k)] <= sups[(lo, k)] + 1e-12}
+                     for k in k_list for lo, hi in zip(n_list, n_list[1:])]
 
+    vanishing_rows = []
     for n in n_list:
         kern = HaagerupKernel(n)
         for eps in eps_list:
@@ -305,11 +314,10 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
                 row |= {"spot_checked": True, "vacuous": False,
                         "ok": tail < eps and abs(kern.at_length(radius + 1)) < eps}
             vanishing_rows.append(row)
-            passed = passed and row["ok"]
-
+    rows = unit_rows + deviation_rows + monotone_rows + vanishing_rows
     return HaagerupReport(unit_rows=unit_rows, deviation_rows=deviation_rows,
                           monotone_rows=monotone_rows, vanishing_rows=vanishing_rows,
-                          passed=passed)
+                          passed=all(row["ok"] for row in rows))
 
 
 @dataclass
@@ -330,13 +338,9 @@ def pointwise_product_check(model: GroupoidModel, k1, k2, tuples,
     for elements in tuples:
         elements = list(elements)
         G = gram_matrix(model, k1, elements) * gram_matrix(model, k2, elements)
-        if G.shape[0] == 0:
-            rows.append({"size": 0, "min_eig": 0.0, "ok": True})
-            continue
-        min_eig = float(np.linalg.eigvalsh(G)[0])
-        ok = min_eig >= -tol
-        rows.append({"size": G.shape[0], "min_eig": min_eig, "ok": ok})
-        passed = passed and ok
+        res = psd_results(G[None], tol)[0]
+        rows.append({"size": res.size, "min_eig": res.min_eig, "ok": res.passed})
+        passed = passed and res.passed
 
     closure_max_dev = None
     if isinstance(k1, ExpLengthKernel) and isinstance(k2, ExpLengthKernel):

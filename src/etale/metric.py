@@ -127,7 +127,7 @@ class DeltaEstimate:
 def distance_matrix(model: GroupoidModel, points) -> np.ndarray:
     """Word-metric distances ``length(x_i^-1 x_j)`` between the points, as
     int16; distances above 16,383 are refused, so sums of two fit too."""
-    D = model.backend.pair_lengths([g.word for g in points])
+    D = model.backend.pair_lengths([[g.word for g in points]])[0]
     if D.max(initial=0) > 16_383:
         raise ValueError("distances above 16383 do not fit the int16 metric")
     return D.astype(np.int16)
@@ -212,27 +212,26 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     if k < 0 or n < 0:
         raise ValueError("band check needs sphere radii k, n >= 0")
     model.unit_element(u)  # range-checks u
-    for x in f.support():
-        if model.length(x) != k:
-            raise PreconditionError(f"support of f must sit at word length {k}")
-    for x in g.support():
-        if model.length(x) != n:
-            raise PreconditionError(f"support of g must sit at word length {n}")
+    for name, fn, r in (("f", f, k), ("g", g, n)):
+        if any(model.length(x) != r for x in fn.support()):
+            raise PreconditionError(f"support of {name} must sit at word length {r}")
     if g.max_abs() > 1 + 1e-12:
         raise PreconditionError("g must be bounded by 1 in absolute value")
 
     h = convolve(f, g)
     lo, hi = abs(k - n), k + n
-    outside = sum(abs(v) for x, v in h.items() if not lo <= model.length(x) <= hi)
-    base = f.fiber_l1(u)
-    bound = C * base
-    rows = []
-    ok_all = True
-    for m in range(lo, hi + 1):
-        mass = h.length_slice(m).fiber_l1(u)
-        ok = mass <= bound + tol * max(1.0, bound)
-        ok_all = ok_all and ok
-        rows.append((m, mass, bound, ok))
-    passed = ok_all and outside == 0.0
+    # one pass over h, in its order, so each mass is ``h.length_slice(m).fiber_l1(u)``
+    outside, slices = [], {m: [] for m in range(lo, hi + 1)}
+    for x, v in h.items():
+        m = model.length(x)
+        if not lo <= m <= hi:
+            outside.append(abs(v))
+        elif x.unit == u:
+            slices[m].append(abs(v))
+    outside = sum(outside)
+    bound = C * f.fiber_l1(u)
+    masses = {m: sum(vals) for m, vals in slices.items()}
+    rows = [(m, mass, bound, mass <= bound + tol * max(1.0, bound)) for m, mass in masses.items()]
+    passed = all(ok for *_, ok in rows) and outside == 0.0
     return BandReport(k=k, n=n, unit=u, overlap=C, band=(lo, hi),
                       rows=rows, outside_mass=outside, passed=passed)

@@ -138,20 +138,25 @@ class FreeGroup:
     def length(self, w: tuple) -> int:
         return len(w)
 
-    def pair_lengths(self, words) -> np.ndarray:
-        """``length(w_i^-1 w_j)`` for all pairs of reduced words:
+    def pair_lengths(self, stack) -> np.ndarray:
+        """``length(w_i^-1 w_j)`` for all pairs of reduced words of each tuple
+        in a stack of same-size tuples, shape (tuples, size, size):
         ``len_i + len_j - 2 lcp(w_i, w_j)``, with the longest common prefix
-        taken column by column over the words' zero-padded letters."""
-        lens = np.array([len(w) for w in words], dtype=np.int64)
-        letters = np.zeros((len(lens), int(lens.max(initial=0))), dtype=np.int64)
-        letters[np.arange(letters.shape[1]) < lens[:, None]] = [x for w in words for x in w]
-        same = np.ones((len(lens), len(lens)), dtype=bool)
-        lcp = np.zeros(same.shape, dtype=np.int64)
-        for col in letters.T:
-            same &= col[:, None] == col
+        counted column by column over the words' zero-padded letters, in the
+        narrowest unsigned type that holds twice the longest word."""
+        words = [w for t in stack for w in t]
+        lens = np.array([len(w) for w in words])
+        top = int(lens.max(initial=0))
+        lens = lens.astype(np.min_scalar_type(2 * top)).reshape(len(stack), -1 if stack else 0)
+        letters = np.zeros((*lens.shape, top), dtype=np.min_scalar_type(-self.rank))
+        letters[np.arange(top) < lens[..., None]] = [x for w in words for x in w]
+        same = np.ones((*lens.shape, lens.shape[1]), dtype=bool)
+        lcp = np.zeros(same.shape, dtype=lens.dtype)
+        for col in np.moveaxis(letters, -1, 0):
+            same &= col[..., :, None] == col[..., None, :]
             lcp += same
         # equal words also agree on their padding
-        return lens[:, None] + lens - 2 * np.minimum(lcp, lens[:, None])
+        return lens[..., :, None] + lens[..., None, :] - 2 * np.minimum(lcp, lens[..., :, None])
 
     def sphere_count(self, k: int) -> int:
         if k < 0:
@@ -280,7 +285,8 @@ class FiniteGroup:
                     edges.append((i, c))
         if len(elements) < n:
             raise ModelError("generators do not generate the group")
-        self.dist = dist = np.array([len(self._spelling[e]) for e in range(n)])
+        # word lengths are below the order, at most 256: a byte holds them
+        self.dist = dist = np.array([len(self._spelling[e]) for e in range(n)], dtype=np.uint8)
         self.index = np.argsort(elements)  # element -> its tree row
         right = self.index[table[np.ix_(elements, self.generators)]]
         self._tree = (*np.array(edges).T, right)
@@ -300,10 +306,11 @@ class FiniteGroup:
     def length(self, w: int) -> int:
         return int(self.dist[w])
 
-    def pair_lengths(self, words) -> np.ndarray:
-        """``length(w_i^-1 w_j)`` for all pairs of elements, from the table."""
-        w = np.asarray(words, dtype=np.int64)
-        return self.dist[self.table[self.inverse[w][:, None], w]]
+    def pair_lengths(self, stack) -> np.ndarray:
+        """``length(w_i^-1 w_j)`` for all pairs of each tuple in a stack of same-size
+        tuples, shape (tuples, size, size), from the table and byte-wide lengths."""
+        w = np.array(stack, dtype=np.int64).reshape(len(stack), -1 if stack else 0)
+        return self.dist[self.table[self.inverse[w][..., :, None], w[..., None, :]]]
 
     def sphere_count(self, k: int) -> int:
         return self._sphere_counts[k] if 0 <= k < len(self._sphere_counts) else 0

@@ -288,6 +288,8 @@ class _Solves:
         A = _dense_matrix(self.op(len(self.ladder) - 1, labels), hermitian)
         theta = np.abs(np.linalg.eigvalsh(A)).max(axis=1)
         value = theta if hermitian else np.sqrt(theta)
+        if not np.isfinite(value).all():  # a finite A whose top eigenvalue overflows
+            raise ValueError(DENSE_OVERFLOW)
         best = float(value.max())
         return [u for u, v in zip(units, value.tolist()) if v >= best - 1e-9 * max(1.0, best)]
 

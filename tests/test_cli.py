@@ -157,6 +157,19 @@ def test_lanczos_overflow_is_a_usage_error(files, capsys):
         assert solver in err[0]
 
 
+def test_unit_ranking_non_finite_value_is_a_usage_error(files, capsys):
+    # two units, F_2 acting trivially: the stacked A is finite, but the
+    # ranking's eigvalsh reads an infinite top eigenvalue at unit 0
+    path = str(files["root"] / "f2_two_units.json")
+    etale.save_model(etale.build_model(etale.FreeGroup(2), 2, [[0, 1], [0, 1]]), path)
+    f = [{"unit": u, "word": w, "re": 1e308 if u == 0 else 1.0} for u in (0, 1) for w in "aAbB"]
+    cfg = write_cfg(files, "huge_ranked", {"function": f, "L": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norm", "--model", path, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {etale.spectral.DENSE_OVERFLOW}"]
+
+
 def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32, monkeypatch):
     # not self-adjoint and unit-dependent, at L = 3 (53 rows): the units are
     # ranked on a stack of M^H M, whose entries at unit 5's 1e200 are not

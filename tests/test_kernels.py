@@ -12,7 +12,8 @@ from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
                    PreconditionError, TableKernel, distance_matrix, gns_build,
                    gns_isometry_defect, gram_matrix, haagerup_witness_check,
                    matrix_coeff_recovery, pointwise_product_check, psd_check)
-from etale.cli import _random_fiber_tuple
+from etale.cli import _random_draws
+from etale.kernels import gram_stack, psd_results
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -220,7 +221,8 @@ def test_pair_tables_match_per_pair_loops(name, s3):
     last = model.units - 1
     tuples = [model.ball(u, k) for u in (0, last) for k in range(4)]
     words = model.backend.ball_words(4)
-    tuples += [_random_fiber_tuple(model, rng, 12, words) for _ in range(20)]
+    tuples += [[GroupoidElement(u, words[i]) for i in idx]
+               for u, idx in _random_draws(rng, model.units, 20, 12, len(words))]
     xs = model.sphere(last, 1) + model.sphere(0, 2)[:3]
     for x in xs:
         tuples.append([model.compose(x, a) for a in model.ball(model.source_unit(x), 2)])
@@ -233,6 +235,26 @@ def test_pair_tables_match_per_pair_loops(name, s3):
             G = gram_matrix(model, kern, elements)
             want = _loop_gram(model, kern, elements)
             assert G.dtype == want.dtype and np.array_equal(G, want)
+    # the same tuples stacked by size, each matrix against its own loop and
+    # each stacked min_eig against the tuple's own psd_check, bit for bit
+    stacks = [[t for t in tuples if len(t) == size] for size in sorted({len(t) for t in tuples})]
+    long = [[GroupoidElement(0, (x,) * n) for x, n in
+             ((1, 0), (1, 255), (1, 256), (1, 300), (1, 301), (-1, 257))]]
+    if name == "z":  # common prefixes past 255 letters overflow a byte counter
+        stacks.append(long)
+    for stack in stacks:
+        units, words = [t[0].unit for t in stack], [[g.word for g in t] for t in stack]
+        lengths = model.backend.pair_lengths(words)
+        assert lengths.shape == (len(stack), len(words[0]), len(words[0]))
+        for t, D in zip(stack, lengths):
+            assert np.array_equal(D, _loop_distance_matrix(model, t))
+        for kern in kernels:
+            if stack is long and isinstance(kern, TableKernel):
+                continue  # outside the table's stated radius
+            grams = gram_stack(model, kern, units, words)
+            for t, G, res in zip(stack, grams, psd_results(grams)):
+                assert np.array_equal(G, _loop_gram(model, kern, t))
+                assert res == psd_check(model, kern, t)
 
 
 def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
@@ -254,6 +276,32 @@ def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
             defect = gns_isometry_defect(f2, kern, x, 1)
             assert defect > 0.1
             assert defect == _reference_gns(f2, kern, x, 1, {})[0]
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_isometry_defect_reuses_the_gns_gram(name, s3, monkeypatch):
+    # the gns_build Gram stands in for the source ball's, bit for bit: for a
+    # radial kernel in every fiber, for a table kernel at the same unit only
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5),
+               _random_table(model, np.random.default_rng(31)))
+    builds = []
+    gram = etale.kernels.gram_matrix
+    monkeypatch.setattr(etale.kernels, "gram_matrix",
+                        lambda *args: builds.append(args[2]) or gram(*args))
+    for kern in kernels:
+        for u in (0, model.units - 1):
+            for k in (0, 1, 2):
+                data = gns_build(model, kern, u, k, psd_tol=math.inf)
+                other = gns_build(model, kern, u, k + 1, psd_tol=math.inf)
+                for x in model.sphere(u, 1):
+                    builds.clear()
+                    defect = gns_isometry_defect(model, kern, x, k, data=data)
+                    shared = isinstance(kern, etale.kernels.RadialKernel) or \
+                        model.source_unit(x) == u
+                    assert len(builds) == (1 if shared else 2)
+                    assert defect == gns_isometry_defect(model, kern, x, k)
+                    assert defect == gns_isometry_defect(model, kern, x, k, data=other)
 
 
 def test_haagerup_witness_free(f2):
