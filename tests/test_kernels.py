@@ -297,8 +297,8 @@ def test_isometry_defect_reuses_the_gns_gram(name, s3, monkeypatch):
                 for x in model.sphere(u, 1):
                     builds.clear()
                     defect = gns_isometry_defect(model, kern, x, k, data=data)
-                    shared = isinstance(kern, etale.kernels.RadialKernel) or \
-                        model.source_unit(x) == u
+                    shared = (isinstance(kern, etale.kernels.RadialKernel)
+                              or model.source_unit(x) == u)
                     assert len(builds) == (1 if shared else 2)
                     assert defect == gns_isometry_defect(model, kern, x, k)
                     assert defect == gns_isometry_defect(model, kern, x, k, data=other)
