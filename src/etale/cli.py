@@ -63,6 +63,10 @@ def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
     raise ModelError(f"unknown function spec {kind!r}")
 
 
+# entries of the Gram stacks that pdcheck's random mode holds at once
+STACK_ENTRIES = 1 << 16
+
+
 def _random_draws(rng, units: int, count: int, max_size: int, pool: int) -> list:
     """``count`` tuples as ``(unit, indices)``: a random unit, and up to
     ``max_size`` distinct indices into a pool of ``pool`` words, sorted."""
@@ -126,16 +130,23 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         rng = np.random.default_rng(seed)
         # every fiber's ball has the same words: read them once
         words = [g.word for g in model.ball(0, max_len, budget=budget)]
-        draws = _random_draws(rng, model.units, count, max_size, len(words))
-        # one Gram stack and one eigvalsh per tuple size, in order of first draw
         tol = as_float(opts["tol"])
-        checks = {}
-        for size in dict.fromkeys(len(idx) for _, idx in draws):
-            picks = [i for i, (_, idx) in enumerate(draws) if len(idx) == size]
-            G = gram_stack(model, kern, [draws[i][0] for i in picks],
-                           [[words[j] for j in draws[i][1]] for i in picks])
-            checks.update(zip(picks, psd_results(G, tol)))
-        results = [checks[i] for i in range(count)]
+        # tuples drawn in batches whose Gram and letter arrays, about
+        # size * (size + longest word) entries a tuple, stay near STACK_ENTRIES;
+        # the ball is in tree order, so its last word is a longest one
+        size = min(max_size, len(words))
+        batch = max(1, STACK_ENTRIES // (size * (size + model.backend.length(words[-1]))))
+        results = []
+        for start in range(0, count, batch):
+            draws = _random_draws(rng, model.units, min(batch, count - start), max_size, len(words))
+            # one Gram stack and one eigvalsh per tuple size, in order of first draw
+            checks = {}
+            for size in dict.fromkeys(len(idx) for _, idx in draws):
+                picks = [i for i, (_, idx) in enumerate(draws) if len(idx) == size]
+                G = gram_stack(model, kern, [draws[i][0] for i in picks],
+                               [[words[j] for j in draws[i][1]] for i in picks])
+                checks.update(zip(picks, psd_results(G, tol)))
+            results += [checks[i] for i in range(len(draws))]
     else:
         raise ModelError("pdcheck mode must be 'ball' or 'random'")
     rows = [("tuple", "size", "min_eig", "passed")]

@@ -283,24 +283,33 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
         raise ValueError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):
         raise ValueError("every k must be >= 0")
+    unit_rows, deviation_rows, monotone_rows, vanishing_rows = [], [], [], []
+    passed = True
     max_radius = model.backend.max_radius
-    unit_rows = [{"n": n, "ok": HaagerupKernel(n).at_length(0) == 1.0} for n in n_list]
 
-    deviation_rows, sups = [], {}
+    for n in n_list:
+        ok = HaagerupKernel(n).at_length(0) == 1.0
+        unit_rows.append({"n": n, "ok": ok})
+        passed = passed and ok
+
+    sups: dict[tuple, float] = {}
     for n in n_list:
         kern = HaagerupKernel(n)
         for k in k_list:
             k_eff = k if max_radius is None else min(k, max_radius)
             measured = max(abs(1 - kern.at_length(j)) for j in range(k_eff + 1))
             expected = 1.0 - math.exp(-k_eff / n)
+            ok = abs(measured - expected) <= 1e-12
             sups[(n, k)] = measured
-            deviation_rows.append({"n": n, "k": k, "sup_dev": measured, "expected": expected,
-                                   "ok": abs(measured - expected) <= 1e-12})
-    monotone_rows = [{"k": k, "n_small": lo, "n_large": hi,
-                      "ok": sups[(hi, k)] <= sups[(lo, k)] + 1e-12}
-                     for k in k_list for lo, hi in zip(n_list, n_list[1:])]
+            deviation_rows.append({"n": n, "k": k, "sup_dev": measured,
+                                   "expected": expected, "ok": ok})
+            passed = passed and ok
+    for k in k_list:
+        for lo, hi in zip(n_list, n_list[1:]):
+            ok = sups[(hi, k)] <= sups[(lo, k)] + 1e-12
+            monotone_rows.append({"k": k, "n_small": lo, "n_large": hi, "ok": ok})
+            passed = passed and ok
 
-    vanishing_rows = []
     for n in n_list:
         kern = HaagerupKernel(n)
         for eps in eps_list:
@@ -314,10 +323,11 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
                 row |= {"spot_checked": True, "vacuous": False,
                         "ok": tail < eps and abs(kern.at_length(radius + 1)) < eps}
             vanishing_rows.append(row)
-    rows = unit_rows + deviation_rows + monotone_rows + vanishing_rows
+            passed = passed and row["ok"]
+
     return HaagerupReport(unit_rows=unit_rows, deviation_rows=deviation_rows,
                           monotone_rows=monotone_rows, vanishing_rows=vanishing_rows,
-                          passed=all(row["ok"] for row in rows))
+                          passed=passed)
 
 
 @dataclass

@@ -212,9 +212,12 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     if k < 0 or n < 0:
         raise ValueError("band check needs sphere radii k, n >= 0")
     model.unit_element(u)  # range-checks u
-    for name, fn, r in (("f", f, k), ("g", g, n)):
-        if any(model.length(x) != r for x in fn.support()):
-            raise PreconditionError(f"support of {name} must sit at word length {r}")
+    for x in f.support():
+        if model.length(x) != k:
+            raise PreconditionError(f"support of f must sit at word length {k}")
+    for x in g.support():
+        if model.length(x) != n:
+            raise PreconditionError(f"support of g must sit at word length {n}")
     if g.max_abs() > 1 + 1e-12:
         raise PreconditionError("g must be bounded by 1 in absolute value")
 

@@ -148,7 +148,8 @@ class FreeGroup:
         lens = np.array([len(w) for w in words])
         top = int(lens.max(initial=0))
         lens = lens.astype(np.min_scalar_type(2 * top)).reshape(len(stack), -1 if stack else 0)
-        letters = np.zeros((*lens.shape, top), dtype=np.min_scalar_type(-self.rank))
+        # a type that holds -rank - 1 also holds +rank
+        letters = np.zeros((*lens.shape, top), dtype=np.min_scalar_type(-self.rank - 1))
         letters[np.arange(top) < lens[..., None]] = [x for w in words for x in w]
         same = np.ones((*lens.shape, lens.shape[1]), dtype=bool)
         lcp = np.zeros(same.shape, dtype=lens.dtype)

@@ -120,6 +120,22 @@ def test_pdcheck_random_mode(files, capsys):
     assert len(report["results"]["checks"]) == 6
 
 
+@pytest.mark.parametrize("model", ["f2", "z6"])
+def test_pdcheck_random_batches_give_the_same_checks(files, capsys, monkeypatch, model):
+    # the tuples' Gram stacks are bounded by STACK_ENTRIES; a batch of one
+    # tuple, a few batches and one batch all draw and check the same tuples
+    cfg = write_cfg(files, "pdbatch", {"kernel": {"exp_length": 0.6},
+                                       "mode": {"random": {"count": 40, "max_size": 7,
+                                                           "max_len": 3}}})
+    reports = []
+    for entries in (etale.cli.STACK_ENTRIES, 1, 700):
+        monkeypatch.setattr(etale.cli, "STACK_ENTRIES", entries)
+        code, report = run_json(capsys, ["pdcheck", "--model", files[model], "--config", cfg])
+        assert code == 0
+        reports.append(report["results"])
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_gns_defaults(files, capsys):
     code, report = run_json(capsys, ["gns", "--model", files["f2"]])
     assert code == 0
@@ -381,6 +397,12 @@ def test_usage_errors_exit_two(files, capsys):
             ("pdcheck", "z6", {"kernel": {"table": {"entries": [], "raduis": 2}}},
              "unknown config keys: ['raduis']"),
             ("pdcheck", "z6", {"kernel": {"table": []}}, "expected a JSON object, got []"),
+            # a table kernel too small for the random pool: the first size
+            # group evaluated, that of the first tuple drawn, names the length
+            ("pdcheck", "f2", {"kernel": {"table": {"entries": [
+                {"unit": 0, "word": "", "re": 1.0}, {"unit": 0, "word": "a", "re": 0.3}]}},
+                "mode": {"random": {"count": 60, "max_size": 12, "max_len": 2}}},
+             "element of length 2 outside table radius 1"),
             ("haagerup", "f2", {"k_list": [2.5]}, "expected an integer, got 2.5"),
             ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0")):
         capsys.readouterr()

@@ -257,6 +257,21 @@ def test_pair_tables_match_per_pair_loops(name, s3):
                 assert res == psd_check(model, kern, t)
 
 
+@pytest.mark.parametrize("rank", [127, 128, 129, 32768])
+def test_pair_lengths_hold_the_largest_letter(rank):
+    # the letters ±rank sit at the edge of a signed type: int8 holds -128 but not 128
+    backend = etale.FreeGroup(rank)
+    words = [(), (1,), (rank,), (-rank,), (rank, rank), (-rank, 1), (rank, -1), (1, rank)]
+    want = [[backend.length(backend.mul(backend.inv(a), b)) for b in words] for a in words]
+    assert np.array_equal(backend.pair_lengths([words, words[::-1]]),
+                          [want, [row[::-1] for row in want[::-1]]])
+    if rank == 128:
+        model = etale.group_model(backend)
+        ball, kern = model.ball(0, 1), ExpLengthKernel(0.6)
+        assert np.array_equal(distance_matrix(model, ball), _loop_distance_matrix(model, ball))
+        assert np.array_equal(gram_matrix(model, kern, ball), _loop_gram(model, kern, ball))
+
+
 def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
     # left translation cancels in F((x a)^-1 x b), so on a correct model the
     # defect is exactly zero for every kernel; a compose that drops the last
