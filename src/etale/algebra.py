@@ -54,16 +54,7 @@ class CcFunction:
 
     def __add__(self, other: "CcFunction") -> "CcFunction":
         _same_model(self, other)
-        out = dict(self.data)
-        for key, value in other.data.items():
-            s = out.get(key, 0j) + value
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        result = CcFunction(self.model)
-        result.data = out
-        return result
+        return _summed(self.model, [*self.data.items(), *other.data.items()])
 
     def __neg__(self) -> "CcFunction":
         result = CcFunction(self.model)
@@ -104,6 +95,17 @@ class CcFunction:
 def _same_model(f: CcFunction, g: CcFunction) -> None:
     if f.model is not g.model:
         raise ModelError("functions live on different models")
+
+
+def _summed(model: GroupoidModel, pairs) -> CcFunction:
+    """The function of ``(element, value)`` pairs: each element's values
+    added in order, and the nonzero sums kept in order of first appearance."""
+    acc: dict[GroupoidElement, complex] = {}
+    for key, value in pairs:
+        acc[key] = acc.get(key, 0j) + value
+    result = CcFunction(model)
+    result.data = {k: v for k, v in acc.items() if v != 0}
+    return result
 
 
 # -- constructors -----------------------------------------------------------
@@ -152,16 +154,10 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
     if budget is not None:
         charge("convolution", sum(len(by_range.get(model.source_unit(a), ())) for a in f.data),
                "pair products", budget)
-    acc: dict[GroupoidElement, complex] = {}
-    for a, va in f.data.items():
-        u = model.source_unit(a)
-        for b, vb in by_range.get(u, ()):
-            # composable by construction: source(a) == range(b)
-            key = GroupoidElement(a.unit, backend.mul(a.word, b.word))
-            acc[key] = acc.get(key, 0j) + va * vb
-    result = CcFunction(model)
-    result.data = {k: v for k, v in acc.items() if v != 0}
-    return result
+    # composable by construction: source(a) == range(b)
+    return _summed(model, ((GroupoidElement(a.unit, backend.mul(a.word, b.word)), va * vb)
+                           for a, va in f.data.items()
+                           for b, vb in by_range.get(model.source_unit(a), ())))
 
 
 def involution(f: CcFunction) -> CcFunction:
@@ -226,7 +222,7 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
     """The function of a list of ``{unit, word, re, im}`` entries; duplicates
     add up, and a key outside those four raises ModelError."""
     backend = model.backend
-    out = CcFunction(model)
+    pairs = []
     for entry in entries:
         if isinstance(entry, dict) and (unknown := entry.keys() - ENTRY_KEYS):
             raise ModelError(f"unknown function entry keys {sorted(unknown)} in {entry!r}")
@@ -237,13 +233,8 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed function entry {entry!r}: {exc}") from exc
         model.unit_element(u)  # range-checks u
-        key = GroupoidElement(u, word)
-        s = out.data.get(key, 0j) + value
-        if s == 0:
-            out.data.pop(key, None)
-        else:
-            out.data[key] = s
-    return out
+        pairs.append((GroupoidElement(u, word), value))
+    return _summed(model, pairs)
 
 
 def save_function(f: CcFunction, path) -> None:

@@ -193,11 +193,14 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
     C = overlap_constant(model, est.delta)
 
     def random_sphere_function(kk, bound_one):
+        # only the kept elements are built: element i of the units x words
+        # grid is (i // W, words[i % W])
         words = [g.word for g in model.sphere(0, kk, budget=budget)]
-        full = [GroupoidElement(uu, w) for uu in range(model.units) for w in words]
-        if len(full) > cap:
-            idx = sorted(rng.choice(len(full), size=cap, replace=False).tolist())
-            full = [full[i] for i in idx]
+        W = len(words)
+        idx = range(model.units * W)
+        if len(idx) > cap:
+            idx = sorted(rng.choice(len(idx), size=cap, replace=False).tolist())
+        full = [GroupoidElement(i // W, words[i % W]) for i in idx]
         vals = rng.uniform(-1, 1, size=len(full)) + 1j * rng.uniform(-1, 1, size=len(full))
         if bound_one:
             peak = max(np.abs(vals)) if len(vals) else 1.0

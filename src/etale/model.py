@@ -12,8 +12,9 @@ Two backends supply the group arithmetic:
 
 Each backend's ``ball_tree(L)`` is the one enumeration of the radius-L
 ball, and ``ball_words(L)`` reads the words off it in tree order, with no
-cache: free words in length-lexicographic order with the letter order
-``a < A < b < B < ...``, finite elements in breadth-first discovery order.
+cache and no walk table: free words in length-lexicographic order with the
+letter order ``a < A < b < B < ...``, finite elements in breadth-first
+discovery order.
 Both go sphere by sphere, so a smaller ball is a prefix of the tree.
 Every fiber's ball is this tree with unit labels ``u . w_i`` attached.
 """
@@ -178,8 +179,8 @@ class FreeGroup:
     def max_radius(self):
         return None
 
-    def ball_tree(self, L: int):
-        """Length-lex trie of the radius-L ball; row n of ``right`` is the outside."""
+    def _trie(self, L: int):
+        """``(parent, gen)`` of the length-lex trie of the radius-L ball."""
         parent, gen = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
         lo = 0  # index of the first node of the last level
         for _ in range(L):
@@ -190,7 +191,11 @@ class FreeGroup:
             parent.append(lo + node[keep])
             lo += len(last)
             gen.append(col[keep])
-        parent, gen = np.concatenate(parent), np.concatenate(gen)
+        return np.concatenate(parent), np.concatenate(gen)
+
+    def ball_tree(self, L: int):
+        """The trie with its walk table ``right``, whose row n is the outside."""
+        parent, gen = self._trie(L)
         n = len(gen)
         right = np.full((n + 1, 2 * self.rank), n, dtype=np.int64)
         right[parent[1:], gen[1:]] = np.arange(1, n)
@@ -202,7 +207,7 @@ class FreeGroup:
         ``words[i] = words[parent[i]] + (letters()[gen[i]],)``."""
         if L < 0:
             return []
-        parent, gen, _ = self.ball_tree(L)
+        parent, gen = self._trie(L)
         letters = self.letters()
         words = [()]
         for p, c in zip(parent[1:].tolist(), gen[1:].tolist()):
@@ -372,18 +377,17 @@ class GroupoidModel:
         for g, p in zip(gens, self.action):
             if letter_perm.setdefault(g, p) != p:
                 raise ModelError(f"conflicting action for generator {g}")
-        # every other letter inverts a given one: letters()[c] . letters()[c']
-        # is the identity, row 0 of the tree, for the c' that inverts c
+        # every other letter inverts a given one
         letters = backend.letters()
-        right = backend.ball_tree(1)[2]
-        for c, g in enumerate(letters):
+        free = isinstance(backend, FreeGroup)
+        for g in letters:
             if g not in letter_perm:
-                gi = letters[np.argmax(right[right[0, c]] == 0)]
+                gi = -g if free else int(backend.inverse[g])
                 letter_perm[g] = np.argsort(letter_perm[gi]).tolist()
         # row c: the permutation of the units made by ``letters()[c]``
         self.letter_perms = np.array([letter_perm[g] for g in letters], dtype=np.int64)
         self._perm_rows = self.letter_perms.tolist()
-        if isinstance(backend, FiniteGroup):
+        if not free:
             # perm(e) = perm(gen) o perm(parent) along the BFS tree, from every
             # unit; then verify it is a right action: perm(e.g) == perm(g) o perm(e)
             # for all e, g
@@ -444,8 +448,11 @@ class GroupoidModel:
         """The backend's tree ``(parent, gen, right)`` of the radius-L ball,
         charged to ``budget``: ``w_i = w_parent[i] . letters()[gen[i]]``,
         ``right[i, c]`` is the index of ``w_i . letters()[c]``, and indices
-        from ``ball_count(L)`` on are outside the ball."""
+        from ``ball_count(L)`` on are outside the ball.  Its
+        ``(ball_count(L) + 1) * len(letters())`` entries are charged too."""
         self._charge(L, budget)
+        charge(f"walk table of radius {L}", (self.ball_count(L) + 1) * len(self.backend.letters()),
+               "entries", DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
         return self.backend.ball_tree(L)
 
     def unit_labels(self, u, parent, gen) -> np.ndarray:

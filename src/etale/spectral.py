@@ -142,14 +142,13 @@ def _dense_matrix(op, hermitian: bool):
     return A
 
 
-def _dense(op, hermitian: bool, tol: float):
-    """The ``_lanczos`` tuple with 0 steps for the top eigenpair of A = M
-    (``hermitian``) or ``M^H M``, from ``eigh`` of ``_dense_matrix``.  A
-    finite A near the float64 limit can still overflow its top eigenvalue or
-    residual, which raises ValueError."""
-    A = _dense_matrix(op, hermitian)
+def _dense(A, tol: float, index=None):
+    """The ``_lanczos`` tuple with 0 steps for one eigenpair of the dense
+    Hermitian A from ``eigh``: the one at ``index`` in ascending order, or
+    the one of largest modulus.  A finite A near the float64 limit can still
+    overflow the eigenvalue or residual, which raises ValueError."""
     thetas, ys = np.linalg.eigh(A)
-    i = int(np.argmax(np.abs(thetas)))
+    i = int(np.argmax(np.abs(thetas))) if index is None else index
     theta, y = float(thetas[i]), ys[:, i]
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(A @ y - theta * y))
@@ -264,7 +263,7 @@ class _Solves:
         n = op[0].shape[1]
         hermitian = self.op_h is self.op
         if n <= DENSE_ROWS:
-            theta, *rest = _dense(op, hermitian, self.args[1])
+            theta, *rest = _dense(_dense_matrix(op, hermitian), self.args[1])
         elif hermitian:
             return _lanczos(lambda v: _apply(op, v), n, *self.args)
         else:
@@ -322,12 +321,10 @@ class _Quotient:
         self.S, self.limit, self.ladder, self.tol = S, limit, ladder, tol
 
     def rung(self, r: int, units):
-        """``(theta, 0, |S y - theta y|, converged)`` for rung r's top eigenpair."""
+        """``_dense`` of S's rung-r block at its Perron root, the last
+        eigenpair: on a bipartite S the first can be an ulp larger in modulus."""
         n = self.ladder[r] + 1
-        thetas, ys = np.linalg.eigh(self.S[:n, :n])
-        theta, y = float(thetas[-1]), ys[:, -1]
-        residual = float(np.linalg.norm(self.S[:n, :n] @ y - theta * y))
-        return theta, 0, residual, residual <= self.tol * max(1.0, theta)
+        return _dense(self.S[:n, :n], self.tol, -1)
 
     def estimate(self, **fields):
         return QuotientEstimate(limit=self.limit, **fields)

@@ -81,6 +81,20 @@ def test_convolve_against_oracle(f2_32, z6):
         assert max(abs(got.value(k) - want.get(k, 0j)) for k in keys) < 1e-12
 
 
+def test_exact_cancellation_drops_the_element(z):
+    a, A, e = GroupoidElement(0, (1,)), GroupoidElement(0, (-1,)), GroupoidElement(0, ())
+    da, dA = delta(z, a), delta(z, A)
+    assert (da + dA - da).data == {A: 1} and len(da - da) == 0
+    f = etale.function_from_json(z, [{"unit": 0, "word": "a", "re": 1.0},
+                                     {"unit": 0, "word": "A", "re": 2.0},
+                                     {"unit": 0, "word": "a", "re": -1.0}])
+    assert f.data == {A: 2}
+    # (a + A)(a - A) = a^2 - e + e - A^2: the identity terms cancel exactly
+    h = convolve(da + dA, da - dA)
+    assert e not in h.data
+    assert h.data == {GroupoidElement(0, (1, 1)): 1, GroupoidElement(0, (-1, -1)): -1}
+
+
 def test_associativity_and_involution(f2_32):
     rng = np.random.default_rng(5)
     f = random_function(f2_32, rng, 2, 20)

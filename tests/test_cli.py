@@ -527,6 +527,29 @@ def test_budget_bounds_every_ball(files, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_norm_charges_the_walk_table(tmp_path, capsys):
+    # a rank-2,048 free group's radius-1 ball has 4,097 words, inside the
+    # element budget; its walk table has 4,098 x 4,096 entries
+    model = tmp_path / "f2048.json"
+    etale.save_model(etale.group_model(etale.FreeGroup(2048)), model)
+    cfg = tmp_path / "delta_a.json"
+    cfg.write_text(json.dumps({"function": {"delta": {"word": "a"}}, "L": 1}))
+    assert main(["norm", "--model", str(model), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: walk table of radius 1 needs 16785408 entries, budget is 5000000"]
+
+
+def test_bandcheck_builds_only_the_sampled_elements(files, capsys, monkeypatch):
+    # on f2_32 f's 384 sphere-2 elements are sampled down to support_cap 200,
+    # and g's 128 sphere-1 elements are all kept
+    built = []
+    monkeypatch.setattr(etale.cli, "GroupoidElement",
+                        lambda *args: built.append(args) or etale.GroupoidElement(*args))
+    assert main(["bandcheck", "--model", files["f2_32"]]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["passed"]
+    assert len(built) == 200 + 128
+
+
 def test_delta_refuses_before_enumerating(files, capsys, monkeypatch):
     # radius 10^5 on z is 200,001 elements, inside the element budget; its
     # quadruple count is refused from the ball count alone

@@ -1,6 +1,7 @@
 """Groupoid model core: word arithmetic, enumeration, validation, JSON."""
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,32 @@ def test_free_backend_keeps_no_word_cache(f2):
     f2.ball(0, 6)
     f2.sphere(0, 5)
     assert vars(f2.backend) == {"rank": 2}
+
+
+def test_models_and_balls_build_no_walk_table():
+    # a rank-2,048 free group's radius-1 walk table is 4,098 x 4,096 int64
+    # entries, 134 MB: a model, its balls and spheres need none of it
+    tracemalloc.start()
+    try:
+        model = etale.group_model(FreeGroup(2048))
+        ball, sphere = model.ball(0, 1), model.sphere(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 4097 and sphere == ball[1:]
+    assert model.act(0, (-2048,)) == 0
+    assert peak < 8 * 2 ** 20
+
+
+def test_walk_table_charged_before_it_is_built(f2):
+    # radius 13 on F_2 is 3,188,645 elements, inside the default budget, and
+    # its walk table (3,188,646 x 4 entries) is refused before it is built
+    with pytest.raises(BudgetError,
+                       match="^walk table of radius 13 needs 12754584 entries, budget is 5000000$"):
+        f2.ball_tree(13)
+    with pytest.raises(BudgetError, match="^walk table of radius 2 needs 72 entries, budget is 71$"):
+        f2.ball_tree(2, 71)
+    assert len(f2.ball_tree(2, 72)[0]) == 17
 
 
 def test_free_ball_tree_right_table():

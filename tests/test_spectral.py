@@ -1,4 +1,5 @@
 """Truncated reduced-norm estimates and the convolution-power route."""
+import ast
 import math
 import os
 import random
@@ -686,6 +687,20 @@ def test_unit_and_tol_refused_before_the_tree(f2, monkeypatch):
             reduced_norm(chi, 3, tol=tol)
         with pytest.raises(ValueError, match="tol must be >= 0"):
             reduced_norm_at_unit(chi, 0, 3, tol=tol)
+
+
+def test_eigh_is_called_only_by_dense_and_lanczos():
+    # one dense solve: the sphere quotient's rungs go through _dense too
+    tree = ast.parse((ROOT / "src" / "etale" / "spectral.py").read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    callers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "eigh" in (getattr(node.func, "attr", None),
+                                                     getattr(node.func, "id", None)):
+            while not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            callers.append(node.name)
+    assert sorted(callers) == ["_dense", "_lanczos"]
 
 
 def test_truncated_operator_checks_unit_and_budget(f2):
