@@ -12,22 +12,28 @@ import cmath
 import json
 
 from .errors import ModelError, charge
-from .model import GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, read_json
+from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, as_path,
+                    read_json)
 
 
 class CcFunction:
-    """Sparse compactly supported function on a groupoid model."""
+    """Sparse compactly supported function on a groupoid model, made from a
+    mapping of elements to values or from ``(element, value)`` pairs added up
+    per element in order; zeros are dropped, and elements keep first-appearance order."""
 
     __slots__ = ("model", "data")
 
     def __init__(self, model: GroupoidModel, data=None):
         self.model = model
-        self.data: dict[GroupoidElement, complex] = {}
-        if data:
-            for key, value in data.items():
-                value = complex(value)
-                if value != 0:
-                    self.data[GroupoidElement(*key)] = value
+        if hasattr(data, "items"):
+            pairs = zip(data, map(complex, data.values()))
+        else:
+            sums = {}  # a sum starts at 0j, so it is complex
+            for key, value in data or ():
+                sums[key] = sums.get(key, 0j) + value
+            pairs = sums.items()
+        self.data = {key if type(key) is GroupoidElement else GroupoidElement(*key): value
+                     for key, value in pairs if value != 0}
 
     # -- container basics ---------------------------------------------------
 
@@ -54,22 +60,17 @@ class CcFunction:
 
     def __add__(self, other: "CcFunction") -> "CcFunction":
         _same_model(self, other)
-        return _summed(self.model, [*self.data.items(), *other.data.items()])
+        return CcFunction(self.model, [*self.data.items(), *other.data.items()])
 
     def __neg__(self) -> "CcFunction":
-        result = CcFunction(self.model)
-        result.data = {k: -v for k, v in self.data.items()}
-        return result
+        return CcFunction(self.model, {k: -v for k, v in self.data.items()})
 
     def __sub__(self, other: "CcFunction") -> "CcFunction":
         return self + (-other)
 
     def __mul__(self, scalar) -> "CcFunction":
         scalar = complex(scalar)
-        result = CcFunction(self.model)
-        if scalar != 0:
-            result.data = {k: v * scalar for k, v in self.data.items()}
-        return result
+        return CcFunction(self.model, {k: v * scalar for k, v in self.data.items()})
 
     __rmul__ = __mul__
 
@@ -83,9 +84,8 @@ class CcFunction:
 
     def length_slice(self, m: int) -> "CcFunction":
         """Pointwise product with the indicator of word length exactly m."""
-        result = CcFunction(self.model)
-        result.data = {g: v for g, v in self.data.items() if self.model.length(g) == m}
-        return result
+        return CcFunction(self.model,
+                          {g: v for g, v in self.data.items() if self.model.length(g) == m})
 
     def fiber_l1(self, u: int) -> float:
         """l1 mass on the range fiber at ``u``."""
@@ -95,17 +95,6 @@ class CcFunction:
 def _same_model(f: CcFunction, g: CcFunction) -> None:
     if f.model is not g.model:
         raise ModelError("functions live on different models")
-
-
-def _summed(model: GroupoidModel, pairs) -> CcFunction:
-    """The function of ``(element, value)`` pairs: each element's values
-    added in order, and the nonzero sums kept in order of first appearance."""
-    acc: dict[GroupoidElement, complex] = {}
-    for key, value in pairs:
-        acc[key] = acc.get(key, 0j) + value
-    result = CcFunction(model)
-    result.data = {k: v for k, v in acc.items() if v != 0}
-    return result
 
 
 # -- constructors -----------------------------------------------------------
@@ -155,16 +144,14 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
         charge("convolution", sum(len(by_range.get(model.source_unit(a), ())) for a in f.data),
                "pair products", budget)
     # composable by construction: source(a) == range(b)
-    return _summed(model, ((GroupoidElement(a.unit, backend.mul(a.word, b.word)), va * vb)
-                           for a, va in f.data.items()
-                           for b, vb in by_range.get(model.source_unit(a), ())))
+    return CcFunction(model, ((GroupoidElement(a.unit, backend.mul(a.word, b.word)), va * vb)
+                              for a, va in f.data.items()
+                              for b, vb in by_range.get(model.source_unit(a), ())))
 
 
 def involution(f: CcFunction) -> CcFunction:
     """The adjoint ``f^*(x) = conj(f(x^-1))``."""
-    result = CcFunction(f.model)
-    result.data = {f.model.inverse(g): v.conjugate() for g, v in f.data.items()}
-    return result
+    return CcFunction(f.model, {f.model.inverse(g): v.conjugate() for g, v in f.data.items()})
 
 
 def i_norm(f: CcFunction) -> float:
@@ -234,13 +221,12 @@ def function_from_json(model: GroupoidModel, entries) -> CcFunction:
             raise ModelError(f"malformed function entry {entry!r}: {exc}") from exc
         model.unit_element(u)  # range-checks u
         pairs.append((GroupoidElement(u, word), value))
-    return _summed(model, pairs)
+    return CcFunction(model, pairs)
 
 
 def save_function(f: CcFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(function_to_json(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(as_path(path), "w") as fh:
+        fh.write(json.dumps(function_to_json(f), indent=2, sort_keys=True) + "\n")
 
 
 def load_function(model: GroupoidModel, path) -> CcFunction:

@@ -6,7 +6,7 @@ verdict}``.  With ``--out DIR`` the report goes to ``DIR/report.json``
 and tabular data to ``DIR/tables/*.csv``; otherwise the report is
 printed.  Input files are read by ``model.read_json`` (finite numbers
 only), and each handler reads its config through ``take_keys`` (a JSON
-object), ``as_int`` and ``as_float``; reports are written by
+object), ``as_int``, ``as_float`` and ``as_list``; reports are written by
 ``json.dumps`` with the ``_encode`` hook.
 Output is byte-reproducible for a fixed seed.
 
@@ -34,11 +34,11 @@ from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
 from .metric import (DEFAULT_QUADRUPLE_BUDGET, band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
 from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int,
-                    load_model, read_json, take_keys)
+                    as_list, load_model, read_json, take_keys)
 from .spectral import (DEFAULT_POWER_BUDGET, power_sequence_norm, reduced_norm,
                        reduced_norm_at_unit, verify_norm_bound)
 
-# malformed config values raise ModelError (as_int, as_float) or TypeError/AttributeError
+# malformed config values raise ModelError (model.as_*) or TypeError/AttributeError
 USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, AttributeError)
 
 
@@ -94,7 +94,7 @@ def _run_growth(model, mu, cfg, seed, budget):
 def _run_delta(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"radius": 3, "units": [0], "quad_budget": DEFAULT_QUADRUPLE_BUDGET})
     units = (list(range(model.units)) if opts["units"] == "all"
-             else [as_int(u) for u in opts["units"]])
+             else [as_int(u) for u in as_list(opts["units"])])
     if not units or not all(0 <= u < model.units for u in units):
         raise ModelError(f"delta needs a nonempty list of units in 0..{model.units - 1}: {units}")
     # every fiber has the same word metric: one scan serves every unit
@@ -255,7 +255,7 @@ def _run_extend(model, mu, cfg, seed, budget):
                            "beta_grid": [0.9, 0.99, 0.999]})
     rep = extension_criteria(model, mu, as_float(opts["alpha"]), as_float(opts["p"]),
                              K=opts["K"] if opts["K"] is None else as_int(opts["K"]),
-                             beta_grid=[as_float(b) for b in opts["beta_grid"]])
+                             beta_grid=[as_float(b) for b in as_list(opts["beta_grid"])])
     rows = [("k", "cond2_ratio", "cond3_partial")]
     for (k, r2), (_, r3) in zip(rep.cond2_trace, rep.cond3_partials):
         rows.append((k, r2, r3))

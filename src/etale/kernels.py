@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError)
-from .model import REQUIRED, GroupoidElement, GroupoidModel, as_float, as_int, take_keys
+from .model import REQUIRED, GroupoidElement, GroupoidModel, as_float, as_int, as_list, take_keys
 
 
 class RadialKernel:
@@ -65,14 +65,14 @@ class HaagerupKernel(RadialKernel):
 
 
 class TableKernel:
-    """Kernel given by a finitely supported function f on a ball of stated
-    radius (default: f's longest word).  F is f completed by
-    ``involution(f)``, which must agree with f where both are defined; a
-    zero or missing entry inside the radius counts as 0, and evaluation
-    outside it raises."""
+    """Kernel given by a finitely supported function f = ``CcFunction(model,
+    entries)`` on a ball of stated radius (default: f's longest word).  F is
+    f completed by ``involution(f)``, which must agree with f where both are
+    defined; a zero or missing entry inside the radius counts as 0, and
+    evaluation outside it raises."""
 
     def __init__(self, model: GroupoidModel, entries, radius=None):
-        f = CcFunction(model, dict(entries))
+        f = CcFunction(model, entries)
         if not all(map(cmath.isfinite, f.data.values())):
             raise ModelError("table kernel values must be finite")
         star = involution(f)
@@ -274,11 +274,11 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
     ``radius + 1``.  Every list must be nonempty, every eps lie in (0, 1]
     and every k be an integer >= 0.
     """
+    n_list = sorted(as_float(n) for n in as_list(n_list))
+    k_list = [as_int(k) for k in as_list(k_list)]
+    eps_list = [as_float(eps) for eps in as_list(eps_list)]
     if not (n_list and k_list and eps_list):
         raise ValueError("n_list, k_list and eps_list must each be nonempty")
-    n_list = sorted(as_float(n) for n in n_list)
-    k_list = [as_int(k) for k in k_list]
-    eps_list = [as_float(eps) for eps in eps_list]
     if not all(0 < eps <= 1 for eps in eps_list):
         raise ValueError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):

@@ -55,6 +55,20 @@ def as_float(value) -> float:
     raise ModelError(f"expected a finite number, got {value!r}")
 
 
+def as_list(value):
+    """``value`` itself when it is a list or tuple; ModelError for 3, "12" or any other value."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"expected a JSON list, got {value!r}")
+    return value
+
+
+def as_path(value):
+    """``value`` when a ``str`` or ``os.PathLike``; ModelError otherwise, as for an fd number."""
+    if not (isinstance(value, str) or hasattr(value, "__fspath__")):  # os.PathLike's own test
+        raise ModelError(f"expected a file path, got {value!r}")
+    return value
+
+
 REQUIRED = object()  # a ``take_keys`` default that the object must give
 
 
@@ -541,7 +555,7 @@ def read_json(path):
         if not math.isfinite(x):
             raise ModelError(f"{path}: {text} is not a finite number")
         return x
-    with open(path) as fh:
+    with open(as_path(path)) as fh:
         return json.load(fh, parse_float=finite, parse_constant=finite)
 
 
@@ -550,9 +564,8 @@ def load_model(path) -> GroupoidModel:
 
 
 def save_model(model: GroupoidModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(as_path(path), "w") as fh:
+        fh.write(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
 from .errors import BudgetError, charge
 from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, MeasureContext,
-                    as_int)
+                    as_int, as_list)
 
 DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
@@ -188,7 +188,7 @@ class QuotientEstimate(NormEstimate):
 
 def _truncation_ladder(L: int, ladder) -> list[int]:
     if ladder is not None:
-        out = sorted({as_int(x) for x in ladder})
+        out = sorted({as_int(x) for x in as_list(ladder)})
         if not out or out[-1] != L:
             raise ValueError("ladder must be nonempty and end at L")
     else:

@@ -1,4 +1,7 @@
 """Convolution *-algebra: products, involution, norms, state pairing."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_function
@@ -216,3 +219,82 @@ def test_function_json_accumulates_duplicates(z):
     for bad in ({"re": float("inf")}, {"im": float("nan")}):
         with pytest.raises(ModelError):
             etale.function_from_json(z, [{"unit": 0, "word": "a", **bad}])
+
+
+def _bits(pairs):
+    """(element, real bits, imaginary bits) in order; -0.0 differs from 0.0."""
+    return [(g, np.float64(v.real).tobytes(), np.float64(v.imag).tobytes()) for g, v in pairs]
+
+
+def test_scalar_underflow_drops_the_element(f2):
+    a = GroupoidElement(0, (1,))
+    g = CcFunction(f2, {a: 1e-200}) * 1e-200
+    assert len(g) == 0 and g == CcFunction(f2)
+    assert list((CcFunction(f2, {a: 1e-200, (0, (2,)): 1.0}) * 1e-200).support()) == [(0, (2,))]
+
+
+def test_pairs_add_up_in_order_and_keep_first_appearance(f2):
+    a, b, c = (GroupoidElement(0, w) for w in ((1,), (2,), (1, 1)))
+    # in order, 1e16 + 1 rounds back to 1e16: a ends at 3, where any other
+    # order of its four values would end at 4
+    f = CcFunction(f2, [(c, 1.0), (a, 1e16), (b, 2), (a, 1.0), (c, -1.0), (a, -1e16), (a, 3)])
+    assert list(f.items()) == [(a, 3 + 0j), (b, 2 + 0j)]
+    assert all(type(v) is complex for v in f.data.values())
+    assert CcFunction(f2, iter([(a, 1.0), (a, -1.0)])) == CcFunction(f2) == CcFunction(f2, [])
+    # a sum is the same as the function of the concatenated pairs
+    g = CcFunction(f2, {b: 1.0, c: 5.0})
+    assert list((f + g).items()) == list(CcFunction(f2, [*f.items(), *g.items()]).items())
+    assert list((f + g).support()) == [a, b, c]
+
+
+def test_tuple_keys_become_groupoid_elements(f2):
+    for data in ({(0, (1,)): 2.0, (0, ()): 1.0}, [((0, (1,)), 2.0), ((0, ()), 1.0)]):
+        f = CcFunction(f2, data)
+        assert list(f.support()) == [(0, (1,)), (0, ())]
+        assert all(type(g) is GroupoidElement for g in f.support())
+        assert f == CcFunction(f2, {GroupoidElement(0, (1,)): 2.0, GroupoidElement(0, ()): 1})
+
+
+def test_unary_operations_keep_order_and_every_bit(f2_32):
+    # -0.0 parts in f and in each result: adding a value into 0j would lose them
+    words = [(1,), (), (2, 1), (-1,), (1, 2, -1), (-2,), (2,)]
+    values = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -2.0), 0.25 - 3j,
+              complex(-1.0, 0.0), complex(1e-300, -1e300), complex(0.0, 2.5)]
+    f = CcFunction(f2_32, {(u, w): v for u, (w, v) in enumerate(zip(words, values))})
+    assert len(f) == len(words)
+    model = f2_32
+    expected = {
+        "neg": (-f, [(g, -v) for g, v in f.items()]),
+        "scale": (f * 0.5, [(g, v * complex(0.5)) for g, v in f.items()]),
+        "cscale": ((2 - 1j) * f, [(g, v * (2 - 1j)) for g, v in f.items()]),
+        "slice": (f.length_slice(1), [(g, v) for g, v in f.items() if model.length(g) == 1]),
+        "star": (involution(f), [(model.inverse(g), v.conjugate()) for g, v in f.items()]),
+    }
+    for name, (got, pairs) in expected.items():
+        assert _bits(got.items()) == _bits(pairs), name
+
+
+def test_data_is_bound_only_by_the_constructor():
+    # every function gets its invariant from CcFunction.__init__: no other
+    # code binds ``.data``, and there is no second accumulator
+    sites, summed = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "etale").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_summed":
+                summed.append(path.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr == "data":
+                        chain = [node]
+                        while chain[-1] in parent:
+                            chain.append(parent[chain[-1]])
+                        names = [n.name for n in chain
+                                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+                        sites.append((path.name, tuple(reversed(names))))
+    assert sites == [("algebra.py", ("CcFunction", "__init__"))]
+    assert summed == []

@@ -5,8 +5,10 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -404,6 +406,15 @@ def test_usage_errors_exit_two(files, capsys):
                 "mode": {"random": {"count": 60, "max_size": 12, "max_len": 2}}},
              "element of length 2 outside table radius 1"),
             ("haagerup", "f2", {"k_list": [2.5]}, "expected an integer, got 2.5"),
+            # a list-valued key holds a list: not a number, and not a string
+            # read letter by letter
+            ("delta", "f2", {"units": 3}, "expected a JSON list, got 3"),
+            ("delta", "f2", {"units": "some"}, "expected a JSON list, got 'some'"),
+            ("norm", "f2", {"ladder": 3}, "expected a JSON list, got 3"),
+            ("extend", "f2", {"alpha": 0.5, "p": 2, "beta_grid": 3}, "expected a JSON list, got 3"),
+            ("haagerup", "f2", {"n_list": 2}, "expected a JSON list, got 2"),
+            ("haagerup", "f2", {"k_list": "12"}, "expected a JSON list, got '12'"),
+            ("haagerup", "f2", {"eps_list": 0.1}, "expected a JSON list, got 0.1"),
             ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0")):
         capsys.readouterr()
         assert main([op, "--model", files[model], "--config", write_cfg(files, "bad", bad)]) == 2
@@ -589,6 +600,30 @@ def test_missing_model_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["growth"])
     assert exc.value.code == 2
+
+
+def test_a_number_is_not_a_file_path(files):
+    # open() reads a number (or a boolean) as a file descriptor and closes it
+    # on leaving its ``with`` block, so these run in a child process
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for value in (0, True, 2):
+        cfg = write_cfg(files, "fd", {"function": {"file": value}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "etale", "norm", "--model", files["f2"], "--config", cfg],
+            input='[{"unit": 0, "word": "a", "re": 5}]', capture_output=True, text=True, env=env,
+            timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: expected a file path, got {value!r}\n"
+    script = ("import etale\n"
+              "f = etale.delta(etale.group_model(etale.FreeGroup(1)), etale.GroupoidElement(0, (1,)))\n"
+              "for save, obj in ((etale.save_function, f), (etale.save_model, f.model)):\n"
+              "    try:\n"
+              "        save(obj, 1)\n"
+              "    except etale.ModelError as exc:\n"
+              "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "expected a file path, got 1\n" * 2)
 
 
 def test_console_script_installed(files, tmp_path):

@@ -41,6 +41,9 @@ def test_table_kernel_hermitian_completion(f2):
     assert kern.evaluate(f2, GroupoidElement(0, (2,))) == 0  # inside radius, absent
     with pytest.raises(KernelDomainError):
         kern.evaluate(f2, GroupoidElement(0, (1, 2)))
+    # entries are read as CcFunction reads them: pairs add up, as JSON entries do
+    pairs = TableKernel(f2, [((0, ()), 0.25), (a, 1j), ((0, ()), 0.75)])
+    assert pairs.table == kern.table
 
 
 def test_table_kernel_rejects_bad_tables(f2):
