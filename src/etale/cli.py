@@ -7,7 +7,7 @@ and tabular data to ``DIR/tables/*.csv``; otherwise the report is
 printed.  Input files are read by ``model.read_json`` (finite numbers
 only), and each handler reads its config through ``take_keys`` (a JSON
 object), ``as_int``, ``as_float`` and ``as_list``; reports are written by
-``json.dumps`` with the ``_encode`` hook.
+``json.dumps`` with ``default=vars``: results are dataclasses and plain JSON.
 Output is byte-reproducible for a fixed seed.
 
 Exit codes: 0 all checked properties passed, 1 a property failed,
@@ -299,21 +299,8 @@ HANDLERS = {
 }
 
 
-def _encode(obj):
-    """``json.dumps`` hook for what JSON has no type for: a dataclass becomes
-    the dict of its fields, a complex number ``{re, im}``, a numpy value its
-    ``tolist()``."""
-    if dataclasses.is_dataclass(obj):
-        return vars(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_report(report: dict, tables: dict, out_dir) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_encode) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=vars) + "\n"
     if out_dir is None:
         sys.stdout.write(text)
         return

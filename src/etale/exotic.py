@@ -64,6 +64,8 @@ def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
         raise ValueError("p must be >= 2")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    if not all(0 < beta <= 1 for beta in beta_grid):
+        raise ValueError("every beta must lie in (0, 1]")
     if K is None:
         K = default_truncation(model)
     if K < 0:

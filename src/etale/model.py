@@ -549,14 +549,18 @@ def model_from_dict(data: dict) -> GroupoidModel:
 def read_json(path):
     """Parse the JSON input file at ``path``; every input file is read here.
     NaN, ±Infinity and numbers past the float range such as ``1e999`` raise
-    ModelError, so every number read is finite."""
+    ModelError, so every number read is finite; so does nesting deeper than
+    the parser's recursion limit."""
     def finite(text: str) -> float:
         x = float(text)
         if not math.isfinite(x):
             raise ModelError(f"{path}: {text} is not a finite number")
         return x
     with open(as_path(path)) as fh:
-        return json.load(fh, parse_float=finite, parse_constant=finite)
+        try:
+            return json.load(fh, parse_float=finite, parse_constant=finite)
+        except RecursionError:
+            raise ModelError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model(path) -> GroupoidModel:

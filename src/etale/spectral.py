@@ -47,6 +47,7 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 # time), and an operator that Lanczos settles in a few steps is cheaper there
 DENSE_ROWS = 63
 DENSE_OVERFLOW = "the coefficients of f overflow float64 in the dense eigensolve"
+POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
 
 
 # -- Lanczos ----------------------------------------------------------------
@@ -464,9 +465,11 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     radius R = 2^(n_max+1) K (K = ``len(profile) - 1``) no power passes: j
     renormalized banded products, whose (R+1)(2K+1) multiply-adds each are
     charged to ``budget`` before any band is built.  Any other f squares h
-    by sparse convolution, each square charged on its own."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    by sparse convolution, each square charged on its own.  ValueError for an
+    n_max past 1022, as 2^(n_max+1) then leaves the float range, and for a
+    norm of h_n that is not a finite float."""
+    if not 1 <= n_max <= 1022:
+        raise ValueError("n_max must lie in 1..1022")
     model = f.model
     profile = radial_profile_of(f)
     entries = []
@@ -482,7 +485,7 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                 y = radial_convolve(bands, y)
                 norm = float(np.linalg.norm(y))
                 if not math.isfinite(norm):
-                    raise ValueError("the coefficients of f overflow float64 in the power sequence")
+                    raise ValueError(POWER_OVERFLOW)
                 logs.append(math.log(norm) if norm else -math.inf)  # norm 0 only when f = 0
                 y /= norm or 1.0
                 y[abs(y) < np.finfo(float).tiny] = 0  # subnormal tails: no digit, much time
@@ -497,8 +500,13 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
         except BudgetError as exc:
             raise BudgetError(f"power sequence exceeded budget at n={n}: {exc}",
                               required=exc.required, budget=exc.budget) from exc
-        value = lp_norm(h, 2, mu) ** (1.0 / (2 * 2 ** n))
-        entries.append((n, value))
+        try:
+            norm = lp_norm(h, 2, mu)
+        except OverflowError:  # a |v| ** 2 past the float range
+            norm = math.inf
+        if not math.isfinite(norm):
+            raise ValueError(POWER_OVERFLOW)
+        entries.append((n, norm ** (1.0 / (2 * 2 ** n))))
     return PowerSeq(entries=entries, n_max=n_max, method="sparse")
 
 

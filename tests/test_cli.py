@@ -310,6 +310,11 @@ def test_certify_cli(files, tmp_path, capsys):
     assert any(r[0] == "52" for r in rows[1:])
 
 
+BETA_RANGE = "every beta must lie in (0, 1]"
+POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
+N_MAX_RANGE = "n_max must lie in 1..1022"
+
+
 def test_usage_errors_exit_two(files, capsys):
     assert main(["growth", "--model", str(files["root"] / "missing.json")]) == 2
     cfg = write_cfg(files, "unknown", {"bogus": 1})
@@ -415,7 +420,22 @@ def test_usage_errors_exit_two(files, capsys):
             ("haagerup", "f2", {"n_list": 2}, "expected a JSON list, got 2"),
             ("haagerup", "f2", {"k_list": "12"}, "expected a JSON list, got '12'"),
             ("haagerup", "f2", {"eps_list": 0.1}, "expected a JSON list, got 0.1"),
-            ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0")):
+            ("certify", "f2", {"q": 2, "p": 4, "witness_cap": -1}, "witness_cap must be >= 0"),
+            # function specs, free-group words and pdcheck modes
+            ("norm", "f2", {"function": 3}, "function spec must be a one-key object"),
+            ("norm", "f2", {"function": {"sphere": 1, "delta": {"word": "a"}}},
+             "function spec must be a one-key object"),
+            ("norm", "f2", {"function": {"ball": 1}}, "unknown function spec 'ball'"),
+            ("norm", "f2", {"function": {"delta": {"word": "a1"}}}, "bad word token 'a1'"),
+            ("norm", "f2", {"function": {"delta": {"word": 1}}},
+             "free-group word must be a string, got 1"),
+            ("pdcheck", "z6", {"mode": {"sphere": {"k": 1}}},
+             "pdcheck mode must be 'ball' or 'random'"),
+            # a beta outside (0, 1]: its tail ratio is negative at p = 3,
+            # complex at p = 2.5, and past the float range at 1e300
+            ("extend", "f2", {"alpha": 0.5, "p": 3, "beta_grid": [-1]}, BETA_RANGE),
+            ("extend", "f2", {"alpha": 0.5, "p": 2.5, "beta_grid": [-1]}, BETA_RANGE),
+            ("extend", "f2", {"alpha": 0.5, "p": 2, "beta_grid": [1e300]}, BETA_RANGE)):
         capsys.readouterr()
         assert main([op, "--model", files[model], "--config", write_cfg(files, "bad", bad)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -624,6 +644,35 @@ def test_a_number_is_not_a_file_path(files):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "expected a file path, got 1\n" * 2)
+
+
+def test_refusals_print_no_traceback(files):
+    # a RecursionError or a hang would take the test runner with it, so each
+    # input runs in a child process
+    nested = files["root"] / "nested.json"
+    nested.write_text("[" * 100_000)
+    cases = [("powerseq", "f2", {"function": [{"unit": 0, "word": "a", "re": 1e100}],
+                                 "n_max": 1}, POWER_OVERFLOW),
+             ("powerseq", "z6", {"n_max": 9}, POWER_OVERFLOW),
+             ("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
+              N_MAX_RANGE),
+             # 2^(n_max + 1) would hang the radial charge
+             ("powerseq", "f2", {"n_max": 1e300}, N_MAX_RANGE),
+             ("growth", "f2", nested, "JSON nested too deeply"),
+             ("growth", nested, {}, "JSON nested too deeply"),
+             ("extend", "f2", {"alpha": 0.5, "p": 3, "beta_grid": [-1]}, BETA_RANGE),
+             ("extend", "f2", {"alpha": 0.5, "p": 2.5, "beta_grid": [-1]}, BETA_RANGE),
+             ("extend", "f2", {"alpha": 0.5, "p": 2, "beta_grid": [1e300]}, BETA_RANGE)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for op, model, cfg, message in cases:
+        model = model if isinstance(model, Path) else files[model]
+        cfg = cfg if isinstance(cfg, Path) else write_cfg(files, "refused", cfg)
+        argv = [op, "--model", str(model), "--config", str(cfg)]
+        proc = subprocess.run([sys.executable, "-m", "etale", *argv], capture_output=True,
+                              text=True, env=env, timeout=10)
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2 and len(err) == 1, (argv, proc.stderr[-300:])
+        assert err[0].startswith("error:") and message in err[0]
 
 
 def test_console_script_installed(files, tmp_path):

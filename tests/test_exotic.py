@@ -9,7 +9,6 @@ from etale import (GrowthHypothesisError, MeasureContext, certificate,
                    default_truncation, extension_criteria, growth_stats,
                    length_weighted, lp_norm, phi_chi_lp, threshold_band,
                    witness_first_crossing, witness_ratio)
-from etale.cli import _encode
 
 
 def test_phi_chi_lp_matches_explicit_norm(f2, mu_f2, f2_32, mu_f2_32):
@@ -47,6 +46,12 @@ def test_extension_verdicts_free(f2, mu_f2):
     crit = extension_criteria(f2, mu_f2, 3 ** -0.5, 2)
     assert crit.verdict == "Inconclusive"
     assert abs(crit.growth_rate - 1.0) <= 1e-12
+
+    # sphere counts 1, 4, 12 give no stable ratio, so no envelope
+    short = extension_criteria(f2, mu_f2, 0.5, 2, K=2)
+    assert short.verdict == "Inconclusive" and short.growth_rate is None
+    assert short.reason == "sphere-count ratio did not stabilize; no certified envelope"
+    assert short.cond4_grid == [(beta, None, False) for beta in (0.9, 0.99, 0.999)]
 
 
 def test_extension_traces(f2, mu_f2):
@@ -101,6 +106,10 @@ def test_extension_validation(f2, mu_f2):
         extension_criteria(f2, mu_f2, 0.5, 1.5)
     with pytest.raises(ValueError):
         extension_criteria(f2, mu_f2, 0.0, 2)
+    for beta in (-1, 0, 1.5, 1e300):
+        with pytest.raises(ValueError, match=r"every beta must lie in \(0, 1\]"):
+            extension_criteria(f2, mu_f2, 0.5, 3, beta_grid=[0.9, beta])
+    assert extension_criteria(f2, mu_f2, 0.5, 3, beta_grid=[1]).cond4_grid[0][0] == 1
 
 
 def test_dichotomy_is_monotone_in_alpha(f2, mu_f2):
@@ -168,7 +177,7 @@ def test_certificate_certified(f2, mu_f2):
     assert cert.fails_at_q.verdict == "FailsToExtend"
     assert cert.witness_crossing == 52
     assert any(k == 52 and v > 1 for k, v in cert.witness_rows)
-    json.dumps(cert, default=_encode)  # report-ready
+    json.dumps(cert, default=vars)  # report-ready, as the CLI writes it
 
 
 def test_certificate_transformation_matches_group(f2, mu_f2, f2_32, mu_f2_32):

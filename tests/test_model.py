@@ -1,6 +1,7 @@
 """Groupoid model core: word arithmetic, enumeration, validation, JSON."""
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -196,6 +197,25 @@ def test_malformed_model_data():
                   "action": [[0]]}):
         with pytest.raises(ModelError, match="expected an integer"):
             etale.model_from_dict(data)
+    # backend and model refusals, each with its message
+    cyclic = [[(i + j) % 257 for j in range(257)] for i in range(257)]
+    for backend, units, action, message in (
+            ({"free": 0}, 1, [], "free group rank must be >= 1"),
+            ({"finite": {"table": [[0, 1]], "generators": [1]}}, 1, [[0]],
+             "multiplication table must be square"),
+            ({"finite": {"table": cyclic, "generators": [1]}}, 1, [[0]],
+             "finite group order must be in 1..256"),
+            ({"finite": {"table": [[0, 2], [2, 0]], "generators": [1]}}, 1, [[0]],
+             "table entries out of range"),
+            ({"finite": {"table": [[0, 0], [0, 0]], "generators": [1]}}, 1, [[0]],
+             "table has no two-sided identity"),
+            ({"finite": z2 | {"generators": [2]}}, 1, [[0]], "generator 2 out of range"),
+            ({"free": 1}, 0, [[]], "unit space must be nonempty"),
+            ({"finite": z2 | {"generators": [1, 1]}}, 2, [[1, 0], [0, 1]],
+             "conflicting action for generator 1"),
+            ({"finite": z2 | {"order": 3}}, 1, [[0]], "declared order does not match the table")):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            etale.model_from_dict({"backend": backend, "units": units, "action": action})
     z2_model = etale.model_from_dict({"backend": {"finite": z2}, "units": 1, "action": [[0]]})
     assert z2_model.backend.word_from_json(1) == 1
     for word in (1.5, "1"):
@@ -222,6 +242,10 @@ def test_measure_context(z2_swap, f2):
         MeasureContext.from_weights(z2_swap, [0.3, 0.7])  # not swap-invariant
     with pytest.raises(ModelError):
         MeasureContext.from_weights(f2, [0.5])
+    with pytest.raises(ModelError, match="measure has wrong number of weights"):
+        MeasureContext.from_weights(z2_swap, [1.0])
+    with pytest.raises(ModelError, match="measure weights must be nonnegative"):
+        MeasureContext.from_weights(z2_swap, [1.5, -0.5])
 
 
 def oracle_sphere_words(rank, k):

@@ -237,6 +237,25 @@ def test_power_sequence_budget_refuses_before_squaring(f2, mu_f2):
     assert time.perf_counter() - start < 1.0
 
 
+def test_power_sequence_past_the_float_range_refused(f2, mu_f2, z6):
+    # the sparse path refuses as the radial one does: a convolution that
+    # reaches inf, and an lp_norm whose |v| ** 2 raises OverflowError
+    a = GroupoidElement(0, (1,))
+    mu6 = MeasureContext.uniform(z6)
+    for f, mu, n_max in ((1e100 * delta(f2, a), mu_f2, 1), (sphere_indicator(z6, 1), mu6, 9)):
+        with pytest.raises(ValueError, match="overflow float64 in the power sequence"):
+            power_sequence_norm(f, n_max, mu)
+    assert all(map(math.isfinite, power_sequence_norm(sphere_indicator(z6, 1), 8, mu6).values()))
+    # 2^(n_max + 1) leaves the float range past 1022: refused on both paths
+    # before any charged work, which a budget of 0 would refuse (a huge n_max,
+    # whose 2^(n_max + 1) would hang, runs in test_cli's child processes)
+    for f in (delta(f2, a), sphere_indicator(f2, 1)):
+        for n_max in (0, 1023):
+            with pytest.raises(ValueError, match=r"n_max must lie in 1\.\.1022"):
+                power_sequence_norm(f, n_max, mu_f2, budget=0)
+    assert power_sequence_norm(delta(f2, a), 1022, mu_f2).values() == [1.0] * 1022
+
+
 def test_verify_norm_bound(f2, mu_f2):
     rep = verify_norm_bound(f2, mu_f2, 0.5, 2, 2.0, 5.0, L=4)
     assert rep.passed
@@ -505,6 +524,9 @@ def test_converged_means_residual_within_tol(z):
             theta = est.value if f is chi else est.value ** 2
             assert est.residual <= tol * max(1.0, theta)
             assert est.value <= top * (1 + 1e-12)
+    # out of steps: the estimate is reported, not converged
+    est = reduced_norm_at_unit(odd, 0, 100, ladder=[100], max_iter=3)
+    assert not est.converged and est.iterations == 3
 
 
 def test_lanczos_step_count_on_tree(f2):
