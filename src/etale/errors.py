@@ -25,13 +25,18 @@ def count_text(n: int) -> str:
     return str(n) if n < 10 ** 30 else f"about 10^{math.log10(n):.2f}"
 
 
-def charge(what: str, required: int, unit: str, budget) -> None:
+def charge(what: str, required: int | None, unit: str, budget, log10: float | None = None) -> None:
     """Refuse ``required`` units of work past ``budget`` (None allows any
     count) before any is done: the one place a BudgetError is built from a
-    work estimate, as ``{what} needs {required} {unit}, budget is {budget}``."""
-    if budget is not None and required > budget:
-        raise BudgetError(f"{what} needs {count_text(required)} {unit}, budget is {budget}",
-                          required=required, budget=budget)
+    work estimate, as ``{what} needs {required} {unit}, budget is {budget}``.
+    A count too large to form is passed as ``log10``, its base-10 logarithm,
+    with ``required`` None; it is printed as ``about 10^{log10}``."""
+    if budget is None or (required <= budget if log10 is None
+                          else log10 <= math.log10(max(budget, 1))):
+        return
+    text = count_text(required) if log10 is None else f"about 10^{log10:.2f}"
+    raise BudgetError(f"{what} needs {text} {unit}, budget is {budget}",
+                      required=required, budget=budget)
 
 
 class KernelDomainError(ValueError):

@@ -271,8 +271,8 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
     F is radial and every fiber has the same spheres, nonempty up to the
     diameter, so each check reads F once per sphere: no ball is enumerated,
     no budget applies, and every non-vacuous row is ``spot_checked`` at
-    ``radius + 1``.  Every list must be nonempty, every eps lie in (0, 1]
-    and every k be an integer >= 0.
+    ``radius + 1``.  Every list must be nonempty, every eps lie in (0, 1],
+    every k be an integer >= 0 and every ``n log(1/eps)`` be finite.
     """
     n_list = sorted(as_float(n) for n in as_list(n_list))
     k_list = [as_int(k) for k in as_list(k_list)]
@@ -283,6 +283,8 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
         raise ValueError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):
         raise ValueError("every k must be >= 0")
+    if not all(math.isfinite(n * math.log(1.0 / eps)) for n in n_list for eps in eps_list):
+        raise ValueError("every vanishing radius n log(1/eps) must be a finite float")
     unit_rows, deviation_rows, vanishing_rows = [], [], []
     sups: dict[tuple, float] = {}
     max_radius = model.backend.max_radius

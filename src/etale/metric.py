@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CcFunction, convolve
-from .errors import NonComposableError, PreconditionError, charge
-from .model import GroupoidElement, GroupoidModel
+from .errors import GrowthHypothesisError, NonComposableError, PreconditionError, charge
+from .model import FreeGroup, GroupoidElement, GroupoidModel
 
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
 
@@ -80,6 +80,9 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
     if not 1 <= k_min < K:
         raise ValueError("need 1 <= k_min < K")
     spheres = [model.sphere_count(k) for k in range(K + 1)]
+    if not any(spheres[k_min:]):
+        raise GrowthHypothesisError(f"no sphere of radius {k_min}..{K} is nonempty: the fibers "
+                                    f"end at radius {model.backend.max_radius}")
     balls = [model.ball_count(k) for k in range(K + 1)]
 
     log_env = max(math.log(spheres[k]) / k for k in range(k_min, K + 1) if spheres[k] > 0)
@@ -115,7 +118,8 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
 
 @dataclass
 class DeltaEstimate:
-    """Four-point defect of a ball; ``quadruples = (n(n+1)/2)^2`` bounds its base-point scan."""
+    """Four-point defect of a ball; ``quadruples = (n(n+1)/2)^2`` bounds its
+    base-point scan, which runs on finite backends only."""
 
     delta: float
     radius: int
@@ -143,7 +147,9 @@ def _four_point_defect(D: np.ndarray) -> int:
     the largest ``min(P[x, z], P[y, z]) - P[x, y]``.  Each base point ``w``
     takes ``x, y, z`` from ``w`` on, one (m, m) step in D's dtype per ``z``:
     ``sum_w (n - w)^3 = (n(n+1)/2)^2`` tuples.  A 0 defect at ``w = 0`` is 0
-    at every base point (Gromov's lemma), which ends the scan on trees."""
+    at every base point (Gromov's lemma), which ends the scan after ``n^3``
+    on a 0-hyperbolic metric.  ``hyperbolicity_delta`` runs it on finite
+    backends only."""
     best = 0
     for w in range(len(D)):
         P = D[w, w:, None] + D[w, w:] - D[w:, w:]
@@ -159,17 +165,25 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
                         budget=None) -> DeltaEstimate:
     """Largest four-point defect over all quadruples in the radius-``radius``
     ball of the fiber at ``u``: the excess of the largest pair-sum over the
-    second largest.  Zero on trees and on any 0-hyperbolic fiber.
+    second largest.
 
-    An n-point ball's base-point scan visits at most ``sum_w (n - w)^3 =
-    (n(n+1)/2)^2`` tuples, ``quadruples``, charged to ``quad_budget`` from
+    On a free backend every fiber is a tree, and trees are 0-hyperbolic
+    (Gromov, *Hyperbolic groups*, 1987), so δ is 0 by theorem: the ball is
+    charged to ``budget`` but neither enumerated nor scanned.  On a finite
+    backend the n-point ball's base-point scan visits at most
+    ``quadruples = (n(n+1)/2)^2`` tuples, charged to ``quad_budget`` from
     ``ball_count`` before the ball is enumerated; ``budget`` bounds its size."""
     if radius < 0:
         raise ValueError("delta radius must be >= 0")
+    tree = isinstance(model.backend, FreeGroup)
+    if tree:
+        model._charge(radius, budget, u)
     n = model.ball_count(radius)
     quadruples = (n * (n + 1) // 2) ** 2
-    charge(f"four-point scan of radius {radius}", quadruples, "quadruples", quad_budget)
-    best = _four_point_defect(distance_matrix(model, model.ball(u, radius, budget)))
+    best = 0
+    if not tree:
+        charge(f"four-point scan of radius {radius}", quadruples, "quadruples", quad_budget)
+        best = _four_point_defect(distance_matrix(model, model.ball(u, radius, budget)))
     return DeltaEstimate(delta=float(best), radius=radius, unit=u,
                          n_points=n, quadruples=quadruples)
 

@@ -441,9 +441,18 @@ class GroupoidModel:
     # -- enumeration --------------------------------------------------------
 
     def _charge(self, k: int, budget, u: int = 0) -> None:
+        """Refuse the radius-k ball past ``budget`` elements (None: the
+        default).  On a free backend with q = 2 rank - 1 >= 3 its count
+        passes q^(k-1), so a k with q^(k-1) past the budget and 10^30 is
+        refused from its logarithm, before a count of k log10(q) digits is formed."""
         self.unit_element(u)
-        charge(f"ball of radius {k}", self.ball_count(k), "elements",
-               DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+        budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+        q = 2 * self.backend.rank - 1 if isinstance(self.backend, FreeGroup) else 1
+        if q >= 3 and k - 1 > math.log(max(budget, 10 ** 30)) / math.log(q):
+            # log10 of 1 + (q+1)(q^k - 1)/(q-1); past the float range from k = 2^1000
+            log10 = k * math.log10(q) + math.log10((q + 1) / (q - 1)) if k < 2 ** 1000 else math.inf
+            charge(f"ball of radius {k}", None, "elements", budget, log10=log10)
+        charge(f"ball of radius {k}", self.ball_count(k), "elements", budget)
 
     def sphere(self, u: int, k: int, budget=None) -> list[GroupoidElement]:
         """Range-fiber sphere: elements of word length k with range ``u``,

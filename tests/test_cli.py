@@ -241,17 +241,17 @@ def test_delta_cli_all_units(files, capsys):
     assert len(report["results"]["per_unit"]) == 1
 
 
-def test_delta_cli_one_scan_for_every_unit(files, capsys, f2_32, monkeypatch):
-    units = [0, 5, 17, 31]
-    direct = [etale.hyperbolicity_delta(f2_32, u, 3) for u in units]
+def test_delta_cli_one_scan_for_every_unit(files, capsys, z2_swap, monkeypatch):
+    # a finite backend is scanned, once for all its units
+    direct = [etale.hyperbolicity_delta(z2_swap, u, 3) for u in (0, 1)]
     calls = []
     scan = etale.metric._four_point_defect
     monkeypatch.setattr(etale.metric, "_four_point_defect",
                         lambda D: calls.append(D.shape) or scan(D))
-    cfg = write_cfg(files, "delta32", {"radius": 3, "units": units})
-    code, report = run_json(capsys, ["delta", "--model", files["f2_32"], "--config", cfg])
+    cfg = write_cfg(files, "delta_swap", {"radius": 3, "units": "all"})
+    code, report = run_json(capsys, ["delta", "--model", files["z2_swap"], "--config", cfg])
     assert code == 0
-    assert calls == [(53, 53)]
+    assert calls == [(2, 2)]
     assert report["results"]["per_unit"] == [dataclasses.asdict(est) for est in direct]
     assert report["results"]["delta"] == max(est.delta for est in direct)
 
@@ -472,7 +472,7 @@ def test_usage_errors_exit_two(files, capsys):
         assert not out.exists()
     # budget counts past Python's 4,300-digit int-to-str limit still print
     for op, cfg, message in (("norm", {"L": 20000}, "budget is 5000000"),
-                             ("delta", {"radius": 3000}, "quadruples, budget is 100000000")):
+                             ("delta", {"radius": 20000}, "elements, budget is 5000000")):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", cfg)]) == 2
         assert message in capsys.readouterr().err
 
@@ -581,22 +581,40 @@ def test_bandcheck_builds_only_the_sampled_elements(files, capsys, monkeypatch):
     assert len(built) == 200 + 128
 
 
-def test_delta_refuses_before_enumerating(files, capsys, monkeypatch):
-    # radius 10^5 on z is 200,001 elements, inside the element budget; its
+def test_delta_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
+    # Z/200 at radius 100 is 200 elements, inside the element budget; its
     # quadruple count is refused from the ball count alone
+    model = tmp_path / "z200.json"
+    table = [[(i + j) % 200 for j in range(200)] for i in range(200)]
+    etale.save_model(etale.group_model(etale.FiniteGroup(table, [1])), model)
+    calls = []
+    monkeypatch.setattr(etale.FiniteGroup, "ball_words", lambda self, L: calls.append(L))
+    cfg = tmp_path / "delta_far.json"
+    cfg.write_text(json.dumps({"radius": 100}))
+    assert main(["delta", "--model", str(model), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: four-point scan of radius 100 needs 404010000 quadruples, budget is 100000000"]
+    assert calls == []
+
+
+def test_delta_on_free_models_charges_only_the_ball(files, capsys, monkeypatch):
+    # delta is 0 on a tree: radius 10^5 on z is 200,001 elements and runs,
+    # its quadruple count past quad_budget; on f2 the ball of radius 20,000
+    # (9,543 digits) is refused from its logarithm
     calls = []
     monkeypatch.setattr(etale.FreeGroup, "ball_words", lambda self, L: calls.append(L))
     cfg = write_cfg(files, "delta_far", {"radius": 100_000})
-    assert main(["delta", "--model", files["z"], "--config", cfg]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: four-point scan of radius 100000 needs {(200_001 * 100_001) ** 2} quadruples, "
-        "budget is 100000000"]
-    # on f2 the ball count at radius 20,000 has 9,543 digits
+    code, report = run_json(capsys, ["delta", "--model", files["z"], "--config", cfg])
+    assert code == 0
+    assert report["results"]["per_unit"][0] == {
+        "delta": 0.0, "n_points": 200_001, "quadruples": (200_001 * 100_001) ** 2,
+        "radius": 100_000, "unit": 0}
     start = time.perf_counter()
     cfg = write_cfg(files, "delta_far", {"radius": 20_000})
     assert main(["delta", "--model", files["f2"], "--config", cfg]) == 2
     assert time.perf_counter() - start < 0.5
-    assert "quadruples, budget is 100000000" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ball of radius 20000 needs about 10^9542.73 elements, budget is 5000000"]
     assert calls == []
 
 
@@ -662,7 +680,21 @@ def test_refusals_print_no_traceback(files):
              ("growth", nested, {}, "JSON nested too deeply"),
              ("extend", "f2", {"alpha": 0.5, "p": 3, "beta_grid": [-1]}, BETA_RANGE),
              ("extend", "f2", {"alpha": 0.5, "p": 2.5, "beta_grid": [-1]}, BETA_RANGE),
-             ("extend", "f2", {"alpha": 0.5, "p": 2, "beta_grid": [1e300]}, BETA_RANGE)]
+             ("extend", "f2", {"alpha": 0.5, "p": 2, "beta_grid": [1e300]}, BETA_RANGE),
+             # radii refused from the log of their ball count, which is not formed
+             ("delta", "f2", {"radius": 1e7},
+              "ball of radius 10000000 needs about 10^4771212.85 elements, budget is 5000000"),
+             ("gns", "f2", {"k": 1e300}, "elements, budget is 5000000"),
+             # no nonempty sphere to fit an envelope to
+             ("growth", "z2_swap", {"k_min": 2},
+              "no sphere of radius 2..8 is nonempty: the fibers end at radius 1"),
+             ("growth", "z6", {"k_min": 4},
+              "no sphere of radius 4..8 is nonempty: the fibers end at radius 3"),
+             ("band", "z2_swap", {"q": 2, "p": 4, "k_min": 2},
+              "no sphere of radius 2..8 is nonempty"),
+             # ceil(n log(1/eps)) of an infinite float
+             ("haagerup", "f2", {"n_list": [1e308]},
+              "every vanishing radius n log(1/eps) must be a finite float")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for op, model, cfg, message in cases:
         model = model if isinstance(model, Path) else files[model]

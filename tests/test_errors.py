@@ -21,6 +21,13 @@ def test_charge_refuses_past_the_budget():
     assert err.value.required == 10 ** 31
     assert str(err.value) == ("four-point scan of radius 9 needs about 10^31.00 quadruples, "
                               "budget is 5")
+    # a count too large to form is charged by its base-10 logarithm
+    charge("ball of radius 9", None, "elements", None, log10=1e300)
+    charge("ball of radius 9", None, "elements", 5, log10=0.69)  # 10^0.69 < 5
+    with pytest.raises(BudgetError) as err:
+        charge("ball of radius 9", None, "elements", 5, log10=0.7)
+    assert (err.value.required, err.value.budget) == (None, 5)
+    assert str(err.value) == "ball of radius 9 needs about 10^0.70 elements, budget is 5"
 
 
 def test_budget_errors_are_built_only_by_charge():

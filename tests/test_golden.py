@@ -11,8 +11,9 @@ whose values depend on the unit, where the units are ranked before any
 ladder is solved: a seeded self-adjoint f on ``f2_32units``, and
 ``z2_swap``'s delta at unit 1, whose two units tie.  It also adds
 ``pdcheck``'s random mode at the benchmark's size on ``f2`` and ``z6``, the
-same draw with a unit-dependent table kernel on ``z2_swap``, and ``gns`` at
-k = 3 on ``f2``.
+same draw with a unit-dependent table kernel on ``z2_swap``, ``gns`` at
+k = 3 on ``f2``, and the four operations that compute δ (``delta``,
+``bandcheck``, ``normbound``, ``certify``) on ``f3``, F₃ on one unit.
 
 A change that alters a report on purpose rewrites the goldens with
 
@@ -20,9 +21,11 @@ A change that alters a report on purpose rewrites the goldens with
 
 and the diff of ``tests/golden/`` shows every changed byte.
 """
+import copy
 import json
 import random
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -80,6 +83,10 @@ EXTRA = {
     "pdcheck-random-z2_swap-table": ("pdcheck", "z2_swap", {"kernel": SWAP_TABLE, "mode": RANDOM}),
     "gns-f2-k3": ("gns", "f2", {"k": 3}),
 }
+# the four operations that compute delta, on a free group of rank 3, where
+# delta is 0 by theorem
+EXTRA |= {f"{op}-f3": (op, "f3", CONFIGS[op])
+          for op in ("delta", "bandcheck", "normbound", "certify")}
 
 # (golden directory, operation, model, config)
 CASES = [(f"{op}-{m}", op, m, CONFIGS[op]) for op in CONFIGS for m in MODELS]
@@ -118,6 +125,43 @@ def test_golden_report(name, op, model, config, tmp_path):
     assert sorted(got) == sorted(want)
     for file in want:
         assert got[file] == want[file], f"{name}: {file} differs"
+
+
+# Each golden with a report, of an operation that computes delta, is checked
+# by the bench's own oracles (bench/checks.py, on bench/oracles.py, which
+# share no code with etale), imported as bench/run.py imports them; the
+# oracle wants exit code 0, and compares every field below, so a golden with
+# one bumped fails the check.  Refusals (exit 2) write no report.
+ORACLE_FIELDS = {"delta": ("delta", "overlap_constant"), "bandcheck": ("delta", "overlap"),
+                 "normbound": ("overlap",), "certify": ()}
+ORACLE_CASES = [c for c in CASES
+                if c[1] in ORACLE_FIELDS and (GOLDEN / c[0] / "report.json").is_file()]
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return checks, workloads, checks.Context(ROOT, seed=0)
+
+
+@pytest.mark.parametrize("name,op,model,config", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_golden_passes_the_bench_oracle(name, op, model, config, bench_checks):
+    checks, workloads, ctx = bench_checks
+    query = workloads.Query(name, op, model, config)
+    report = json.loads((GOLDEN / name / "report.json").read_text())
+    tables = {p.stem: [line.split(",") for line in p.read_text().splitlines()]
+              for p in (GOLDEN / name).glob("tables/*.csv")}
+    code = int((GOLDEN / name / "exit_code").read_text())
+    assert checks.check(ctx, query, code, report, tables) == []
+    for field in ORACLE_FIELDS[op]:
+        bumped = copy.deepcopy(report)
+        bumped["results"][field] += 1
+        assert checks.check(ctx, query, code, bumped, tables), f"{field} bumped passes"
 
 
 if __name__ == "__main__":

@@ -99,6 +99,14 @@ def test_growth_argument_validation(f2):
         growth_stats(f2, 4, k_min=0)
 
 
+def test_growth_refuses_a_range_past_the_diameter(z6):
+    # z6's last nonempty sphere is at radius 3: from k_min = 4 there is no
+    # sphere to fit an envelope to
+    assert growth_stats(z6, 8, k_min=3).envelope_r == 1.0
+    with pytest.raises(etale.GrowthHypothesisError, match="no sphere of radius 4..8 is nonempty"):
+        growth_stats(z6, 8, k_min=4)
+
+
 def test_distance_matrix(f2):
     pts = f2.ball(0, 2)
     D = distance_matrix(f2, pts)
@@ -222,15 +230,38 @@ def test_scan_on_both_sides_of_the_int8_switch(order, step, diameter):
     assert _four_point_defect(D) == best
 
 
-def test_delta_budget(f2):
+def test_delta_budget():
+    # on a finite backend the budget is charged the index tuples scanned, i
+    # the smallest: (n(n+1)/2)^2 for the n = 200 points of Z/200 at radius 100
     with pytest.raises(BudgetError) as err:
-        hyperbolicity_delta(f2, 0, 4)
-    # the budget is charged the index tuples scanned, i the smallest:
-    # (n(n+1)/2)^2 for n = 161
-    assert err.value.required == 170_067_681
-    est = hyperbolicity_delta(f2, 0, 4, quad_budget=400_000_000)
-    assert est.delta == 0.0
-    assert est.quadruples == err.value.required
+        hyperbolicity_delta(_cyclic_model(200), 0, 100)
+    assert err.value.required == 404_010_000
+    # Z/20 at radius 10 is 20 points and 210^2 tuples: scanned at that budget
+    z20 = _cyclic_model(20)
+    with pytest.raises(BudgetError, match="needs 44100 quadruples, budget is 44099"):
+        hyperbolicity_delta(z20, 0, 10, quad_budget=44_099)
+    est = hyperbolicity_delta(z20, 0, 10, quad_budget=44_100)
+    assert (est.n_points, est.quadruples) == (20, 44_100)
+    assert est.delta == ordered_scan(distance_matrix(z20, z20.ball(0, 10)))
+
+
+def test_delta_on_a_free_backend_is_zero_by_theorem(f2, monkeypatch):
+    # a tree is 0-hyperbolic: no ball, distance matrix, scan or quadruple
+    # charge, and the default quad_budget no longer bounds the radius
+    calls = []
+    for name in ("_four_point_defect", "distance_matrix", "charge"):
+        monkeypatch.setattr(etale.metric, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(etale.GroupoidModel, "ball", lambda *args: calls.append("ball"))
+    est = hyperbolicity_delta(f2, 0, 4)
+    assert (est.delta, est.n_points, est.quadruples) == (0.0, 161, 170_067_681)
+    f3 = etale.group_model(etale.FreeGroup(3))
+    assert hyperbolicity_delta(f3, 0, 3).quadruples == 308_986_084
+    assert calls == []
+    # the radius is still admitted by the ball's element charge
+    with pytest.raises(BudgetError, match="ball of radius 4 needs 161 elements, budget is 160"):
+        hyperbolicity_delta(f2, 0, 4, budget=160)
+    with pytest.raises(etale.ModelError, match="unit 1 out of range"):
+        hyperbolicity_delta(f2, 1, 2)
 
 
 def test_overlap_constant(f2, z, z6):

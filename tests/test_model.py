@@ -309,6 +309,30 @@ def test_enumeration_empty_below_zero_and_charged_first(f2, z6, monkeypatch):
     assert built == []
 
 
+def test_radius_refused_from_its_logarithm(monkeypatch):
+    # ball_count(k) > q^(k-1) for q = 2 rank - 1: a radius past the budget by
+    # that bound is refused before its count is formed, and a ball that fits
+    # the budget is never refused
+    for rank in (2, 3):
+        model = etale.group_model(FreeGroup(rank))
+        for budget in (10, 5_000_000, 10 ** 40, 10 ** 400):
+            fits = max(k for k in range(1200) if model.ball_count(k) <= budget)
+            model._charge(fits, budget)
+            with pytest.raises(BudgetError, match=f"ball of radius {fits + 1} needs"):
+                model._charge(fits + 1, budget)
+    formed = []
+    monkeypatch.setattr(FreeGroup, "ball_count", lambda self, k: formed.append(k))
+    model = etale.group_model(FreeGroup(2))
+    with pytest.raises(BudgetError) as err:
+        model._charge(10 ** 7, None)
+    assert str(err.value) == ("ball of radius 10000000 needs about 10^4771212.85 elements, "
+                              "budget is 5000000")
+    assert (err.value.required, err.value.budget) == (None, 5_000_000)
+    with pytest.raises(BudgetError, match=r"needs about 10\^inf elements"):
+        model._charge(10 ** 400, None)
+    assert formed == []
+
+
 def test_free_backend_keeps_no_word_cache(f2):
     f2.ball(0, 6)
     f2.sphere(0, 5)
