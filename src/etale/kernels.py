@@ -293,7 +293,11 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
         unit_rows.append({"n": n, "ok": kern.at_length(0) == 1.0})
         for k in k_list:
             k_eff = k if max_radius is None else min(k, max_radius)
-            measured = max(abs(1 - kern.at_length(j)) for j in range(k_eff + 1))
+            measured = 0.0
+            for j in range(k_eff + 1):  # from the first F(j) that underflows, |1 - F| is 1.0
+                measured = max(measured, abs(1 - (value := kern.at_length(j))))
+                if not value:
+                    break
             expected = 1.0 - math.exp(-k_eff / n)
             sups[(n, k)] = measured
             deviation_rows.append({"n": n, "k": k, "sup_dev": measured, "expected": expected,

@@ -12,11 +12,12 @@ two methods:
 * ``"sphere_quotient"``, for a radial f with real coefficients >= 0 on a free
   backend: M is nonnegative and commutes with the root stabilizer of the
   tree, so its Perron vector is radial and each rung is the top eigenpair of
-  an (L+1)-row sphere quotient.  No ball is enumerated.
+  an (L+1)-row sphere quotient S, by ``_tridiagonal_top`` when f's top
+  sphere is at most 1, by dense ``eigh`` past it.  No ball is enumerated.
 * ``"lanczos"`` otherwise, on M or ``M^H M`` read off one ball tree built at
   the top rung (see ``_operator``): ``eigh`` of the dense matrix at a rung of
   at most ``DENSE_ROWS`` rows, Lanczos from a random start drawn from
-  ``seed`` past it.
+  ``seed`` past it, its tridiagonal T_k solved by ``_tridiagonal_top``.
 
 ``converged`` means the eigen-residual is at most ``tol * max(1, |theta|)``;
 ``iterations`` counts Lanczos steps, 0 on the quotient and on dense rungs.
@@ -72,6 +73,59 @@ def _apply(op, v):
     return out
 
 
+def _sturm(a, bb, x):
+    """The pivots of ``x I - T = L D L^T``, T the symmetric tridiagonal of
+    diagonal ``a`` and squared off-diagonal ``bb`` (``bb[0] = 0``), and
+    ``trace((x I - T)^-1)``; None at the first pivot <= 0, when x is at most
+    T's top eigenvalue (Sylvester; Barth, Martin and Wilkinson 1967)."""
+    d, e, s, pivots = 1.0, 0.0, 0.0, []
+    for ai, bi in zip(a, bb):
+        t = bi / d
+        d = x - ai - t
+        if not d > 0:
+            return None
+        e = (1.0 + t * e) / d  # d_i' / d_i
+        s += e
+        pivots.append(d)
+    return pivots, s
+
+
+def _tridiagonal_top(a, b, upper: float):
+    """The top eigenvalue theta of the symmetric tridiagonal T of diagonal
+    ``a`` and off-diagonal ``b``, and a unit eigenvector, in pure Python at
+    O(n) a pass.  T is scaled by a power of 2.  x = ``upper`` is raised until
+    ``_sturm`` puts it above theta; Newton on ``det(x I - T)`` then descends,
+    quadratically at a simple top and halving at a double one, until a step
+    is at most eps or lands on theta (x is then raised back above it).  theta
+    is the last Newton point; two inverse-iteration solves give the vector."""
+    n, eps = len(a), 2.0 ** -52
+    if not any(b):  # f = c chi_0 on the sphere quotient
+        i = max(range(n), key=a.__getitem__)
+        return a[i], [float(j == i) for j in range(n)]
+    scale = math.ldexp(1.0, min(math.frexp(max(map(abs, [*a, *b])))[1], 1023))
+    a, b = [v / scale for v in a], [v / scale for v in b]
+    bb = [0.0] + [v * v for v in b]
+    x, w, stepped, done = min(3.0, upper / scale), eps, False, False  # theta <= 3 (Gershgorin)
+    while True:
+        sturm = _sturm(a, bb, x)
+        if sturm is None:  # step up by doubling amounts
+            x, w, done = x + w, 2 * w, stepped
+        elif (h := 1.0 / sturm[1]) <= eps or done:
+            break
+        else:
+            x, w, stepped = x - h, eps, True
+    d, y = sturm[0], [1.0 / (i + 1) for i in range(n)]  # a start with no symmetry
+    for _ in range(2):
+        for i in range(1, n):
+            y[i] += b[i - 1] / d[i - 1] * y[i - 1]
+        y = [v / p for v, p in zip(y, d)]
+        for i in range(n - 2, -1, -1):
+            y[i] += b[i] / d[i] * y[i + 1]
+        norm = math.sqrt(math.fsum(v * v for v in y))
+        y = [v / norm for v in y]
+    return (x - h) * scale, y
+
+
 def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
     """Lanczos on a Hermitian operator A of order n, given as ``apply(v)``,
     from a seeded random start.  Only the three-term recurrence is kept, no
@@ -80,10 +134,11 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
     for the Ritz value theta of largest modulus, with residual
     ``beta_k |s_k|``, the norm of ``A y - theta y`` for its Ritz vector y.
 
-    The dense spectrum of the tridiagonal T_k is computed every
-    ``max(1, k // 10)`` steps: eigenvalues alone until the top one stalls,
-    then with vectors for the residual.  Overflow in the recurrence raises
-    ValueError."""
+    Every ``max(1, k // 10)`` steps ``eigvalsh`` of the tridiagonal T_k gives
+    its ends until the larger in modulus stalls; then ``_tridiagonal_top``
+    solves that end, of T_k or -T_k, and one more ``_sturm`` pass shows that
+    the other end does not pass it, or that end is solved.  Overflow in the
+    recurrence raises ValueError."""
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
@@ -105,15 +160,21 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
                 betas.append(beta)
                 if k >= next_check or k == max_iter or beta == 0.0:
                     next_check = k + max(1, k // 10)
-                    T = np.diag(alphas) + np.diag(betas[:-1], -1)
                     if not stalled:
-                        top = float(np.max(np.abs(np.linalg.eigvalsh(T))))
+                        low, high = np.linalg.eigvalsh(
+                            np.diag(alphas) + np.diag(betas[:-1], -1))[[0, -1]].tolist()
+                        sign, top = (1.0, high) if high >= -low else (-1.0, -low)
                         stalled = last is not None and abs(top - last) <= tol * max(1.0, top)
                         last = top
                     if stalled or k == max_iter or beta == 0.0:
-                        theta, s = np.linalg.eigh(T)
-                        i = int(np.argmax(np.abs(theta)))
-                        top, residual = abs(float(theta[i])), beta * abs(float(s[-1, i]))
+                        a = [sign * v for v in alphas]
+                        top, y = _tridiagonal_top(a, betas[:-1], top * (1 + 4 * tol))
+                        other = [-v for v in a]
+                        if _sturm(other, [0.0] + [v * v for v in betas[:-1]], top) is None:
+                            theta, z = _tridiagonal_top(other, betas[:-1], top)
+                            if theta > top:
+                                sign, top, y = -sign, theta, z
+                        residual = beta * abs(y[-1])
                         if residual <= tol * max(1.0, top):
                             return top, k, residual, True
                 w /= beta
@@ -297,9 +358,10 @@ class _Solves:
 class _Quotient:
     """The dense (L+1)-row sphere quotient S of ``f = sum_k profile[k] chi_k``
     on F_rank: the bands of ``_radial_bands`` at radius L, mirrored below the
-    diagonal.  ``limit`` is ``sum_k profile[k] s_k phi(k)`` for Haagerup's
-    spherical function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.  Built at
-    the top rung once its (L+1)^2 entries are charged."""
+    diagonal; ``banded`` past the tridiagonal when f's top sphere is past 1.
+    ``limit`` is ``sum_k profile[k] s_k phi(k)`` for Haagerup's spherical
+    function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.  Built at the top rung
+    once its (L+1)^2 entries are charged."""
 
     unit_free = True
 
@@ -320,12 +382,19 @@ class _Quotient:
             if not (np.isfinite(S.sum(axis=1)).all() and math.isfinite(limit)):
                 raise ValueError("the coefficients of f overflow float64 in the sphere quotient")
         self.S, self.limit, self.ladder, self.tol = S, limit, ladder, tol
+        self.banded = len(profile) > 2
 
     def rung(self, r: int, units):
-        """``_dense`` of S's rung-r block at its Perron root, the last
-        eigenpair: on a bipartite S the first can be an ulp larger in modulus."""
+        """The Perron root of S's rung-r block, its last eigenpair (on a
+        bipartite S the first can be an ulp larger in modulus): by ``_dense``
+        when banded, else by ``_tridiagonal_top`` below ``limit``."""
         n = self.ladder[r] + 1
-        return _dense(self.S[:n, :n], self.tol, -1)
+        S = self.S[:n, :n]
+        if self.banded:
+            return _dense(S, self.tol, -1)
+        theta, y = _tridiagonal_top(S.diagonal().tolist(), S.diagonal(1).tolist(), self.limit)
+        residual = math.hypot(*(S @ y - theta * np.array(y)))  # hypot does not overflow
+        return theta, 0, residual, residual <= self.tol * max(1.0, theta)
 
     def estimate(self, **fields):
         return QuotientEstimate(limit=self.limit, **fields)

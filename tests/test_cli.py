@@ -232,6 +232,25 @@ def test_haagerup_cli(files, capsys):
     assert report_float["results"] == report["results"]
 
 
+def test_haagerup_sup_stops_where_the_kernel_underflows(files):
+    # k = 1e9 would read F on 10^9 spheres; from radius ~745 n on F is 0.0
+    # and |1 - F| is 1.0, so the sup stops there.  In a child process, so a
+    # hang fails this test and not the runner; the call alone is timed
+    cfg = write_cfg(files, "haag_far", {"k_list": [1e9]})
+    script = ("import json, sys, time\nfrom etale.cli import main\n"
+              "t = time.perf_counter()\n"
+              f"code = main(['haagerup', '--model', {str(files['f2'])!r}, '--config', {cfg!r}])\n"
+              "print(json.dumps([code, time.perf_counter() - t]), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=30)
+    code, seconds = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0 and seconds < 1.0
+    rows = json.loads(proc.stdout)["results"]["deviation_rows"]
+    assert [(r["n"], r["sup_dev"], r["expected"], r["ok"]) for r in rows] == [
+        (n, 1.0, 1.0, True) for n in (2.0, 3.0, 4.0)]
+
+
 def test_delta_cli_all_units(files, capsys):
     cfg = write_cfg(files, "delta6", {"radius": 3, "units": "all"})
     code, report = run_json(capsys, ["delta", "--model", files["z6"], "--config", cfg])

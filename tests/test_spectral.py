@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -711,8 +712,9 @@ def test_unit_and_tol_refused_before_the_tree(f2, monkeypatch):
             reduced_norm_at_unit(chi, 0, 3, tol=tol)
 
 
-def test_eigh_is_called_only_by_dense_and_lanczos():
-    # one dense solve: the sphere quotient's rungs go through _dense too
+def test_eigh_is_called_only_by_dense():
+    # one dense solve: Lanczos and tridiagonal sphere quotients take their
+    # eigenpairs from _tridiagonal_top, banded quotients from _dense
     tree = ast.parse((ROOT / "src" / "etale" / "spectral.py").read_text())
     parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     callers = []
@@ -722,7 +724,7 @@ def test_eigh_is_called_only_by_dense_and_lanczos():
             while not isinstance(node, ast.FunctionDef):
                 node = parent[node]
             callers.append(node.name)
-    assert sorted(callers) == ["_dense", "_lanczos"]
+    assert callers == ["_dense"]
 
 
 def test_truncated_operator_checks_unit_and_budget(f2):
@@ -803,6 +805,170 @@ def test_over_budget_quotient_refused_before_any_work(f2, monkeypatch):
         with pytest.raises(BudgetError) as err:
             reduced_norm_at_unit(chi, 0, L, budget=budget)
         assert err.value.required == (L + 1) ** 2
+
+
+EPS = np.finfo(float).eps
+
+
+def tridiagonal(a, b):
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+
+
+def counted_sturm(monkeypatch):
+    """Count the O(n) passes ``spectral._tridiagonal_top`` makes."""
+    passes, sturm = [], spectral._sturm
+    monkeypatch.setattr(spectral, "_sturm", lambda *args: passes.append(1) or sturm(*args))
+    return passes
+
+
+def positive_definite(a, b, x):
+    """Whether ``x I - T`` is positive definite, by its LDL^T pivots in exact
+    rational arithmetic: whether every eigenvalue of T is below x."""
+    x, d = Fraction(x), Fraction(1)
+    for ai, bi in zip(a, [0.0, *b]):
+        d = x - Fraction(ai) - Fraction(bi) ** 2 / d
+        if d <= 0:
+            return False
+    return True
+
+
+def check_top(a, b, upper):
+    """``_tridiagonal_top`` against exact Sturm counts and ``eigh``: the top
+    eigenvalue lies within 4 eps m of theta (m the largest eigenvalue
+    modulus), a unit vector and a residual within 1e-13.  eigh's own error
+    reached 18.4 eps m (n = 45) over 3,000 random tridiagonals like those
+    below, so it is held to 32 eps m."""
+    T = tridiagonal(a, b)
+    top = np.linalg.eigh(T)[0]
+    m = np.abs(top).max()
+    theta, y = spectral._tridiagonal_top(list(a), list(b), upper)
+    y = np.array(y)
+    assert positive_definite(a, b, theta + 4 * EPS * m)
+    assert not positive_definite(a, b, theta - 4 * EPS * m)
+    assert abs(theta - top[-1]) <= 32 * EPS * m
+    assert abs(np.linalg.norm(y) - 1) <= 1e-14
+    assert np.linalg.norm(T @ y - theta * y) <= 1e-13 * max(1.0, abs(theta))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), signed=st.booleans(),
+       off=st.sampled_from(["normal", "tiny", "zero", "mixed"]),
+       start=st.sampled_from([-1.0, 0.0, 1e-9, 1e-3, 1.0]))
+def test_tridiagonal_top_matches_eigh(n, seed, signed, off, start):
+    # a signed or nonnegative diagonal, off-diagonals of order 1, 1e-8..1e-20
+    # or 0, or a mix, and a start from below the top to one norm above it
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) if signed else np.abs(rng.standard_normal(n))
+    b = rng.standard_normal(n - 1)
+    tiny = b * 10.0 ** -rng.uniform(8, 20, n - 1)
+    kind = {"normal": 0, "tiny": 1, "zero": 2, "mixed": rng.integers(0, 3, n - 1)}[off]
+    b = np.choose(kind, [b, tiny, 0 * b])
+    top = np.linalg.eigvalsh(tridiagonal(a, b))
+    check_top(a, b, top[-1] + start * np.abs(top).max())
+
+
+def test_tridiagonal_top_of_the_path_graph(monkeypatch):
+    # chi_1 on Z: the sphere quotient of radius L is the path on 2L + 1
+    # vertices folded at 0, whose top is 2 cos(pi / (2L + 2)); from the
+    # limit 2, a few passes of O(L) each
+    passes = counted_sturm(monkeypatch)
+    for L in (1, 2, 10, 100, 300, 1000):
+        bands = dict(spectral._radial_bands(1, [0, 1], L))
+        passes.clear()
+        theta, y = spectral._tridiagonal_top([0.0] * (L + 1), bands[1].tolist(), 2.0)
+        assert abs(theta - 2 * math.cos(math.pi / (2 * L + 2))) <= 4 * EPS * 2
+        assert len(passes) <= 8
+        if L <= 300:
+            check_top(np.zeros(L + 1), bands[1], 2.0)
+
+
+def test_tridiagonal_top_of_a_near_double_top(monkeypatch):
+    # two copies of one block joined by 1e-17: the top is double to rounding,
+    # so Newton halves its distance each pass from just above it
+    passes = counted_sturm(monkeypatch)
+    rng = np.random.default_rng(7)
+    block_a, block_b = rng.standard_normal(20), np.abs(rng.standard_normal(19))
+    a = np.concatenate([block_a, block_a])
+    b = np.concatenate([block_b, [1e-17], block_b])
+    top = np.linalg.eigvalsh(tridiagonal(a, b))
+    assert top[-1] - top[-2] <= 4 * EPS * top[-1]
+    for rel, most in ((1e-8, 40), (1e-3, 60)):
+        passes.clear()
+        check_top(a, b, top[-1] * (1 + rel))
+        assert len(passes) <= most
+
+
+def test_tridiagonal_top_near_the_float_limit(f2):
+    # squares of these off-diagonals overflow unscaled, and 1.7e308 would
+    # take the scale 2^1024; the sphere quotient of 1e300 chi_1 has a finite
+    # residual, where a dense solve's norm of S y - theta y overflows
+    for c in (1e200, 1e300, 8e307):
+        theta, _ = spectral._tridiagonal_top([0.0] * 3, [c, c], 2 * c)
+        assert theta == pytest.approx(math.sqrt(2) * c, rel=4 * EPS)
+    theta, _ = spectral._tridiagonal_top([1.7e308, 0.0], [1.0], 1.7e308)
+    assert theta == pytest.approx(1.7e308, rel=4 * EPS)
+    chi = sphere_indicator(f2, 1)
+    est = reduced_norm(1e300 * chi, 8)
+    assert est.converged and est.value == pytest.approx(1e300 * reduced_norm(chi, 8).value,
+                                                        rel=4 * EPS)
+
+
+def test_tridiagonal_quotient_matches_dense_and_skips_it(monkeypatch):
+    # profiles of length <= 2 (chi_0, chi_1 and their sums) give a
+    # tridiagonal S, solved without _dense; each rung's value is the top of
+    # the same block by eigh within 4 eps, and its residual is |S y - theta y|
+    dense = []
+    monkeypatch.setattr(spectral, "_dense", lambda *args: dense.append(args))
+    cases = [case for case in QUOTIENT_CASES if len(case[1]) <= 2]
+    cases += [(1, [0, 1], 400), (2, [0.5, 1.5], 8), (3, [2.0, 0.3], 5), (2, [3.0], 6)]
+    for rank, coeffs, L in cases:
+        f = radial_function(etale.group_model(etale.FreeGroup(rank)), coeffs)
+        solves = spectral._solver(f, L, None, 2000, 1e-10, 0, None)
+        est = reduced_norm(f, L)
+        assert est.method == "sphere_quotient" and est.converged
+        for Lk, value, iterations, residual, converged in est.trace:
+            S = solves.S[:Lk + 1, :Lk + 1]
+            top = np.linalg.eigh(S)[0][-1]
+            assert abs(value - top) <= 4 * EPS * top
+            assert residual <= 1e-13 * max(1.0, value) and converged and iterations == 0
+    assert dense == []
+
+
+# (L, value, iterations, converged) of each rung at tol 1e-10 and seed 0 when
+# each check takes the Ritz pair of largest modulus from a dense eigh of T_k
+LANCZOS_ENDS = {
+    "-chi1": [[(4, 3.0889126347550055, 14, True)],
+              [(4, 3.0889126347550055, 14, True), (5, 3.1833414224505954, 18, True)],
+              [(4, 3.0889126347550055, 14, True), (6, 3.24544767877875, 26, True)]],
+    "shifted": [[(4, 4.143232436379921, 46, True)],
+                [(4, 4.143232436379921, 46, True), (5, 4.370397443673991, 55, True)],
+                [(4, 4.143232436379921, 46, True), (6, 4.52274742823752, 66, True)]],
+    "signed": [[(4, 3.524848813071828, 46, True)],
+               [(4, 3.524848813071828, 46, True), (5, 3.638481221630886, 60, True)],
+               [(4, 3.524848813071828, 46, True), (6, 3.7113722391854194, 79, True)]],
+}
+
+
+def test_lanczos_solves_the_dominant_end(f2):
+    # -chi_1 has a symmetric spectrum.  So does g, as the character a -> 1,
+    # b -> -1 negates every coefficient; g - 1e-9 chi_0 shifts it, and its
+    # bottom end dominates by 2e-9.  At L = 4 eigvalsh first finds the top end
+    # larger, and only the other-end Sturm pass sees the bottom overtake it.
+    # The signed f has no such symmetry
+    def of(entries):
+        return CcFunction(f2, {GroupoidElement(0, f2.backend.word_from_json(w)): v
+                               for w, v in entries.items()})
+
+    g = of({"b A": 1.66, "a B": 1.66, "b": -1.02, "B": -1.02, "B a": 0.38, "A b": 0.38})
+    fs = {"-chi1": -sphere_indicator(f2, 1), "shifted": g - 1e-9 * unit_indicator(f2),
+          "signed": of({"a": 0.9, "A": 0.9, "b": -1.1, "B": -1.1, "a b": 0.7, "B A": 0.7,
+                        "b a": -0.6, "A B": -0.6})}
+    for name, f in fs.items():
+        for L, expect in zip((4, 5, 6), LANCZOS_ENDS[name]):
+            trace = reduced_norm(f, L).trace
+            assert [(r[0], r[2], r[4]) for r in trace] == [(r[0], r[2], r[3]) for r in expect]
+            for row, (_, value, _, _) in zip(trace, expect):
+                assert row[1] == pytest.approx(value, rel=1e-13, abs=0)
 
 
 def test_import_leaves_scipy_out():
