@@ -75,6 +75,20 @@ def exact_sphere_ratio(spheres, k_min: int = 1) -> Fraction | None:
     return ratios.pop() if len(ratios) == 1 else None
 
 
+def _sign(count: int, c: float, r: float, k: int) -> int:
+    """The sign of ``count - c * r**k`` for positive count, c and r, exact:
+    from logs where they differ by more than 1e-14 (about 45 eps) of their
+    sum of moduli, which bounds the rounding of the three logs and k's
+    product, and in integers at a near-tie."""
+    logs = (math.log(count), math.log(c), k * math.log(r))
+    gap = logs[0] - logs[1] - logs[2]
+    if abs(gap) > 1e-14 * (1 + sum(map(abs, logs))):
+        return 1 if gap > 0 else -1
+    (cn, cd), (rn, rd) = c.as_integer_ratio(), r.as_integer_ratio()
+    exact = count * cd * rd ** k - cn * rn ** k
+    return (exact > 0) - (exact < 0)
+
+
 def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
     """Growth data of the fibers up to radius K with certified envelopes."""
     if not 1 <= k_min < K:
@@ -85,20 +99,22 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
                                     f"end at radius {model.backend.max_radius}")
     balls = [model.ball_count(k) for k in range(K + 1)]
 
-    log_env = max(math.log(spheres[k]) / k for k in range(k_min, K + 1) if spheres[k] > 0)
-    envelope_r = math.exp(log_env)
-    # envelopes compared in logs: their powers leave the float range
-    certified_upper = all(math.log(spheres[k]) <= log_env * k + math.log1p(1e-9)
-                          for k in range(k_min, K + 1) if spheres[k] > 0)
+    # each envelope is rounded outward an ulp at a time until the printed
+    # floats satisfy it exactly at every k
+    envelope_r = math.exp(max(math.log(spheres[k]) / k
+                              for k in range(k_min, K + 1) if spheres[k] > 0))
+    for k in range(k_min, K + 1):
+        while spheres[k] and _sign(spheres[k], 1.0, envelope_r, k) > 0:
+            envelope_r = math.nextafter(envelope_r, math.inf)
 
     ks = np.arange(k_min, K + 1, dtype=float)
     log_balls = np.array([math.log(balls[k]) for k in range(k_min, K + 1)])
     slope, intercept = np.polyfit(ks, log_balls, 1)
     fit_r = math.exp(slope)
-    # pull the prefactor down until the lower envelope is certified
     fit_d = min(math.exp(math.log(balls[k]) - slope * k) for k in range(k_min, K + 1))
-    certified_lower = all(math.log(balls[k]) >= math.log(fit_d) + slope * k + math.log1p(-1e-9)
-                          for k in range(k_min, K + 1))
+    for k in range(k_min, K + 1):
+        while _sign(balls[k], fit_d, fit_r, k) < 0:
+            fit_d = math.nextafter(fit_d, 0.0)
 
     saturated = any(spheres[k] == 0 for k in range(1, K + 1))
     ratio = exact_sphere_ratio(spheres, k_min)
@@ -111,7 +127,7 @@ def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
         envelope_r=envelope_r, fit_d=fit_d, fit_r=fit_r,
         sphere_ratio=sphere_ratio, ratio_stabilized=ratio_stabilized,
         saturated=saturated, subexponential=subexponential,
-        certified_upper=certified_upper, certified_lower=certified_lower)
+        certified_upper=math.isfinite(envelope_r), certified_lower=fit_d > 0)
 
 
 # -- hyperbolicity ----------------------------------------------------------

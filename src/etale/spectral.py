@@ -47,6 +47,7 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 # from 64 rows on, eigh with vectors takes a slower path (up to twice the
 # time), and an operator that Lanczos settles in a few steps is cheaper there
 DENSE_ROWS = 63
+TRIDIAGONAL_ROW = 33  # float64-sized entries a tridiagonal sphere quotient holds a row
 DENSE_OVERFLOW = "the coefficients of f overflow float64 in the dense eigensolve"
 POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
 
@@ -142,11 +143,7 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
-    alphas, betas = [], []
-    beta = 0.0
-    last = None
-    stalled = False
-    next_check = 1
+    alphas, betas, beta, last, stalled, next_check = [], [], 0.0, None, False, 1
     try:
         with np.errstate(over="raise", invalid="raise"):
             for k in range(1, max_iter + 1):
@@ -235,9 +232,7 @@ class NormEstimate:
     method = "lanczos"  # not a field, so Lanczos reports keep their keys
 
     def csv_rows(self):
-        rows = [("L", "value", "iterations", "residual", "converged")]
-        rows.extend(self.trace)
-        return rows
+        return [("L", "value", "iterations", "residual", "converged"), *self.trace]
 
 
 @dataclass
@@ -356,44 +351,49 @@ class _Solves:
 
 
 class _Quotient:
-    """The dense (L+1)-row sphere quotient S of ``f = sum_k profile[k] chi_k``
-    on F_rank: the bands of ``_radial_bands`` at radius L, mirrored below the
-    diagonal; ``banded`` past the tridiagonal when f's top sphere is past 1.
-    ``limit`` is ``sum_k profile[k] s_k phi(k)`` for Haagerup's spherical
-    function ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.  Built at the top rung
-    once its (L+1)^2 entries are charged."""
+    """The (L+1)-row sphere quotient S of ``f = sum_k profile[k] chi_k`` on
+    F_rank, held as the bands of ``_radial_bands`` at radius L; ``banded``
+    past the tridiagonal when f's top sphere is past 1.  ``limit`` is
+    ``sum_k profile[k] s_k phi(k)`` for Haagerup's spherical function
+    ``phi(k) = (1 + k(q-1)/(q+1)) q^(-k/2)``.  Charged before any band is
+    built: (L+1)^2 entries for dense rungs, else ``TRIDIAGONAL_ROW`` a row,
+    which at L = 10^6 covered 203 B a row traced at peak and 257 B of RSS."""
 
     unit_free = True
 
     def __init__(self, rank: int, profile, ladder: list, tol: float, budget):
-        L = ladder[-1]
-        charge(f"sphere quotient of radius {L}", (L + 1) ** 2, "entries",
+        L, self.banded = ladder[-1], len(profile) > 2
+        row = L + 1 if self.banded else TRIDIAGONAL_ROW
+        charge(f"sphere quotient of radius {L}", row * (L + 1), "entries",
                DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
-        q = 2 * rank - 1
-        S, limit = np.zeros((L + 1, L + 1)), 0.0
+        q, limit = 2 * rank - 1, 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for k, c in enumerate(profile):
-                if c:
-                    limit += c * (1 + k * (q - 1) / (q + 1)) * (
-                        2 * rank * math.exp((k / 2 - 1) * math.log(q)) if k else 1.0)
-            for d, w in _radial_bands(rank, profile, L):
-                S[np.arange(len(w)), np.arange(d, L + 1)] = w
-            S += np.triu(S, 1).T
-            if not (np.isfinite(S.sum(axis=1)).all() and math.isfinite(limit)):
+                limit += c * (1 + k * (q - 1) / (q + 1)) * (
+                    2 * rank * math.exp((k / 2 - 1) * math.log(q)) if k else 1.0)
+            bands = _radial_bands(rank, profile, L)
+            # S >= 0: S y is finite for every unit y when the row sums are
+            if not (np.isfinite(radial_convolve(bands, np.ones(L + 1))).all()
+                    and math.isfinite(limit)):
                 raise ValueError("the coefficients of f overflow float64 in the sphere quotient")
-        self.S, self.limit, self.ladder, self.tol = S, limit, ladder, tol
-        self.banded = len(profile) > 2
+        self.bands, self.limit, self.ladder, self.tol = bands, limit, ladder, tol
 
     def rung(self, r: int, units):
         """The Perron root of S's rung-r block, its last eigenpair (on a
         bipartite S the first can be an ulp larger in modulus): by ``_dense``
         when banded, else by ``_tridiagonal_top`` below ``limit``."""
         n = self.ladder[r] + 1
-        S = self.S[:n, :n]
+        bands = [(d, w[:n - d]) for d, w in self.bands if d < n]
         if self.banded:
+            S = np.zeros((n, n))
+            for d, w in bands:  # S[m, m + d] and S[m + d, m], m < n - d
+                S.flat[d:(n - d) * (n + 1):n + 1] = S.flat[d * n::n + 1] = w
             return _dense(S, self.tol, -1)
-        theta, y = _tridiagonal_top(S.diagonal().tolist(), S.diagonal(1).tolist(), self.limit)
-        residual = math.hypot(*(S @ y - theta * np.array(y)))  # hypot does not overflow
+        diagonals = dict(bands)  # lists passed on, not kept: the solve scales copies
+        theta, y = _tridiagonal_top(diagonals.get(0, np.zeros(n)).tolist(),
+                                    diagonals.get(1, np.zeros(n - 1)).tolist(), self.limit)
+        y = np.array(y)
+        residual = math.hypot(*(radial_convolve(bands, y) - theta * y))  # hypot does not overflow
         return theta, 0, residual, residual <= self.tol * max(1.0, theta)
 
     def estimate(self, **fields):
@@ -500,7 +500,8 @@ def _radial_bands(rank: int, profile, R: int) -> list:
 def radial_convolve(bands, y):
     """``S y`` for the symmetric banded S of ``_radial_bands``: the convolution
     by f of a radial function g, in the coordinates ``y_l = g_l sqrt(s_l)``
-    whose Euclidean norm is ``|g|_2``, on spheres 0..R (``len(y) = R + 1``)."""
+    whose Euclidean norm is ``|g|_2``, on spheres 0..R (``len(y) = R + 1``).
+    The power sequence and the sphere quotient's rungs multiply by S here."""
     out = np.zeros(len(y), dtype=np.result_type(y, *(w for _, w in bands)))
     for d, w in bands:
         out[:len(w)] += w * y[d:]
@@ -539,7 +540,6 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     norm of h_n that is not a finite float."""
     if not 1 <= n_max <= 1022:
         raise ValueError("n_max must lie in 1..1022")
-    model = f.model
     profile = radial_profile_of(f)
     entries = []
     if profile is not None:
@@ -547,7 +547,7 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
         R = 2 ** (n_max + 1) * K
         charge("radial power sequence", 2 ** (n_max + 1) * (R + 1) * (2 * K + 1),
                "multiply-adds", budget)
-        bands = _radial_bands(model.backend.rank, profile, R)
+        bands = _radial_bands(f.model.backend.rank, profile, R)
         y, logs = np.eye(1, R + 1)[0], []  # e_0, and log |S^j e_0| = fsum(logs)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, 2 ** (n_max + 1) + 1):

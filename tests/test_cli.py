@@ -218,6 +218,13 @@ def test_quotient_overflow_is_a_usage_error(files, capsys):
                          write_cfg(files, "huge_quotient", cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
+    # 5e307 chi_1: S is tridiagonal with finite entries, but its row sums,
+    # and so S y, overflow
+    cfg = {"function": {"sphere_weighted": {"alpha": 5e307, "k": 1}}, "L": 8}
+    assert main(["norm", "--model", files["f2"], "--config",
+                 write_cfg(files, "huge_quotient", cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the coefficients of f overflow float64 in the sphere quotient"]
 
 
 def test_haagerup_cli(files, capsys):
@@ -490,7 +497,8 @@ def test_usage_errors_exit_two(files, capsys):
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not out.exists()
     # budget counts past Python's 4,300-digit int-to-str limit still print
-    for op, cfg, message in (("norm", {"L": 20000}, "budget is 5000000"),
+    for op, cfg, message in (("norm", {"function": {"delta": {"unit": 0, "word": "a"}},
+                                       "L": 20000}, "elements, budget is 5000000"),
                              ("delta", {"radius": 20000}, "elements, budget is 5000000")):
         assert main([op, "--model", files["f2"], "--config", write_cfg(files, "bad", cfg)]) == 2
         assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 """Fiber geometry: word metric, growth reports, hyperbolicity, band check."""
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,19 @@ def test_growth_line_and_finite(z, z6):
     rows = fin.csv_rows()
     assert rows[0] == ("k", "sup_sphere", "inf_ball")
     assert len(rows) == 10
+
+
+def test_growth_envelopes_hold_exactly(f2, z, z6):
+    # in rational arithmetic on the reported floats; the lower envelope of z
+    # at K = 8 and 12 and of z6 at K = 12, and the upper one of F_2 from
+    # k_min = 3, meet a count to within an ulp or two
+    for model, K, k_min in ((f2, 8, 1), (f2, 12, 1), (f2, 40, 3), (z, 8, 1), (z, 12, 1),
+                            (z6, 8, 1), (z6, 12, 1), (z6, 8, 3)):
+        rep = growth_stats(model, K, k_min)
+        assert rep.certified_upper and rep.certified_lower
+        for k in range(k_min, K + 1):
+            assert rep.sphere_counts[k] <= Fraction(rep.envelope_r) ** k
+            assert rep.ball_counts[k] >= Fraction(rep.fit_d) * Fraction(rep.fit_r) ** k
 
 
 def test_growth_argument_validation(f2):

@@ -796,15 +796,39 @@ def test_quotient_at_radius_1000_builds_no_ball(f2, monkeypatch):
 
 
 def test_over_budget_quotient_refused_before_any_work(f2, monkeypatch):
+    # a banded S is charged the (L+1)^2 entries of its dense rungs, a
+    # tridiagonal one TRIDIAGONAL_ROW entries a row, before any band is built
     def count(*args):
         raise AssertionError("a quotient entry was computed")
 
     monkeypatch.setattr(spectral, "_radial_bands", count)
-    chi = sphere_indicator(f2, 1)
+    chi1, chi2 = sphere_indicator(f2, 1), sphere_indicator(f2, 2)
     for budget, L in ((120, 10), (None, 2236)):  # 11^2 and 2237^2 entries
         with pytest.raises(BudgetError) as err:
-            reduced_norm_at_unit(chi, 0, L, budget=budget)
+            reduced_norm_at_unit(chi2, 0, L, budget=budget)
         assert err.value.required == (L + 1) ** 2
+    row, default = spectral.TRIDIAGONAL_ROW, spectral.DEFAULT_ENUMERATION_BUDGET
+    for budget, L in ((11 * row - 1, 10), (None, default // row)):
+        with pytest.raises(BudgetError) as err:
+            reduced_norm_at_unit(chi1, 0, L, budget=budget)
+        assert err.value.required == (L + 1) * row
+    for budget, L in ((11 * row, 10), (None, default // row - 1)):  # admitted
+        with pytest.raises(AssertionError, match="a quotient entry was computed"):
+            reduced_norm_at_unit(chi1, 0, L, budget=budget)
+
+
+def test_tridiagonal_quotient_holds_order_L(f2):
+    # chi_1 at L = 20,000 under the default budget, where a dense S would
+    # take 3.2 GB: the bands and the solve's lists stay within the charge
+    chi, L = sphere_indicator(f2, 1), 20_000
+    tracemalloc.start()
+    try:
+        est = reduced_norm(chi, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.converged and est.trace[-2][1] <= est.value <= est.limit
+    assert peak <= 8 * spectral.TRIDIAGONAL_ROW * (L + 1)
 
 
 EPS = np.finfo(float).eps
@@ -923,11 +947,12 @@ def test_tridiagonal_quotient_matches_dense_and_skips_it(monkeypatch):
     cases += [(1, [0, 1], 400), (2, [0.5, 1.5], 8), (3, [2.0, 0.3], 5), (2, [3.0], 6)]
     for rank, coeffs, L in cases:
         f = radial_function(etale.group_model(etale.FreeGroup(rank)), coeffs)
-        solves = spectral._solver(f, L, None, 2000, 1e-10, 0, None)
         est = reduced_norm(f, L)
         assert est.method == "sphere_quotient" and est.converged
         for Lk, value, iterations, residual, converged in est.trace:
-            S = solves.S[:Lk + 1, :Lk + 1]
+            S = np.zeros((Lk + 1, Lk + 1))
+            for d, w in spectral._radial_bands(rank, coeffs, Lk):
+                S += np.diag(w, d) + (np.diag(w, -d) if d else 0)
             top = np.linalg.eigh(S)[0][-1]
             assert abs(value - top) <= 4 * EPS * top
             assert residual <= 1e-13 * max(1.0, value) and converged and iterations == 0
