@@ -12,7 +12,7 @@ from .algebra import (CcFunction, convolve, delta, function_from_json,
                       sphere_indicator, unit_indicator)
 from .errors import (BudgetError, GrowthHypothesisError, KernelDomainError,
                      KernelPositivityError, ModelError, NonComposableError,
-                     PreconditionError)
+                     PreconditionError, Refusal)
 from .exotic import (Certificate, ExtensionReport, ThresholdBand, certificate,
                      default_truncation, extension_criteria, phi_chi_lp,
                      threshold_band, witness_first_crossing, witness_ratio)

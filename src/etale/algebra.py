@@ -11,9 +11,9 @@ from __future__ import annotations
 import cmath
 import json
 
-from .errors import ModelError, charge
-from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, as_path,
-                    read_json)
+from .errors import ModelError, PreconditionError, charge
+from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, as_list,
+                    as_path, read_json)
 
 
 class CcFunction:
@@ -111,7 +111,7 @@ def unit_indicator(model: GroupoidModel) -> CcFunction:
 def sphere_indicator(model: GroupoidModel, k: int, budget=None) -> CcFunction:
     """Indicator of word length exactly k >= 0, over every fiber."""
     if k < 0:
-        raise ValueError(f"sphere radius k must be >= 0, got {k}")
+        raise PreconditionError(f"sphere radius k must be >= 0, got {k}")
     words = [g.word for g in model.sphere(0, k, budget=budget)]
     return CcFunction(model, {(u, w): 1.0 for u in range(model.units) for w in words})
 
@@ -170,7 +170,7 @@ def i_norm(f: CcFunction) -> float:
 def lp_norm(f: CcFunction, p: float, mu: MeasureContext) -> float:
     """Fiberwise l^p norm integrated against the unit-space weights."""
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise PreconditionError("p must be >= 1")
     total = 0.0
     for g, v in f.data.items():
         total += mu.weight(g.unit) * abs(v) ** p
@@ -207,10 +207,11 @@ ENTRY_KEYS = frozenset({"unit", "word", "re", "im"})
 
 def function_from_json(model: GroupoidModel, entries) -> CcFunction:
     """The function of a list of ``{unit, word, re, im}`` entries; duplicates
-    add up, and a key outside those four raises ModelError."""
+    add up, and a value that is not a list or a key outside those four raises
+    ModelError."""
     backend = model.backend
     pairs = []
-    for entry in entries:
+    for entry in as_list(entries):
         if isinstance(entry, dict) and (unknown := entry.keys() - ENTRY_KEYS):
             raise ModelError(f"unknown function entry keys {sorted(unknown)} in {entry!r}")
         try:

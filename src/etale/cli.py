@@ -10,8 +10,11 @@ object), ``as_int``, ``as_float`` and ``as_list``; reports are written by
 ``json.dumps`` with ``default=vars``: results are dataclasses and plain JSON.
 Output is byte-reproducible for a fixed seed.
 
-Exit codes: 0 all checked properties passed, 1 a property failed,
-2 usage, model, or budget errors.
+Exit codes: 0 all checked properties passed, 1 a property failed, 2 an
+input refused on purpose (a ``Refusal`` or ``BudgetError`` of ``errors``, or
+an unreadable file, ``OSError``), with one ``error:`` line and no report.
+Any other exception is a fault: a traceback and no report, whose status 1
+is not a failed check.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 from . import __version__
 from .algebra import (CcFunction, function_from_json, length_weighted,
                       load_function, sphere_indicator)
-from .errors import BudgetError, ModelError
+from .errors import BudgetError, ModelError, PreconditionError, Refusal
 from .exotic import certificate, extension_criteria, threshold_band
 from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
                       gram_stack, kernel_from_json, psd_check, psd_results)
@@ -38,8 +41,8 @@ from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as
 from .spectral import (DEFAULT_POWER_BUDGET, power_sequence_norm, reduced_norm,
                        reduced_norm_at_unit, verify_norm_bound)
 
-# malformed config values raise ModelError (model.as_*) or TypeError/AttributeError
-USAGE_ERRORS = (ValueError, BudgetError, KeyError, OSError, TypeError, AttributeError)
+# the refusals of errors.py and an unreadable file exit 2; anything else is a fault
+USAGE_ERRORS = (Refusal, BudgetError, OSError)
 
 
 def _resolve_function(model: GroupoidModel, spec, budget) -> CcFunction:
@@ -83,7 +86,7 @@ def _random_draws(rng, units: int, count: int, max_size: int, pool: int) -> list
 
 def _run_growth(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"K": 8, "k_min": 1})
-    rep = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
+    rep = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]), budget=budget)
     ok = rep.certified_upper and rep.certified_lower
     verdict = "pass" if ok else "fail"
     if rep.subexponential:
@@ -119,14 +122,15 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         ball = take_keys(mode["ball"], {"unit": 0, "k": REQUIRED})
         k = as_int(ball["k"])
         if k < 0:
-            raise ValueError("pdcheck ball radius k must be >= 0")
+            raise PreconditionError("pdcheck ball radius k must be >= 0")
         elements = model.ball(as_int(ball["unit"]), k, budget=budget)
         results = [psd_check(model, kern, elements, tol=as_float(opts["tol"]))]
     elif "random" in mode:
         r = take_keys(mode["random"], {"count": 100, "max_size": 10, "max_len": 4})
         count, max_size, max_len = (as_int(r[key]) for key in ("count", "max_size", "max_len"))
         if count < 1 or max_size < 1 or max_len < 0:
-            raise ValueError("pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
+            raise PreconditionError(
+                "pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
         # every fiber's ball has the same words: read them once
         words = [g.word for g in model.ball(0, max_len, budget=budget)]
@@ -175,7 +179,8 @@ def _run_gns(model, mu, cfg, seed, budget):
 def _run_haagerup(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"n_list": [2, 3, 4], "k_list": [1, 2, 4, 8],
                            "eps_list": [0.1, 0.01]})
-    rep = haagerup_witness_check(model, opts["n_list"], opts["k_list"], opts["eps_list"])
+    rep = haagerup_witness_check(model, opts["n_list"], opts["k_list"], opts["eps_list"],
+                                 budget=budget)
     rows = [("n", "k", "sup_dev", "expected", "ok")]
     for r in rep.deviation_rows:
         rows.append((r["n"], r["k"], r["sup_dev"], r["expected"], r["ok"]))
@@ -187,7 +192,7 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
                            "support_cap": 200, "tol": 1e-9})
     k, n, u, cap = (as_int(opts[key]) for key in ("k", "n", "unit", "support_cap"))
     if cap < 1:
-        raise ValueError("bandcheck support_cap must be >= 1")
+        raise PreconditionError("bandcheck support_cap must be >= 1")
     rng = np.random.default_rng(seed)
     est = hyperbolicity_delta(model, 0, as_int(opts["delta_radius"]), budget=budget)
     C = overlap_constant(model, est.delta)
@@ -255,7 +260,8 @@ def _run_extend(model, mu, cfg, seed, budget):
                            "beta_grid": [0.9, 0.99, 0.999]})
     rep = extension_criteria(model, mu, as_float(opts["alpha"]), as_float(opts["p"]),
                              K=opts["K"] if opts["K"] is None else as_int(opts["K"]),
-                             beta_grid=[as_float(b) for b in as_list(opts["beta_grid"])])
+                             beta_grid=[as_float(b) for b in as_list(opts["beta_grid"])],
+                             budget=budget)
     rows = [("k", "cond2_ratio", "cond3_partial")]
     for (k, r2), (_, r3) in zip(rep.cond2_trace, rep.cond3_partials):
         rows.append((k, r2, r3))
@@ -264,7 +270,7 @@ def _run_extend(model, mu, cfg, seed, budget):
 
 def _run_band(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "K": 8, "k_min": 1})
-    growth = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]))
+    growth = growth_stats(model, as_int(opts["K"]), k_min=as_int(opts["k_min"]), budget=budget)
     band = threshold_band(growth, as_float(opts["q"]), as_float(opts["p"]))
     return band, "pass", True, {}, opts
 
@@ -272,7 +278,7 @@ def _run_band(model, mu, cfg, seed, budget):
 def _run_certify(model, mu, cfg, seed, budget):
     opts = take_keys(cfg, {"q": REQUIRED, "p": REQUIRED, "alpha": None, "K": None,
                            "growth_K": 8, "delta_radius": 3, "witness_cap": 400})
-    growth = growth_stats(model, as_int(opts["growth_K"]))
+    growth = growth_stats(model, as_int(opts["growth_K"]), budget=budget)
     cert = certificate(model, mu, growth, as_float(opts["q"]), as_float(opts["p"]),
                        alpha=None if opts["alpha"] is None else as_float(opts["alpha"]),
                        K=None if opts["K"] is None else as_int(opts["K"]),
@@ -351,7 +357,6 @@ def main(argv=None) -> int:
             "results": results,
             "verdict": verdict,
         }
-        # an integer past Python's 4,300-digit str limit raises ValueError here
         _write_report(report, tables, args.out)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,14 @@
-"""Shared exception types."""
+"""Shared exception types.  A ``Refusal`` or ``BudgetError`` is an input
+refused on purpose (CLI exit 2); any other exception is a fault."""
 import math
 
 
-class ModelError(ValueError):
+class Refusal(ValueError):
+    """An input refused on purpose: the base of every refusal type here but
+    ``BudgetError``, a RuntimeError."""
+
+
+class ModelError(Refusal):
     """Invalid model data: bad tables, non-bijective actions, malformed words."""
 
 
@@ -39,17 +45,18 @@ def charge(what: str, required: int | None, unit: str, budget, log10: float | No
                       required=required, budget=budget)
 
 
-class KernelDomainError(ValueError):
+class KernelDomainError(Refusal):
     """Kernel evaluated outside its stated domain (table kernels only)."""
 
 
-class KernelPositivityError(ValueError):
+class KernelPositivityError(Refusal):
     """Kernel failed a positive-semidefiniteness requirement."""
 
 
-class GrowthHypothesisError(ValueError):
+class GrowthHypothesisError(Refusal):
     """Fiber growth is subexponential or unstable; threshold analysis undefined."""
 
 
-class PreconditionError(ValueError):
-    """Input violates a stated support/size precondition of a check."""
+class PreconditionError(Refusal):
+    """Input violates a stated precondition: a parameter out of its range, a
+    support or size requirement, or values that leave the float range."""

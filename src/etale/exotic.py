@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import GrowthHypothesisError
-from .metric import (GrowthReport, exact_sphere_ratio, hyperbolicity_delta,
+from .errors import GrowthHypothesisError, PreconditionError
+from .metric import (GrowthReport, charge_radii, exact_sphere_ratio, hyperbolicity_delta,
                      overlap_constant)
 from .model import FreeGroup, GroupoidModel, MeasureContext
 
@@ -31,7 +31,7 @@ def phi_chi_lp(model: GroupoidModel, mu: MeasureContext, alpha: float,
     """Closed form ``alpha^k |sphere_k|^(1/p)`` for the p-norm of
     ``alpha^length`` cut to the length-k sphere (unit weights sum to 1)."""
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise PreconditionError("alpha must lie in (0, 1]")
     count = model.sphere_count(k)
     if count == 0:
         return 0.0
@@ -57,19 +57,21 @@ class ExtensionReport:
 
 def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
                        p: float, K: int | None = None,
-                       beta_grid=DEFAULT_BETA_GRID) -> ExtensionReport:
+                       beta_grid=DEFAULT_BETA_GRID, budget=None) -> ExtensionReport:
     """Evaluate the equivalent summability criteria for the state of
-    ``alpha^length`` on the p-completion and certify a verdict."""
+    ``alpha^length`` on the p-completion and certify a verdict; K is charged
+    by ``charge_radii`` before any count is formed."""
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise PreconditionError("p must be >= 2")
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise PreconditionError("alpha must lie in (0, 1]")
     if not all(0 < beta <= 1 for beta in beta_grid):
-        raise ValueError("every beta must lie in (0, 1]")
+        raise PreconditionError("every beta must lie in (0, 1]")
     if K is None:
         K = default_truncation(model)
     if K < 0:
-        raise ValueError("truncation K must be >= 0")
+        raise PreconditionError("truncation K must be >= 0")
+    charge_radii(model, "extension series", K, budget)
     counts = [model.sphere_count(k) for k in range(K + 1)]
 
     cond2, cond3 = [], []
@@ -84,7 +86,7 @@ def extension_criteria(model: GroupoidModel, mu: MeasureContext, alpha: float,
         except OverflowError:
             total = math.inf
         if total == math.inf:
-            raise ValueError(f"the extension series leave the float range at k={k}; lower K")
+            raise PreconditionError(f"the extension series leave the float range at k={k}; lower K")
         cond3.append((k, total))
     cond2_sup = max(v for _, v in cond2)
 
@@ -143,7 +145,7 @@ def threshold_band(growth: GrowthReport, q: float, p: float) -> ThresholdBand:
     """Band of decay bases separating the q- and p-completion behavior,
     from the stabilized sphere-count ratio of a growth report."""
     if not 2 <= q <= p:
-        raise ValueError("need 2 <= q <= p")
+        raise PreconditionError("need 2 <= q <= p")
     if growth.subexponential or not growth.ratio_stabilized or growth.sphere_ratio <= 1:
         raise GrowthHypothesisError(
             "threshold band needs certified exponential fiber growth "
@@ -166,8 +168,10 @@ def witness_ratio(model: GroupoidModel, mu: MeasureContext, alpha: float,
 
 
 def witness_first_crossing(model: GroupoidModel, mu: MeasureContext, alpha: float,
-                           p: float, C: float, k_cap: int = 400) -> int | None:
-    """Smallest k with witness ratio above 1, scanned up to ``k_cap``."""
+                           p: float, C: float, k_cap: int = 400, budget=None) -> int | None:
+    """Smallest k with witness ratio above 1, scanned up to ``k_cap``, which
+    is charged by ``charge_radii`` first."""
+    charge_radii(model, "witness scan", k_cap, budget)
     for k in range(k_cap + 1):
         if witness_ratio(model, mu, alpha, p, k, C) > 1.0:
             return k
@@ -200,9 +204,10 @@ def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,
                 K: int | None = None, delta_radius: int = 3,
                 witness_cap: int = 400, budget=None) -> Certificate:
     """Assemble the two-sided certificate at ``alpha`` (default: the
-    band's sample point).  ``budget`` bounds the delta ball's elements."""
+    band's sample point).  ``budget`` bounds the delta ball's elements and
+    the radii of the extension series and the witness scan."""
     if witness_cap < 0:
-        raise ValueError("witness_cap must be >= 0")
+        raise PreconditionError("witness_cap must be >= 0")
     band = threshold_band(growth, q, p)
     if alpha is None:
         if band.sample_alpha is None:
@@ -213,9 +218,9 @@ def certificate(model: GroupoidModel, mu: MeasureContext, growth: GrowthReport,
     est = hyperbolicity_delta(model, 0, delta_radius, budget=budget)
     C = overlap_constant(model, est.delta)
 
-    extends = extension_criteria(model, mu, alpha, p, K=K)
-    fails = extension_criteria(model, mu, alpha, q, K=K)
-    crossing = witness_first_crossing(model, mu, alpha, q, C, k_cap=witness_cap)
+    extends = extension_criteria(model, mu, alpha, p, K=K, budget=budget)
+    fails = extension_criteria(model, mu, alpha, q, K=K, budget=budget)
+    crossing = witness_first_crossing(model, mu, alpha, q, C, k_cap=witness_cap, budget=budget)
     ks = sorted({0, 10, 20, 30, 40, 50, 60, *(x for x in (crossing,) if x is not None)})
     witness_rows = [(k, witness_ratio(model, mu, alpha, q, k, C)) for k in ks]
 

@@ -25,8 +25,9 @@ import numpy as np
 
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
-                     PreconditionError)
-from .model import REQUIRED, GroupoidElement, GroupoidModel, as_float, as_int, as_list, take_keys
+                     PreconditionError, charge)
+from .model import (DEFAULT_ENUMERATION_BUDGET, REQUIRED, GroupoidElement, GroupoidModel, as_float,
+                    as_int, as_list, take_keys)
 
 
 class RadialKernel:
@@ -207,7 +208,7 @@ def gns_build(model: GroupoidModel, kernel, u: int, k: int,
     """Gram data of the radius-k ball at unit ``u``, k >= 0; raises if the
     kernel is not positive semidefinite there."""
     if k < 0:
-        raise ValueError("GNS radius k must be >= 0")
+        raise PreconditionError("GNS radius k must be >= 0")
     basis = model.ball(u, k, budget=budget)
     gram = gram_matrix(model, kernel, basis)
     eigenvalues = np.linalg.eigvalsh(gram)
@@ -260,7 +261,12 @@ class HaagerupReport:
     passed: bool
 
 
-def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> HaagerupReport:
+# exp(-x) underflows to 0.0 from about x = 745.13 on
+EXP_UNDERFLOW = 746
+
+
+def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
+                           budget=None) -> HaagerupReport:
     """Witness properties of the kernels ``exp(-length/n)``:
 
     * value exactly 1 on every unit;
@@ -270,29 +276,38 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list) -> Ha
 
     F is radial and every fiber has the same spheres, nonempty up to the
     diameter, so each check reads F once per sphere: no ball is enumerated,
-    no budget applies, and every non-vacuous row is ``spot_checked`` at
-    ``radius + 1``.  Every list must be nonempty, every eps lie in (0, 1],
-    every k be an integer >= 0 and every ``n log(1/eps)`` be finite.
+    and every non-vacuous row is ``spot_checked`` at ``radius + 1``.  Each
+    sup reads F at the lengths 0..min(k, diameter), up to where F underflows
+    to 0.0, near length 745 n; their total is charged to ``budget`` (None:
+    the enumeration default) before any is read.  Every list must be
+    nonempty, every eps lie in (0, 1], every k be an integer >= 0 and every
+    ``n log(1/eps)`` be finite.
     """
     n_list = sorted(as_float(n) for n in as_list(n_list))
     k_list = [as_int(k) for k in as_list(k_list)]
     eps_list = [as_float(eps) for eps in as_list(eps_list)]
     if not (n_list and k_list and eps_list):
-        raise ValueError("n_list, k_list and eps_list must each be nonempty")
+        raise PreconditionError("n_list, k_list and eps_list must each be nonempty")
     if not all(0 < eps <= 1 for eps in eps_list):
-        raise ValueError("every eps must lie in (0, 1]")
+        raise PreconditionError("every eps must lie in (0, 1]")
     if not all(k >= 0 for k in k_list):
-        raise ValueError("every k must be >= 0")
+        raise PreconditionError("every k must be >= 0")
     if not all(math.isfinite(n * math.log(1.0 / eps)) for n in n_list for eps in eps_list):
-        raise ValueError("every vanishing radius n log(1/eps) must be a finite float")
+        raise PreconditionError("every vanishing radius n log(1/eps) must be a finite float")
+    max_radius = model.backend.max_radius
+    k_effs = [k if max_radius is None else min(k, max_radius) for k in k_list]
+    # a scan stops near EXP_UNDERFLOW * n, which may be inf: it is compared
+    # with k before it is rounded
+    reads = sum(1 + (k if k <= EXP_UNDERFLOW * n else math.ceil(EXP_UNDERFLOW * n))
+                for n in n_list for k in k_effs)
+    charge("Haagerup sup scan", reads, "lengths",
+           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
     unit_rows, deviation_rows, vanishing_rows = [], [], []
     sups: dict[tuple, float] = {}
-    max_radius = model.backend.max_radius
     for n in n_list:
         kern = HaagerupKernel(n)
         unit_rows.append({"n": n, "ok": kern.at_length(0) == 1.0})
-        for k in k_list:
-            k_eff = k if max_radius is None else min(k, max_radius)
+        for k, k_eff in zip(k_list, k_effs):
             measured = 0.0
             for j in range(k_eff + 1):  # from the first F(j) that underflows, |1 - F| is 1.0
                 measured = max(measured, abs(1 - (value := kern.at_length(j))))

@@ -10,6 +10,7 @@ across units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .algebra import CcFunction, convolve
 from .errors import GrowthHypothesisError, NonComposableError, PreconditionError, charge
-from .model import FreeGroup, GroupoidElement, GroupoidModel
+from .model import DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidElement, GroupoidModel
 
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
 
@@ -89,10 +90,30 @@ def _sign(count: int, c: float, r: float, k: int) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def growth_stats(model: GroupoidModel, K: int, k_min: int = 1) -> GrowthReport:
-    """Growth data of the fibers up to radius K with certified envelopes."""
+def charge_radii(model: GroupoidModel, what: str, K: int, budget=None) -> None:
+    """Refuse ``what``, a scan of the exact sphere counts of radii 0..K, before
+    any count is formed: past ``budget`` (None: the enumeration default)
+    radii, or where the ball count of radius K has more digits than Python
+    prints (``sys.get_int_max_str_digits()``, 0 for no limit).  That count is
+    formed only where ``K log10(q)`` is within the limit, q = 2 rank - 1 on a
+    free backend, so it has about that many digits at most, and it is compared
+    with ``10 ** limit`` only past ``2 ** (3.32 limit)``, just below that."""
+    charge(f"{what} of radius {K}", K + 1, "radii",
+           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    q = 2 * model.backend.rank - 1 if isinstance(model.backend, FreeGroup) else 1
+    if limit and (q > 1 and K > limit / math.log10(q) or (
+            (count := model.ball_count(K)).bit_length() > 3.32 * limit and count >= 10 ** limit)):
+        raise PreconditionError(f"the ball count of radius {K} has more than {limit} digits, "
+                                "past Python's limit for printing an integer")
+
+
+def growth_stats(model: GroupoidModel, K: int, k_min: int = 1, budget=None) -> GrowthReport:
+    """Growth data of the fibers up to radius K with certified envelopes;
+    K is charged by ``charge_radii`` before any count is formed."""
     if not 1 <= k_min < K:
-        raise ValueError("need 1 <= k_min < K")
+        raise PreconditionError("need 1 <= k_min < K")
+    charge_radii(model, "growth table", K, budget)
     spheres = [model.sphere_count(k) for k in range(K + 1)]
     if not any(spheres[k_min:]):
         raise GrowthHypothesisError(f"no sphere of radius {k_min}..{K} is nonempty: the fibers "
@@ -149,7 +170,7 @@ def distance_matrix(model: GroupoidModel, points) -> np.ndarray:
     int16; distances above 16,383 are refused, so sums of two fit too."""
     D = model.backend.pair_lengths([[g.word for g in points]])[0]
     if D.max(initial=0) > 16_383:
-        raise ValueError("distances above 16383 do not fit the int16 metric")
+        raise PreconditionError("distances above 16383 do not fit the int16 metric")
     return D.astype(np.int16)
 
 
@@ -190,7 +211,7 @@ def hyperbolicity_delta(model: GroupoidModel, u: int, radius: int,
     ``quadruples = (n(n+1)/2)^2`` tuples, charged to ``quad_budget`` from
     ``ball_count`` before the ball is enumerated; ``budget`` bounds its size."""
     if radius < 0:
-        raise ValueError("delta radius must be >= 0")
+        raise PreconditionError("delta radius must be >= 0")
     tree = isinstance(model.backend, FreeGroup)
     if tree:
         model._charge(radius, budget, u)
@@ -208,7 +229,7 @@ def overlap_constant(model: GroupoidModel, delta: float) -> int:
     """Ball count at radius ``ceil(2*delta + 1)``: bounds how many elements
     of a fiber can sit in a common thin neighborhood."""
     if delta < 0:
-        raise ValueError("delta must be >= 0")
+        raise PreconditionError("delta must be >= 0")
     radius = math.ceil(2 * delta + 1)
     return int(model.ball_count(radius))
 
@@ -240,7 +261,7 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     """
     model = f.model
     if k < 0 or n < 0:
-        raise ValueError("band check needs sphere radii k, n >= 0")
+        raise PreconditionError("band check needs sphere radii k, n >= 0")
     model.unit_element(u)  # range-checks u
     for x in f.support():
         if model.length(x) != k:

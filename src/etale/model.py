@@ -255,14 +255,15 @@ class FiniteGroup:
     """
 
     def __init__(self, table, generators: Sequence[int]):
-        table = np.array([[as_int(x) for x in row] for row in table], dtype=np.int64)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        rows = [[as_int(x) for x in row] for row in table]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ModelError("multiplication table must be square")
-        n = table.shape[0]
         if n < 1 or n > MAX_FINITE_ORDER:
             raise ModelError(f"finite group order must be in 1..{MAX_FINITE_ORDER}")
-        if table.min() < 0 or table.max() >= n:
+        if not all(0 <= x < n for row in rows for x in row):
             raise ModelError("table entries out of range")
+        table = np.array(rows, dtype=np.int64)
         # associativity, row by row to bound memory
         for i in range(n):
             if not np.array_equal(table[table[i]], table[i][table]):
@@ -364,7 +365,11 @@ Backend = Union[FreeGroup, FiniteGroup]
 
 
 def _check_perm(perm, units: int) -> list[int]:
-    p = [int(x) for x in perm]
+    perm = as_list(perm)
+    try:
+        p = [int(x) for x in perm]
+    except (TypeError, ValueError, OverflowError):  # an entry that is not a number
+        p = None
     if p != list(perm) or sorted(p) != list(range(units)):
         raise ModelError(f"action entry {perm!r} is not a permutation of {units} units")
     return p
@@ -383,7 +388,7 @@ class GroupoidModel:
             raise ModelError("unit space must be nonempty")
         self.backend = backend
         self.units = units
-        self.action = [_check_perm(p, units) for p in action]
+        self.action = [_check_perm(p, units) for p in as_list(action)]
         gens = backend.given_generators
         if len(self.action) != len(gens):
             raise ModelError(f"expected {len(gens)} action permutations, got {len(self.action)}")
@@ -540,6 +545,8 @@ def model_from_dict(data: dict) -> GroupoidModel:
         action = data["action"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ModelError(f"backend must be a JSON object, got {spec!r}")
     if "free" in spec:
         backend: Backend = FreeGroup(as_int(spec["free"]))
     elif "finite" in spec:
@@ -559,7 +566,8 @@ def read_json(path):
     """Parse the JSON input file at ``path``; every input file is read here.
     NaN, ±Infinity and numbers past the float range such as ``1e999`` raise
     ModelError, so every number read is finite; so does nesting deeper than
-    the parser's recursion limit."""
+    the parser's recursion limit, text that is not JSON, or bytes that are
+    not UTF-8."""
     def finite(text: str) -> float:
         x = float(text)
         if not math.isfinite(x):
@@ -570,6 +578,8 @@ def read_json(path):
             return json.load(fh, parse_float=finite, parse_constant=finite)
         except RecursionError:
             raise ModelError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ModelError(f"{path}: {exc}") from None
 
 
 def load_model(path) -> GroupoidModel:

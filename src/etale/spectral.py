@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
-from .errors import BudgetError, charge
+from .errors import BudgetError, PreconditionError, charge
 from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, MeasureContext,
                     as_int, as_list)
 
@@ -139,7 +139,7 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
     its ends until the larger in modulus stalls; then ``_tridiagonal_top``
     solves that end, of T_k or -T_k, and one more ``_sturm`` pass shows that
     the other end does not pass it, or that end is solved.  Overflow in the
-    recurrence raises ValueError."""
+    recurrence raises PreconditionError."""
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
@@ -177,7 +177,7 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
                 w /= beta
                 v_prev, v = v, w
     except FloatingPointError as exc:
-        raise ValueError("the coefficients of f overflow float64 in the Lanczos "
+        raise PreconditionError("the coefficients of f overflow float64 in the Lanczos "
                          f"recurrence ({exc})") from None
     return top, max_iter, residual, False
 
@@ -186,7 +186,7 @@ def _dense_matrix(op, hermitian: bool):
     """A = M (``hermitian``) or ``M^H M`` for the dense M of the operator
     ``op``, one per unit for a stack of labels: one fancy-index add per word
     of f into an (n, n + 1) array, whose pad column n is then dropped.  An A
-    that overflows float64 raises ValueError."""
+    that overflows float64 raises PreconditionError."""
     cols, vals = op
     n = cols.shape[1]
     M = np.zeros((*vals.shape[1:-1], n, n + 1), dtype=np.result_type(vals, float))
@@ -197,7 +197,7 @@ def _dense_matrix(op, hermitian: bool):
         M = M[..., :n]
         A = M if hermitian else M.conj().swapaxes(-1, -2) @ M
     if not np.isfinite(A).all():
-        raise ValueError(DENSE_OVERFLOW)
+        raise PreconditionError(DENSE_OVERFLOW)
     return A
 
 
@@ -205,14 +205,14 @@ def _dense(A, tol: float, index=None):
     """The ``_lanczos`` tuple with 0 steps for one eigenpair of the dense
     Hermitian A from ``eigh``: the one at ``index`` in ascending order, or
     the one of largest modulus.  A finite A near the float64 limit can still
-    overflow the eigenvalue or residual, which raises ValueError."""
+    overflow the eigenvalue or residual, which raises PreconditionError."""
     thetas, ys = np.linalg.eigh(A)
     i = int(np.argmax(np.abs(thetas))) if index is None else index
     theta, y = float(thetas[i]), ys[:, i]
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.linalg.norm(A @ y - theta * y))
     if not math.isfinite(theta + residual):
-        raise ValueError(DENSE_OVERFLOW)
+        raise PreconditionError(DENSE_OVERFLOW)
     return abs(theta), 0, residual, residual <= tol * max(1.0, abs(theta))
 
 
@@ -247,11 +247,11 @@ def _truncation_ladder(L: int, ladder) -> list[int]:
     if ladder is not None:
         out = sorted({as_int(x) for x in as_list(ladder)})
         if not out or out[-1] != L:
-            raise ValueError("ladder must be nonempty and end at L")
+            raise PreconditionError("ladder must be nonempty and end at L")
     else:
         out = sorted({min(x, L) for x in DEFAULT_LADDER} | {L})
     if out[0] < 0:
-        raise ValueError("truncation radii must be >= 0")
+        raise PreconditionError("truncation radii must be >= 0")
     return out
 
 
@@ -345,7 +345,7 @@ class _Solves:
         theta = np.abs(np.linalg.eigvalsh(A)).max(axis=1)
         value = theta if hermitian else np.sqrt(theta)
         if not np.isfinite(value).all():  # a finite A whose top eigenvalue overflows
-            raise ValueError(DENSE_OVERFLOW)
+            raise PreconditionError(DENSE_OVERFLOW)
         best = float(value.max())
         return [u for u, v in zip(units, value.tolist()) if v >= best - 1e-9 * max(1.0, best)]
 
@@ -375,7 +375,8 @@ class _Quotient:
             # S >= 0: S y is finite for every unit y when the row sums are
             if not (np.isfinite(radial_convolve(bands, np.ones(L + 1))).all()
                     and math.isfinite(limit)):
-                raise ValueError("the coefficients of f overflow float64 in the sphere quotient")
+                raise PreconditionError(
+                    "the coefficients of f overflow float64 in the sphere quotient")
         self.bands, self.limit, self.ladder, self.tol = bands, limit, ladder, tol
 
     def rung(self, r: int, units):
@@ -404,7 +405,7 @@ def _solver(f: CcFunction, L: int, ladder, max_iter: int, tol: float, seed: int,
     """The shared solves of ``f``: the sphere quotient when f is radial with
     real coefficients >= 0 on a free backend, dense or Lanczos otherwise."""
     if not (tol >= 0 and max_iter >= 1):
-        raise ValueError(f"tol must be >= 0 and max_iter >= 1, got {tol} and {max_iter}")
+        raise PreconditionError(f"tol must be >= 0 and max_iter >= 1, got {tol} and {max_iter}")
     ladder = _truncation_ladder(L, ladder)
     profile = radial_profile_of(f)
     if profile and all(not isinstance(c, complex) and c >= 0 for c in profile):
@@ -535,11 +536,11 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     radius R = 2^(n_max+1) K (K = ``len(profile) - 1``) no power passes: j
     renormalized banded products, whose (R+1)(2K+1) multiply-adds each are
     charged to ``budget`` before any band is built.  Any other f squares h
-    by sparse convolution, each square charged on its own.  ValueError for an
-    n_max past 1022, as 2^(n_max+1) then leaves the float range, and for a
-    norm of h_n that is not a finite float."""
+    by sparse convolution, each square charged on its own.  PreconditionError
+    for an n_max past 1022, as 2^(n_max+1) then leaves the float range, and
+    for a norm of h_n that is not a finite float."""
     if not 1 <= n_max <= 1022:
-        raise ValueError("n_max must lie in 1..1022")
+        raise PreconditionError("n_max must lie in 1..1022")
     profile = radial_profile_of(f)
     entries = []
     if profile is not None:
@@ -554,7 +555,7 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                 y = radial_convolve(bands, y)
                 norm = float(np.linalg.norm(y))
                 if not math.isfinite(norm):
-                    raise ValueError(POWER_OVERFLOW)
+                    raise PreconditionError(POWER_OVERFLOW)
                 logs.append(math.log(norm) if norm else -math.inf)  # norm 0 only when f = 0
                 y /= norm or 1.0
                 y[abs(y) < np.finfo(float).tiny] = 0  # subnormal tails: no digit, much time
@@ -574,7 +575,7 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
         except OverflowError:  # a |v| ** 2 past the float range
             norm = math.inf
         if not math.isfinite(norm):
-            raise ValueError(POWER_OVERFLOW)
+            raise PreconditionError(POWER_OVERFLOW)
         entries.append((n, norm ** (1.0 / (2 * 2 ** n))))
     return PowerSeq(entries=entries, n_max=n_max, method="sparse")
 
@@ -605,9 +606,9 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
     indicator)``: any truncated lower estimate must stay below
     ``2 C (k+1) |f|_q``."""
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise PreconditionError("p must be >= 2")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise PreconditionError("k must be >= 0")
     q = p / (p - 1.0)
     f = length_weighted(model, alpha, k, budget=budget)
     est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget, seed=seed)

@@ -407,6 +407,8 @@ def test_usage_errors_exit_two(files, capsys):
     # read as a zero entry
     entry_file = files["root"] / "misspelt_entries.json"
     entry_file.write_text('[{"unit": 0, "word": "a", "re": 1.0, "imag": 2.0}]')
+    zero_file = files["root"] / "zero_entries.json"
+    zero_file.write_text("0")
     for op, model, bad, message in (
             ("norm", "f2", {"function": [{"unit": 0, "word": "a", "rex": 2.0}], "L": 3},
              "unknown function entry keys ['rex']"),
@@ -430,6 +432,10 @@ def test_usage_errors_exit_two(files, capsys):
             ("pdcheck", "z6", {"kernel": {"table": {"entries": [], "raduis": 2}}},
              "unknown config keys: ['raduis']"),
             ("pdcheck", "z6", {"kernel": {"table": []}}, "expected a JSON object, got []"),
+            # function entries, in a table kernel or a file, are a list
+            ("gns", "f2", {"kernel": {"table": {"entries": 0}}}, "expected a JSON list, got 0"),
+            ("norm", "f2", {"function": {"file": str(zero_file)}, "L": 3},
+             "expected a JSON list, got 0"),
             # a table kernel too small for the random pool: the first size
             # group evaluated, that of the first tuple drawn, names the length
             ("pdcheck", "f2", {"kernel": {"table": {"entries": [
@@ -553,6 +559,17 @@ BAD_INPUT = [
     ("function-unit-0.5", "norm", "f2", NORM_FILE, _entries("0.5"), "expected an integer, got 0.5"),
     ("config-L-3.7", "norm", "z", '{"L": 3.7, "ladder": [2.9, 3.7]}', None,
      "expected an integer, got 3.7"),
+    # model files whose shape is wrong: each is refused, not a TypeError
+    ("model-not-JSON", "growth", F2_MODEL[:-1], "{}", None, "Expecting ',' delimiter"),
+    ("model-backend-3", "growth", F2_MODEL.replace('{"free": 2}', "3"), "{}", None,
+     "backend must be a JSON object, got 3"),
+    ("model-action-0", "growth", F2_MODEL.replace("[[0], [0]]", "0"), "{}", None,
+     "expected a JSON list, got 0"),
+    ("model-action-x", "growth", F2_MODEL.replace("[[0], [0]]", '[["x"], [0]]'), "{}", None,
+     "is not a permutation of 1 units"),
+    ("model-table-ragged", "growth", '{"backend": {"finite": {"table": [[0, 1], [1]], '
+     '"generators": [1]}}, "units": 1, "action": [[0]]}', "{}", None,
+     "multiplication table must be square"),
 ]
 
 
@@ -646,13 +663,18 @@ def test_delta_on_free_models_charges_only_the_ball(files, capsys, monkeypatch):
 
 
 def test_growth_at_large_K_exits_without_traceback(files, capsys):
-    # the envelopes leave the float range at K = 550 on f2; from K = 9,100
-    # the counts pass Python's 4,300-digit int-to-str limit in the report
+    # the envelopes leave the float range at K = 550 on f2; from K = 9,012
+    # the ball count passes Python's 4,300-digit int-to-str limit, and K is
+    # refused before any count is formed
     assert main(["growth", "--model", files["f2"], "--out", str(files["root"] / "g"),
                  "--config", write_cfg(files, "growth", {"K": 550})]) == 0
+    start = time.perf_counter()
     assert main(["growth", "--model", files["f2"],
                  "--config", write_cfg(files, "growth", {"K": 9100})]) == 2
-    assert "error: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the ball count of radius 9100 has more than 4300 digits, "
+        "past Python's limit for printing an integer"]
 
 
 def test_bad_operation_exits_two(files):
@@ -722,16 +744,98 @@ def test_refusals_print_no_traceback(files):
              # ceil(n log(1/eps)) of an infinite float
              ("haagerup", "f2", {"n_list": [1e308]},
               "every vanishing radius n log(1/eps) must be a finite float")]
+    # loops refused from their length before any step, each within a second,
+    # where the f2 growth used to fail after 1.7 s and the others ran past 8 s
+    bounded = [("growth", "z6", {"K": 1e8},
+                "growth table of radius 100000000 needs 100000001 radii, budget is 5000000"),
+               ("growth", "f2", {"K": 9100},
+                "the ball count of radius 9100 has more than 4300 digits"),
+               ("extend", "z6", {"alpha": 0.5, "p": 2, "K": 1e8},
+                "extension series of radius 100000000 needs 100000001 radii"),
+               # no crossing: the witness ratios of alpha = 0.5 at q = 2 decay
+               ("certify", "f2", {"q": 2, "p": 4, "alpha": 0.5, "witness_cap": 1e9},
+                "witness scan of radius 1000000000 needs 1000000001 radii"),
+               ("haagerup", "z", {"n_list": [1e6], "k_list": [1e9]},
+                "Haagerup sup scan needs 746000001 lengths, budget is 5000000")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for op, model, cfg, message in cases:
+    for (op, model, cfg, message), timeout in ([(case, 10) for case in cases]
+                                               + [(case, 1) for case in bounded]):
         model = model if isinstance(model, Path) else files[model]
         cfg = cfg if isinstance(cfg, Path) else write_cfg(files, "refused", cfg)
         argv = [op, "--model", str(model), "--config", str(cfg)]
         proc = subprocess.run([sys.executable, "-m", "etale", *argv], capture_output=True,
-                              text=True, env=env, timeout=10)
+                              text=True, env=env, timeout=timeout)
         err = proc.stderr.splitlines()
         assert proc.returncode == 2 and len(err) == 1, (argv, proc.stderr[-300:])
         assert err[0].startswith("error:") and message in err[0]
+
+
+def test_faults_propagate_out_of_main(files, monkeypatch):
+    # only the refusals of errors.py and OSError exit 2: a builtin exception
+    # raised by a bug leaves main with its traceback
+    for fault in (KeyError("k"), TypeError("t"), ValueError("x")):
+        def handler(*args, fault=fault):
+            raise fault
+        monkeypatch.setitem(etale.cli.HANDLERS, "growth", handler)
+        with pytest.raises(type(fault)) as err:
+            main(["growth", "--model", files["f2"]])
+        assert err.value is fault
+
+
+EDGE_VALUES = [0, -1, 1, 2, 0.5, 1e-300, [], [0], {}, "x", None, True]
+# the required keys of the operations that have any
+REQUIRED_KEYS = {"extend": {"alpha": 0.5, "p": 2}, "band": {"q": 2, "p": 4},
+                 "certify": {"q": 2, "p": 4}}
+
+
+def _nested_configs(value, word):
+    """Configs that put ``value`` at each key nested in pdcheck's ``mode`` and
+    ``kernel`` and in a function spec; ``word`` is a word of the model."""
+    entry = {"unit": 0, "word": word, "re": 1.0}
+    for cfg in ({"mode": {"ball": value}}, {"mode": {"random": value}},
+                {"mode": {"ball": {"k": 1, "unit": value}}}, {"mode": {"ball": {"k": value}}},
+                *({"mode": {"random": {key: value}}} for key in ("count", "max_size", "max_len")),
+                *({"kernel": {key: value}} for key in ("exp_length", "haagerup", "table")),
+                {"kernel": {"table": {"entries": value}}},
+                {"kernel": {"table": {"entries": [entry], "radius": value}}},
+                *({"kernel": {"table": {"entries": [entry | {key: value}]}}}
+                  for key in ("unit", "word", "re", "im"))):
+        yield "pdcheck", cfg
+    for spec in ({"sphere": value}, {"sphere_weighted": value}, {"delta": value}, {"file": value},
+                 *({"sphere_weighted": {"alpha": 0.5, "k": 1, key: value}}
+                   for key in ("alpha", "k")),
+                 *({"delta": {"word": word, key: value}} for key in ("unit", "word", "re", "im")),
+                 *([entry | {key: value}] for key in ("unit", "word", "re", "im"))):
+        yield "norm", {"function": spec, "L": 2}
+
+
+def test_config_sweep_exits_through_refusals(files, tmp_path, monkeypatch, capsys):
+    # every operation's config keys, top-level and nested, at edge values on a
+    # free and two finite models: each run exits 0 or 1 with a report, or 2
+    # through a refusal, and raises nothing
+    take_keys, keys = etale.cli.take_keys, {}
+    for op in etale.cli.HANDLERS:  # each operation's keys, from its first take_keys
+        seen = []
+        monkeypatch.setattr(etale.cli, "take_keys",
+                            lambda obj, defaults: seen.append(defaults) or take_keys(obj, defaults))
+        main([op, "--model", files["f2"]])
+        keys[op] = list(seen[0])
+    monkeypatch.undo()
+    cfg_path, codes, faults = tmp_path / "config.json", {}, []
+    for model, word in (("f2", "a"), ("z6", 1), ("z2_swap", 1)):
+        runs = [(op, REQUIRED_KEYS.get(op, {}) | {key: value})
+                for op in keys for key in keys[op] for value in EDGE_VALUES]
+        runs += [run for value in EDGE_VALUES for run in _nested_configs(value, word)]
+        for op, cfg in runs:
+            cfg_path.write_text(json.dumps(cfg))
+            try:
+                code = main([op, "--model", files[model], "--config", str(cfg_path)])
+                codes[code] = codes.get(code, 0) + 1
+            except Exception as exc:  # collected, to name every faulty input at once
+                faults.append((op, model, cfg, repr(exc)))
+            capsys.readouterr()
+    assert faults == []
+    assert set(codes) == {0, 1, 2}
 
 
 def test_console_script_installed(files, tmp_path):

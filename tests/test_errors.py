@@ -1,4 +1,5 @@
-"""The one budget gate: ``errors.charge`` and where a BudgetError is built."""
+"""The one budget gate, ``errors.charge`` and where a BudgetError is built,
+and the refusal types of ``errors`` as the only deliberate raises."""
 import ast
 from pathlib import Path
 
@@ -50,3 +51,16 @@ def test_budget_errors_are_built_only_by_charge():
             sites.append((path.name, where, in_handler))
     assert sorted(sites) == [("errors.py", "charge", False),
                              ("spectral.py", "power_sequence_norm", True)]
+
+
+def test_every_refusal_raises_a_refusal_type():
+    # a bare ValueError reads as a fault, with its traceback: every deliberate
+    # refusal raises a type of errors.py, whose base Refusal is a ValueError
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            name = getattr(getattr(exc, "func", exc), "id", None)
+            if name == "ValueError":
+                sites.append((path.name, node.lineno))
+    assert sites == []
