@@ -12,7 +12,9 @@ ladder is solved: a seeded self-adjoint f on ``f2_32units``, and
 ``z2_swap``'s delta at unit 1, whose two units tie.  It also adds
 ``pdcheck``'s random mode at the benchmark's size on ``f2`` and ``z6``, the
 same draw with a unit-dependent table kernel on ``z2_swap``, ``gns`` at
-k = 3 on ``f2``, and the four operations that compute δ (``delta``,
+k = 3 on ``f2`` and ``f3``, ball-mode ``pdcheck`` of ``haagerup`` 2.0 at k = 3
+on ``f3`` (F₃'s root-stabilizer blocks repeat with other multiplicities than
+F₂'s), and the four operations that compute δ (``delta``,
 ``bandcheck``, ``normbound``, ``certify``) on ``f3``, F₃ on one unit.
 
 A change that alters a report on purpose rewrites the goldens with
@@ -82,6 +84,9 @@ EXTRA = {
     "pdcheck-random-z6": ("pdcheck", "z6", {"kernel": {"exp_length": 0.6}, "mode": RANDOM}),
     "pdcheck-random-z2_swap-table": ("pdcheck", "z2_swap", {"kernel": SWAP_TABLE, "mode": RANDOM}),
     "gns-f2-k3": ("gns", "f2", {"k": 3}),
+    "gns-f3": ("gns", "f3", {"k": 3}),
+    "pdcheck-f3": ("pdcheck", "f3", {"kernel": {"haagerup": 2.0},
+                                     "mode": {"ball": {"unit": 0, "k": 3}}}),
 }
 # the four operations that compute delta, on a free group of rank 3, where
 # delta is 0 by theorem
