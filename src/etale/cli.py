@@ -32,8 +32,8 @@ from .algebra import (CcFunction, function_from_json, length_weighted,
                       load_function, sphere_indicator)
 from .errors import BudgetError, ModelError, PreconditionError, Refusal
 from .exotic import certificate, extension_criteria, threshold_band
-from .kernels import (gns_build, gns_isometry_defect, haagerup_witness_check,
-                      gram_stack, kernel_from_json, psd_check, psd_results)
+from .kernels import (PsdResult, ball_spectrum, gns_build, gns_isometry_defect,
+                      gram_stack, haagerup_witness_check, kernel_from_json, psd_results)
 from .metric import (DEFAULT_QUADRUPLE_BUDGET, band_check, growth_stats, hyperbolicity_delta,
                      overlap_constant)
 from .model import (REQUIRED, GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int,
@@ -123,8 +123,10 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         k = as_int(ball["k"])
         if k < 0:
             raise PreconditionError("pdcheck ball radius k must be >= 0")
-        elements = model.ball(as_int(ball["unit"]), k, budget=budget)
-        results = [psd_check(model, kern, elements, tol=as_float(opts["tol"]))]
+        eigenvalues, _ = ball_spectrum(model, kern, as_int(ball["unit"]), k, budget)
+        min_eig = float(eigenvalues[0])
+        results = [PsdResult(size=len(eigenvalues), min_eig=min_eig,
+                             passed=min_eig >= -as_float(opts["tol"]))]
     elif "random" in mode:
         r = take_keys(mode["random"], {"count": 100, "max_size": 10, "max_len": 4})
         count, max_size, max_len = (as_int(r[key]) for key in ("count", "max_size", "max_len"))
@@ -132,23 +134,23 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
             raise PreconditionError(
                 "pdcheck random mode needs count, max_size >= 1 and max_len >= 0")
         rng = np.random.default_rng(seed)
-        # every fiber's ball has the same words: read them once
-        words = [g.word for g in model.ball(0, max_len, budget=budget)]
+        # every fiber's ball has the same tree: the drawn indices are its rows
+        tree = model.ball_tree(max_len, budget)
+        pool = model.ball_count(max_len)
         tol = as_float(opts["tol"])
-        # tuples drawn in batches whose Gram and letter arrays, about
-        # size * (size + longest word) entries a tuple, stay near STACK_ENTRIES;
-        # the ball is in tree order, so its last word is a longest one
-        size = min(max_size, len(words))
-        batch = max(1, STACK_ENTRIES // (size * (size + model.backend.length(words[-1]))))
+        # tuples drawn in batches whose Gram and pair-length arrays, about
+        # size * (size + longest word) entries a tuple, stay near STACK_ENTRIES
+        size, longest = min(max_size, pool), int(model.backend.tree_lengths(pool)[-1])
+        batch = max(1, STACK_ENTRIES // (size * (size + longest)))
         results = []
         for start in range(0, count, batch):
-            draws = _random_draws(rng, model.units, min(batch, count - start), max_size, len(words))
+            draws = _random_draws(rng, model.units, min(batch, count - start), max_size, pool)
             # one Gram stack and one eigvalsh per tuple size, in order of first draw
             checks = {}
             for size in dict.fromkeys(len(idx) for _, idx in draws):
                 picks = [i for i, (_, idx) in enumerate(draws) if len(idx) == size]
                 G = gram_stack(model, kern, [draws[i][0] for i in picks],
-                               [[words[j] for j in draws[i][1]] for i in picks])
+                               np.array([draws[i][1] for i in picks]), tree)
                 checks.update(zip(picks, psd_results(G, tol)))
             results += [checks[i] for i in range(len(draws))]
     else:
@@ -166,7 +168,7 @@ def _run_gns(model, mu, cfg, seed, budget):
     kern = kernel_from_json(model, opts["kernel"])
     u, k = as_int(opts["unit"]), as_int(opts["k"])
     data = gns_build(model, kern, u, k, null_tol=as_float(opts["null_tol"]), budget=budget)
-    worst = max((gns_isometry_defect(model, kern, x, k, budget=budget, data=data)
+    worst = max((gns_isometry_defect(model, kern, x, k, budget=budget)
                  for x in model.sphere(u, 1)), default=0.0)
     ok = worst <= as_float(opts["isometry_tol"])
     results = {"unit": u, "k": k, "dim": data.dim, "null_dim": data.null_dim,
@@ -214,7 +216,7 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
 
     f = random_sphere_function(k, bound_one=False)
     g = random_sphere_function(n, bound_one=True)
-    rep = band_check(f, g, k, n, u, C, tol=as_float(opts["tol"]))
+    rep = band_check(f, g, k, n, u, C, tol=as_float(opts["tol"]), budget=budget)
     rows = [("m", "l1_mass", "bound", "ok")] + [list(r) for r in rep.rows]
     results = vars(rep) | {"delta": est.delta}
     return results, "pass" if rep.passed else "fail", rep.passed, {"bandcheck": rows}, opts

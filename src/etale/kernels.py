@@ -8,9 +8,12 @@ such matrices is what "positive definite kernel" means here, and the
 induced inner product ``<d_a, d_b> = F(b^-1 a)`` turns finite balls
 into pre-Hilbert spaces on which left translation acts isometrically.
 
-Grams are built for stacks of same-size tuples and checked by one stacked
-``eigvalsh``, so ``pdcheck`` stacks its random tuples by size; ``gns``
-builds one ball Gram per run, as a radial kernel's is the same in every fiber.
+Grams are built for stacks of same-size tuples, of words or of ball-tree
+rows, and checked by one stacked ``eigvalsh``, so ``pdcheck`` stacks its
+random tuples by size.  A ball's Gram spectrum (``gns``, ball-mode
+``pdcheck``) comes from ``ball_spectrum``: for a radial kernel on a free
+backend from the root-stabilizer blocks of ``spectral.radial_ball_spectrum``,
+with no Gram built; otherwise from the dense Gram, charged before it is built.
 
 Table-kernel entries are read and written as function entries, by
 ``function_from_json`` and ``function_to_json``.
@@ -20,14 +23,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError, charge)
-from .model import (DEFAULT_ENUMERATION_BUDGET, REQUIRED, GroupoidElement, GroupoidModel, as_float,
-                    as_int, as_list, take_keys)
+from .model import (DEFAULT_ENUMERATION_BUDGET, REQUIRED, FreeGroup, GroupoidElement,
+                    GroupoidModel, as_float, as_int, as_list, take_keys)
+from .spectral import radial_ball_spectrum
 
 
 class RadialKernel:
@@ -130,18 +135,27 @@ def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
     return gram_stack(model, kernel, [u], [[g.word for g in elements]])[0]
 
 
-def gram_stack(model: GroupoidModel, kernel, units, stack) -> np.ndarray:
-    """Gram matrices, shape (tuples, size, size), of a stack of same-size word
-    tuples, tuple t in the range fiber at ``units[t]``.  A radial kernel is
-    evaluated once per word length up to the largest ``length(x_i^-1 x_j)``
-    and gathered through one ``pair_lengths`` of the whole stack; a table
-    kernel is looked up pair by pair."""
+def gram_stack(model: GroupoidModel, kernel, units, stack, tree=None) -> np.ndarray:
+    """Gram matrices, shape (tuples, size, size), of a stack of same-size
+    tuples, tuple t in the range fiber at ``units[t]``.  A tuple holds words,
+    or, in the index form, rows of ``tree``, a ball tree ``(parent, gen,
+    right)`` of ``model.ball_tree``: ``stack`` is then an integer array of
+    shape (tuples, size).  A radial kernel is evaluated once per word length
+    up to the largest ``length(x_i^-1 x_j)`` and gathered through one
+    pair-length table of the whole stack: the backend's ``pair_lengths`` of
+    the words, or its ``row_pair_lengths`` of the rows, which on a free
+    backend is their distance in the tree.  A table kernel is looked up pair
+    by pair, on the words of the rows in the index form."""
     backend = model.backend
     if isinstance(kernel, RadialKernel):
-        lengths = backend.pair_lengths(stack)
+        lengths = (backend.pair_lengths(stack) if tree is None
+                   else backend.row_pair_lengths(tree[0], stack))
         values = [kernel.at_length(k) for k in range(int(lengths.max(initial=0)) + 1)]
         return np.array(values, dtype=complex)[lengths]
-    n = len(stack[0]) if stack else 0
+    if tree is not None:
+        words = backend.tree_words(*tree[:2])
+        stack = [[words[i] for i in t] for t in stack.tolist()]
+    n = len(stack[0]) if len(stack) else 0
     G = np.zeros((len(stack), n, n), dtype=complex)
     for G_t, u, words in zip(G, units, stack):
         for row, a in zip(G_t, words):
@@ -174,20 +188,53 @@ def psd_results(G: np.ndarray, tol: float = 1e-9) -> list:
 
 # -- GNS data ---------------------------------------------------------------
 
+def ball_spectrum(model: GroupoidModel, kernel, u: int, k: int, budget=None):
+    """The eigenvalues, ascending and with multiplicity, of the Gram matrix of
+    the radius-k ball at unit ``u``, and that Gram matrix when it is built.
+    For an ``exp_length`` or ``haagerup`` kernel on a free backend the Gram is
+    left convolution by ``sum_l F(l) chi_l``, l <= 2k, on the ball, so its
+    spectrum is that of ``spectral.radial_ball_spectrum``'s blocks: the ball is
+    charged to ``budget`` but neither enumerated nor built, and the Gram is
+    None.  Otherwise its n^2 entries are charged to ``budget`` (None: the
+    enumeration default) before the ball is enumerated and the Gram built and
+    solved by ``eigvalsh``."""
+    model._charge(k, budget, u)
+    if isinstance(kernel, RadialKernel) and isinstance(model.backend, FreeGroup):
+        profile = [kernel.at_length(l).real for l in range(2 * k + 1)]
+        blocks = radial_ball_spectrum(model.backend.rank, profile, k)
+        return np.sort(np.concatenate([np.repeat(e, mult) for e, mult in blocks])), None
+    n = model.ball_count(k)
+    charge(f"Gram matrix of radius {k}", n * n, "entries",
+           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    gram = gram_matrix(model, kernel, model.ball(u, k))
+    return np.linalg.eigvalsh(gram), gram
+
+
 @dataclass
 class GnsData:
-    """Inner-product data of a kernel on a finite ball of one fiber."""
+    """Inner-product data of a kernel on the radius-``radius`` ball of one
+    fiber: its Gram spectrum, ascending with multiplicity.  ``basis`` (the
+    ball) and ``gram`` are built on first use when ``ball_spectrum`` took the
+    spectrum from blocks."""
 
+    model: GroupoidModel
+    kernel: object
     unit: int
     radius: int
-    basis: list
-    gram: np.ndarray
     eigenvalues: np.ndarray
     null_tol: float
 
+    @cached_property
+    def basis(self) -> list:
+        return self.model.ball(self.unit, self.radius)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return gram_matrix(self.model, self.kernel, self.basis)
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.eigenvalues)
 
     @property
     def null_dim(self) -> int:
@@ -205,37 +252,63 @@ class GnsData:
 def gns_build(model: GroupoidModel, kernel, u: int, k: int,
               null_tol: float = 1e-10, psd_tol: float = 1e-9,
               budget=None) -> GnsData:
-    """Gram data of the radius-k ball at unit ``u``, k >= 0; raises if the
-    kernel is not positive semidefinite there."""
+    """Gram data of the radius-k ball at unit ``u``, k >= 0, from
+    ``ball_spectrum``; raises if the kernel is not positive semidefinite
+    there."""
     if k < 0:
         raise PreconditionError("GNS radius k must be >= 0")
-    basis = model.ball(u, k, budget=budget)
-    gram = gram_matrix(model, kernel, basis)
-    eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues.size and eigenvalues[0] < -psd_tol:
+    eigenvalues, gram = ball_spectrum(model, kernel, u, k, budget)
+    if eigenvalues[0] < -psd_tol:
         raise KernelPositivityError(
             f"kernel has Gram eigenvalue {eigenvalues[0]:.3e} on the radius-{k} ball at unit {u}")
-    return GnsData(unit=u, radius=k, basis=basis, gram=gram,
+    data = GnsData(model=model, kernel=kernel, unit=u, radius=k,
                    eigenvalues=eigenvalues, null_tol=null_tol)
+    if gram is not None:
+        data.gram = gram
+    return data
+
+
+def _translate(model: GroupoidModel, tree, x: GroupoidElement, n: int) -> np.ndarray:
+    """The rows of ``x a`` for the first n rows a of ``tree`` (which must hold
+    them): x's own row, walked from the root, then by ``model.descend``
+    ``moved[i] = right[moved[parent[i]], gen[i]]``."""
+    parent, gen, right = tree
+    row = 0
+    for c in model.backend.spell(x.word):
+        row = right[row, c]
+    return model.descend(row, parent, gen, right.T, n)
 
 
 def gns_isometry_defect(model: GroupoidModel, kernel, x: GroupoidElement,
-                        k: int, budget=None, data: GnsData | None = None) -> float:
+                        k: int, budget=None) -> float:
     """Largest ``|F((x a)^-1 x b) - F(a^-1 b)|`` over a, b in the radius-k
     ball of the source fiber of ``x``: the Gram matrix of the translates
     against that of the ball, zero when left translation by ``x`` is an
-    exact isometry for the kernel's inner product on the truncation.  Only
-    the ball is enumerated (and charged to ``budget``).  ``data``, from
-    ``gns_build`` of the same kernel, lends its Gram when it is the ball's: at
-    radius k, and at x's source unit or for a radial kernel."""
+    exact isometry for the kernel's inner product on the truncation.  Both
+    are read on one ball tree of radius k + |x|, whose rows of the
+    translates ``_translate`` walks: no ball is enumerated and no product
+    formed.  A radial kernel compares F at the two pair-length tables, as
+    their Grams would; a table kernel builds both Grams by one
+    ``gram_stack`` in the index form.  The ball, then the 2 n^2 table
+    entries (None: the enumeration default), then the tree are charged to
+    ``budget`` before any is built."""
     source = model.source_unit(x)
-    domain = model.ball(source, k, budget=budget)
-    moved = [model.compose(x, a) for a in domain]
-    shared = data is not None and data.radius == k and (
-        data.unit == source or isinstance(kernel, RadialKernel))
-    gram = data.gram if shared else gram_matrix(model, kernel, domain)
-    defect = gram_matrix(model, kernel, moved) - gram
-    return float(np.max(np.abs(defect))) if defect.size else 0.0
+    model._charge(k, budget, source)
+    n = model.ball_count(k)
+    if not n:
+        return 0.0
+    charge(f"isometry defect of radius {k}", 2 * n * n, "entries",
+           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    tree = model.ball_tree(k + model.length(x), budget)
+    rows = np.stack([np.arange(n), _translate(model, tree, x, n)])
+    if isinstance(kernel, RadialKernel):  # both Grams gather F at their pair lengths
+        lengths = model.backend.row_pair_lengths(tree[0], rows).astype(np.intp)
+        values = np.array([kernel.at_length(l) for l in range(int(lengths.max()) + 1)],
+                          dtype=complex)
+        gap = np.abs(values[:, None] - values)  # |F(l) - F(l')| for every pair of lengths
+        return float(gap.ravel()[lengths[0] * len(values) + lengths[1]].max())
+    G = gram_stack(model, kernel, [source, x.unit], rows, tree)
+    return float(np.max(np.abs(G[1] - G[0])))
 
 
 def matrix_coeff_recovery(model: GroupoidModel, kernel, x: GroupoidElement,

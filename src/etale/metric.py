@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CcFunction, convolve
+from .algebra import CcFunction
 from .errors import GrowthHypothesisError, NonComposableError, PreconditionError, charge
 from .model import DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidElement, GroupoidModel
 
@@ -90,18 +90,26 @@ def _sign(count: int, c: float, r: float, k: int) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def charge_radii(model: GroupoidModel, what: str, K: int, budget=None) -> None:
+def charge_radii(model: GroupoidModel, what: str, K: int, budget=None,
+                 printed: bool = False) -> None:
     """Refuse ``what``, a scan of the exact sphere counts of radii 0..K, before
     any count is formed: past ``budget`` (None: the enumeration default)
-    radii, or where the ball count of radius K has more digits than Python
-    prints (``sys.get_int_max_str_digits()``, 0 for no limit).  That count is
-    formed only where ``K log10(q)`` is within the limit, q = 2 rank - 1 on a
-    free backend, so it has about that many digits at most, and it is compared
-    with ``10 ** limit`` only past ``2 ** (3.32 limit)``, just below that."""
-    charge(f"{what} of radius {K}", K + 1, "radii",
-           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    radii; when the counts are ``printed``, past ``budget`` digits of the
+    2 (K + 1) sphere and ball counts, about ``sum_k log10(count_k)``:
+    ``K (K + 1) log10 q`` on a free backend with q = 2 rank - 1 >= 3, else at
+    most ``log10 ball_count(K)`` a count; or where the ball count of radius K
+    has more digits than Python prints (``sys.get_int_max_str_digits()``, 0
+    for no limit).  That count is formed only where ``K log10(q)`` is within
+    the limit, and it is compared with ``10 ** limit`` only past
+    ``2 ** (3.32 limit)``, just below that."""
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    charge(f"{what} of radius {K}", K + 1, "radii", budget)
     q = 2 * model.backend.rank - 1 if isinstance(model.backend, FreeGroup) else 1
+    if printed:
+        digits = (K * (K + 1) * math.log10(q) if q > 1
+                  else 2 * (K + 1) * math.log10(model.ball_count(K)))
+        charge(f"{what} of radius {K}", math.ceil(digits), "digits", budget)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and (q > 1 and K > limit / math.log10(q) or (
             (count := model.ball_count(K)).bit_length() > 3.32 * limit and count >= 10 ** limit)):
         raise PreconditionError(f"the ball count of radius {K} has more than {limit} digits, "
@@ -110,10 +118,11 @@ def charge_radii(model: GroupoidModel, what: str, K: int, budget=None) -> None:
 
 def growth_stats(model: GroupoidModel, K: int, k_min: int = 1, budget=None) -> GrowthReport:
     """Growth data of the fibers up to radius K with certified envelopes;
-    K is charged by ``charge_radii`` before any count is formed."""
+    K and the digits of the counts are charged by ``charge_radii`` before any
+    count is formed."""
     if not 1 <= k_min < K:
         raise PreconditionError("need 1 <= k_min < K")
-    charge_radii(model, "growth table", K, budget)
+    charge_radii(model, "growth table", K, budget, printed=True)
     spheres = [model.sphere_count(k) for k in range(K + 1)]
     if not any(spheres[k_min:]):
         raise GrowthHypothesisError(f"no sphere of radius {k_min}..{K} is nonempty: the fibers "
@@ -251,13 +260,20 @@ class BandReport:
 
 
 def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
-               C: float, tol: float = 1e-9) -> BandReport:
+               C: float, tol: float = 1e-9, budget=None) -> BandReport:
     """Check that ``f * g`` vanishes outside word lengths ``|k-n| .. k+n``
     and that each length slice has range-fiber l1 mass at most
     ``C * |f|_l1`` on the fiber at ``u``.
 
     Preconditions: ``supp f`` inside the length-k sphere, ``supp g``
     inside the length-n sphere, ``|g| <= 1`` pointwise, with k, n >= 0.
+
+    ``f * g`` is summed on the rows of the radius-(k+n) ball tree, which
+    ``ball_tree`` charges to ``budget``: the row of a product ``x y`` is y's
+    letters walked through ``right`` from x's row.  Products are formed and
+    summed per element by ``bincount`` in ``convolve``'s order (f's elements,
+    each with g's of range its source), and the masses are read in the order
+    of each element's first product, so they are ``convolve``'s to the bit.
     """
     model = f.model
     if k < 0 or n < 0:
@@ -272,15 +288,47 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     if g.max_abs() > 1 + 1e-12:
         raise PreconditionError("g must be bounded by 1 in absolute value")
 
-    h = convolve(f, g)
+    _, _, right = model.ball_tree(k + n, budget)
+    units, spells, values = [], [], []
+    for h, steps in ((f, k), (g, n)):
+        units.append(np.array([x.unit for x in h.support()], dtype=np.int64))
+        spells.append(np.array([model.backend.spell(x.word) for x in h.support()],
+                               dtype=np.int64).reshape(len(h), steps))
+        values.append(np.array(list(h.data.values()), dtype=complex))
+    rows, sources = np.zeros(len(f), dtype=np.int64), units[0]
+    for col in spells[0].T:
+        rows, sources = right[rows, col], model.letter_perms[col, sources]
+    # the pairs (x, y), y of range source(x): x in f's order, then y in g's
+    by_range: dict = {}
+    for j, unit in enumerate(units[1].tolist()):
+        by_range.setdefault(unit, []).append(j)
+    x, y = np.array([(i, j) for i, unit in enumerate(sources.tolist())
+                     for j in by_range.get(unit, ())], dtype=np.int64).reshape(-1, 2).T
+    rows = rows[x]
+    for col in spells[1][y].T:
+        rows = right[rows, col]
+    # the products written out, as Python's complex product rounds them
+    a, b = values[0][x], values[1][y]
+    keys, first, which = np.unique(units[0][x] * len(right) + rows,
+                                   return_index=True, return_inverse=True)
+    re = np.bincount(which, a.real * b.real - a.imag * b.imag, len(keys))
+    im = np.bincount(which, a.real * b.imag + a.imag * b.real, len(keys))
+    order = np.argsort(first)
+    unit_of, row_of = np.divmod(keys[order], len(right))
+    # a free tree's outside row is past L
+    length_of = model.backend.tree_lengths(len(right))[row_of]
     lo, hi = abs(k - n), k + n
-    # one pass over h, in its order, so each mass is ``h.length_slice(m).fiber_l1(u)``
+    # one pass over f * g in convolve's order, so each mass is
+    # ``h.length_slice(m).fiber_l1(u)`` of ``h = convolve(f, g)``
     outside, slices = [], {m: [] for m in range(lo, hi + 1)}
-    for x, v in h.items():
-        m = model.length(x)
+    for *v, unit, m in zip(re[order].tolist(), im[order].tolist(), unit_of.tolist(),
+                           length_of.tolist()):
+        v = complex(*v)
+        if v == 0:  # convolve drops a sum of 0
+            continue
         if not lo <= m <= hi:
             outside.append(abs(v))
-        elif x.unit == u:
+        elif unit == u:
             slices[m].append(abs(v))
     outside = sum(outside)
     bound = C * f.fiber_l1(u)

@@ -16,6 +16,9 @@ cache and no walk table: free words in length-lexicographic order with the
 letter order ``a < A < b < B < ...``, finite elements in breadth-first
 discovery order.
 Both go sphere by sphere, so a smaller ball is a prefix of the tree.
+A tree row is therefore one integer index of a group element in every
+ball that holds it, and ``row_pair_lengths`` reads ``length(w_i^-1 w_j)``
+of rows: the tree distance on a free backend, the table on a finite one.
 Every fiber's ball is this tree with unit labels ``u . w_i`` attached.
 """
 from __future__ import annotations
@@ -114,6 +117,37 @@ def parse_letter(token: str, rank: int) -> int:
     return letter
 
 
+def tree_pair_lengths(parent, depth, rows) -> np.ndarray:
+    """``depth_i + depth_j - 2 depth(lca(i, j))``, the distance of rows i and j
+    of a tree rooted at row 0, for all pairs of each tuple of ``rows``, shape
+    (tuples, size) -> (tuples, size, size), in the narrowest unsigned type
+    that holds twice the deepest row.  ``depth(lca)`` counts the levels at
+    which the two rows' ancestors agree, read off the ancestor table one level
+    at a time from the deepest; a row above the level stands for its position
+    in the tuple, which no other position matches.  Ids are compared in the
+    narrowest signed type that holds them, where numpy's compare is fastest."""
+    depth = np.asarray(depth)[rows]
+    top = int(depth.max(initial=0))
+    depth = depth.astype(np.min_scalar_type(2 * top))
+    size = rows.shape[-1]
+    ids = np.min_scalar_type(-max(len(parent), size) - 1)
+    parent, rows = np.asarray(parent).astype(ids), rows.astype(ids)
+    alone = -1 - np.arange(size, dtype=ids)
+    lca = np.zeros((*rows.shape, size), dtype=depth.dtype)
+    same = np.empty(lca.shape, dtype=bool)
+    up = rows
+    for level in range(top, 0, -1):
+        up = np.where(depth > level, parent[up], rows)
+        here = np.where(depth >= level, up, alone)
+        np.equal(here[..., :, None], here[..., None, :], out=same)
+        lca += same
+    out = depth[..., :, None] + depth[..., None, :]
+    out -= lca
+    out -= lca
+    out[..., np.arange(size), np.arange(size)] = 0  # a position matches itself at every level
+    return out
+
+
 @dataclass(frozen=True)
 class FreeGroup:
     """Free group of the given rank with reduced-word arithmetic."""
@@ -155,24 +189,28 @@ class FreeGroup:
 
     def pair_lengths(self, stack) -> np.ndarray:
         """``length(w_i^-1 w_j)`` for all pairs of reduced words of each tuple
-        in a stack of same-size tuples, shape (tuples, size, size):
-        ``len_i + len_j - 2 lcp(w_i, w_j)``, with the longest common prefix
-        counted column by column over the words' zero-padded letters, in the
-        narrowest unsigned type that holds twice the longest word."""
-        words = [w for t in stack for w in t]
-        lens = np.array([len(w) for w in words])
-        top = int(lens.max(initial=0))
-        lens = lens.astype(np.min_scalar_type(2 * top)).reshape(len(stack), -1 if stack else 0)
-        # a type that holds -rank - 1 also holds +rank
-        letters = np.zeros((*lens.shape, top), dtype=np.min_scalar_type(-self.rank - 1))
-        letters[np.arange(top) < lens[..., None]] = [x for w in words for x in w]
-        same = np.ones((*lens.shape, lens.shape[1]), dtype=bool)
-        lcp = np.zeros(same.shape, dtype=lens.dtype)
-        for col in np.moveaxis(letters, -1, 0):
-            same &= col[..., :, None] == col[..., None, :]
-            lcp += same
-        # equal words also agree on their padding
-        return lens[..., :, None] + lens[..., None, :] - 2 * np.minimum(lcp, lens[..., :, None])
+        in a stack of same-size tuples, shape (tuples, size, size): the tree
+        distance of their rows in the trie of the stack's words
+        (``tree_pair_lengths``)."""
+        parent, depth, child, rows = [0], [0], {}, []
+        for t in stack:
+            for w in t:
+                i = 0
+                for x in w:
+                    j = child.get((i, x))
+                    if j is None:
+                        j = child[i, x] = len(parent)
+                        parent.append(i)
+                        depth.append(depth[i] + 1)
+                    i = j
+                rows.append(i)
+        rows = np.array(rows, dtype=np.int64).reshape(len(stack), -1 if stack else 0)
+        return tree_pair_lengths(np.array(parent), np.array(depth), rows)
+
+    def row_pair_lengths(self, parent, rows) -> np.ndarray:
+        """``pair_lengths`` of rows of a ball tree of ``parent``, an integer
+        array of shape (tuples, size): their tree distance."""
+        return tree_pair_lengths(parent, self.tree_lengths(len(parent)), rows)
 
     def sphere_count(self, k: int) -> int:
         if k < 0:
@@ -197,14 +235,15 @@ class FreeGroup:
         """``(parent, gen)`` of the length-lex trie of the radius-L ball."""
         parent, gen = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
         lo = 0  # index of the first node of the last level
+        cols = np.arange(2 * self.rank)
         for _ in range(L):
             last = gen[-1]
-            node = np.repeat(np.arange(len(last)), 2 * self.rank)
-            col = np.tile(np.arange(2 * self.rank), len(last))
-            keep = col != (last[node] ^ 1)  # letter column c ^ 1 is the inverse of c
-            parent.append(lo + node[keep])
+            # each node's children, in letter order: every column but its
+            # letter's inverse (column c ^ 1 is the inverse of c)
+            node, col = np.nonzero(cols != (last[:, None] ^ 1))
+            parent.append(lo + node)
             lo += len(last)
-            gen.append(col[keep])
+            gen.append(col)
         return np.concatenate(parent), np.concatenate(gen)
 
     def ball_tree(self, L: int):
@@ -217,16 +256,24 @@ class FreeGroup:
         return parent, gen, right
 
     def ball_words(self, L: int) -> list:
-        """Words of length <= L in tree order (length-lex, a < A < b < B):
-        ``words[i] = words[parent[i]] + (letters()[gen[i]],)``."""
-        if L < 0:
-            return []
-        parent, gen = self._trie(L)
+        """Words of length <= L in tree order (length-lex, a < A < b < B)."""
+        return self.tree_words(*self._trie(L)) if L >= 0 else []
+
+    def tree_words(self, parent, gen) -> list:
+        """The words of a ball tree's rows, ``words[i] = words[parent[i]] +
+        (letters()[gen[i]],)``."""
         letters = self.letters()
         words = [()]
         for p, c in zip(parent[1:].tolist(), gen[1:].tolist()):
             words.append(words[p] + (letters[c],))
         return words
+
+    def tree_lengths(self, n: int) -> np.ndarray:
+        """Word lengths of the first n rows of a ball tree: its depths, sphere by sphere."""
+        counts = [1]
+        while sum(counts) < n:
+            counts.append(min(self.sphere_count(len(counts)), n - sum(counts)))
+        return np.repeat(np.arange(len(counts)), counts)[:n]
 
     def spell(self, w: tuple) -> list[int]:
         """Columns of ``letters()`` whose product is ``w``."""
@@ -312,6 +359,7 @@ class FiniteGroup:
         right = self.index[table[np.ix_(elements, self.generators)]]
         self._tree = (*np.array(edges).T, right)
         self._elements = elements
+        self._element_array = np.array(elements)
         self._sphere_counts = np.bincount(dist).tolist()
         self.max_radius = len(self._sphere_counts) - 1
 
@@ -330,8 +378,13 @@ class FiniteGroup:
     def pair_lengths(self, stack) -> np.ndarray:
         """``length(w_i^-1 w_j)`` for all pairs of each tuple in a stack of same-size
         tuples, shape (tuples, size, size), from the table and byte-wide lengths."""
-        w = np.array(stack, dtype=np.int64).reshape(len(stack), -1 if stack else 0)
+        w = np.array(stack, dtype=np.int64).reshape(len(stack), -1 if len(stack) else 0)
         return self.dist[self.table[self.inverse[w][..., :, None], w[..., None, :]]]
+
+    def row_pair_lengths(self, parent, rows) -> np.ndarray:
+        """``pair_lengths`` of rows of the BFS tree, an integer array of shape
+        (tuples, size)."""
+        return self.pair_lengths(self._element_array[rows])
 
     def sphere_count(self, k: int) -> int:
         return self._sphere_counts[k] if 0 <= k < len(self._sphere_counts) else 0
@@ -346,6 +399,14 @@ class FiniteGroup:
     def ball_words(self, L: int) -> list:
         """Elements of length <= L in BFS discovery order: the first tree rows."""
         return self._elements[:self.ball_count(L)]
+
+    def tree_words(self, parent, gen) -> list:
+        """The elements of the BFS tree's rows."""
+        return self._elements[:len(parent)]
+
+    def tree_lengths(self, n: int) -> np.ndarray:
+        """Word lengths of the first n rows of the BFS tree."""
+        return self.dist[self._element_array[:n]]
 
     def spell(self, w: int) -> list[int]:
         """Columns of ``letters()`` along the tree path to ``w``."""
@@ -483,20 +544,30 @@ class GroupoidModel:
                "entries", DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
         return self.backend.ball_tree(L)
 
+    def descend(self, first, parent, gen, table, n=None) -> np.ndarray:
+        """``out[i] = table[gen[i], out[parent[i]]]`` on the first n rows of a
+        ball tree (every row by default) from ``out[0] = first``, one sphere at
+        a time: the parent of a row lies on the sphere before it.  An array
+        ``first`` gives each row an array, one column an entry."""
+        n = len(gen) if n is None else n
+        first = np.asarray(first)
+        out = np.empty((n, *first.shape), dtype=np.int64)
+        out[:1] = first
+        lo, k = 1, 1
+        while lo < n:
+            hi = lo + self.sphere_count(k)
+            out[lo:hi] = table[gen[lo:hi].reshape(-1, *[1] * first.ndim), out[parent[lo:hi]]]
+            lo, k = hi, k + 1
+        return out
+
     def unit_labels(self, u, parent, gen) -> np.ndarray:
-        """``u . w_i`` for every row i of a ball tree, one sphere at a time:
-        the parent of a row lies on the sphere before it.  For an array of
-        units ``u`` the labels are stacked, one column per unit."""
+        """``u . w_i`` for every row i of a ball tree, by ``descend`` through
+        the letters' unit permutations.  For an array of units ``u`` the
+        labels are stacked, one column per unit."""
         us = np.atleast_1d(u)
         for x in us.tolist():
             self.unit_element(x)
-        units = np.empty((len(gen), len(us)), dtype=np.int64)
-        units[0] = us
-        lo, k = 1, 1
-        while lo < len(gen):
-            hi = lo + self.sphere_count(k)
-            units[lo:hi] = self.letter_perms[gen[lo:hi, None], units[parent[lo:hi]]]
-            lo, k = hi, k + 1
+        units = self.descend(us, parent, gen, self.letter_perms)
         return units if np.ndim(u) else units[:, 0]
 
     def source_ball(self, u: int, k: int, budget=None) -> list[GroupoidElement]:

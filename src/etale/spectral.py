@@ -27,6 +27,10 @@ two methods:
 side.  A sphere-symmetric f on a free backend runs on the banded sphere
 quotient, one coefficient per sphere; any other f is squared by sparse
 convolution.
+
+``radial_ball_spectrum`` gives the whole spectrum of a real radial f's ball
+operator, with multiplicities, from S and the root-stabilizer blocks of T
+(``_radial_t``); ``kernels`` reads the ball Grams of radial kernels off it.
 """
 from __future__ import annotations
 
@@ -259,12 +263,14 @@ def _operator(f: CcFunction, right, ns):
     """Left convolution by f on the source-fiber balls of ``ns`` rows, read
     off one ball tree ``right`` that holds the largest: basis element i is
     ``(u.w_i, w_i^-1)``, and ``M[i, j] = f(u.w_i, w_i^-1 w_j)``.  Returns
-    ``(at, unit_free)``: ``at(r, units)`` is the ``(cols, vals)`` of rung r at
+    ``(at, unit_free, self_adjoint)``: ``at(r, units)`` is the ``(cols, vals)`` of rung r at
     the tree's unit labels with ``M[i, cols[k, i]] = vals[k, i]`` for the words
     x_k of f, in f's order; column n is a zero pad.  A (U, rows) stack of
     labels gives ``vals`` of shape (words, U, n).  When ``unit_free``, f's
     values do not depend on the range unit, and neither do f^*'s: ``vals[k]``
-    is x_k's one value, and ``at(r, None)`` needs no labels.
+    is x_k's one value, and ``at(r, None)`` needs no labels.  ``self_adjoint``
+    is f^* = f, tested on the value table: every x_k^-1 is a word of f, and
+    its row at the units ``u.x_k`` is the conjugate of x_k's row at u.
 
     Only the walks of the x_k at the top rung are kept: rung r's columns are
     their first n clamped at n, built when asked for, since a reduced path
@@ -283,6 +289,16 @@ def _operator(f: CcFunction, right, ns):
             col = right[col, c]
         top[k] = col
     unit_free = bool(np.all(table == table[:, :1]))
+    row = dict(zip(by_word, range(len(by_word))))
+    inverse = [row.get(f.model.backend.inv(x)) for x in by_word]
+    self_adjoint = None not in inverse
+    for k, x in enumerate(by_word if self_adjoint else ()):
+        moved = np.arange(f.model.units)  # u.x_k for every unit u
+        for c in f.model.backend.spell(x):
+            moved = f.model.letter_perms[c, moved]
+        if not np.array_equal(table[inverse[k], moved], table[k].conj()):
+            self_adjoint = False
+            break
 
     def at(r: int, units):
         n = ns[r]
@@ -290,7 +306,7 @@ def _operator(f: CcFunction, right, ns):
         if vals.dtype.kind == "c" and not vals.imag.any():
             vals = vals.real.copy()
         return np.minimum(top[:, :n], n), vals
-    return at, unit_free
+    return at, unit_free, self_adjoint
 
 
 class _Solves:
@@ -306,9 +322,8 @@ class _Solves:
         self.parent, self.gen, right = f.model.ball_tree(ladder[-1], budget)
         ns = [f.model.ball_count(Lk) for Lk in ladder]
         self.rows = ns[-1]
-        f_star = involution(f)
-        self.op, self.unit_free = _operator(f, right, ns)
-        self.op_h = self.op if f_star == f else _operator(f_star, right, ns)[0]
+        self.op, self.unit_free, self_adjoint = _operator(f, right, ns)
+        self.op_h = self.op if self_adjoint else _operator(involution(f), right, ns)[0]
         self.args = (max_iter, tol, seed)
 
     def rung(self, r: int, units):
@@ -384,12 +399,9 @@ class _Quotient:
         bipartite S the first can be an ulp larger in modulus): by ``_dense``
         when banded, else by ``_tridiagonal_top`` below ``limit``."""
         n = self.ladder[r] + 1
-        bands = [(d, w[:n - d]) for d, w in self.bands if d < n]
         if self.banded:
-            S = np.zeros((n, n))
-            for d, w in bands:  # S[m, m + d] and S[m + d, m], m < n - d
-                S.flat[d:(n - d) * (n + 1):n + 1] = S.flat[d * n::n + 1] = w
-            return _dense(S, self.tol, -1)
+            return _dense(_band_matrix(self.bands, n), self.tol, -1)
+        bands = [(d, w[:n - d]) for d, w in self.bands if d < n]
         diagonals = dict(bands)  # lists passed on, not kept: the solve scales copies
         theta, y = _tridiagonal_top(diagonals.get(0, np.zeros(n)).tolist(),
                                     diagonals.get(1, np.zeros(n - 1)).tolist(), self.limit)
@@ -482,20 +494,77 @@ def _radial_bands(rank: int, profile, R: int) -> list:
     word of length n = m + k - 2c is the product of N words of lengths m and
     k with c letters cancelled, N = 1 at c = 0, q^c at m = c, else
     (q-1) q^(c-1) (q = 2 rank - 1).  So each band d = k - 2c >= 0 is constant
-    but at m = c and m = 0; the k are summed in ascending order."""
+    but at m = c and m = 0; the k are summed in ascending order, one band at
+    a time in Python floats, which round as the float64 entries do."""
     q = 2 * rank - 1
     log_q, log_2r_q = math.log(q), math.log(2 * rank) - math.log(q)
     dtype = np.result_type(float, *profile)
-    bands: dict = {}
-    for k, coef in enumerate(profile):
-        for c in range(max(0, k - R), k // 2 + 1 if coef else 0):  # c <= R - d
-            d = k - 2 * c
-            w = bands.setdefault(d, np.zeros(R + 1 - d, dtype=dtype))
-            # sqrt(s_(m+d) / s_m) = q^(d/2), or sqrt(2 rank q^(d-1)) at m = 0 < d
-            root = math.exp(d * log_q / 2)
-            w[c] += coef * q ** c * (math.exp((d * log_q + log_2r_q) / 2) if c == 0 < d else root)
-            w[c + 1:] += coef * ((q - 1) * q ** (c - 1) if c else 1) * root
-    return sorted(bands.items())
+    bands = []
+    for d in range(min(len(profile) - 1, R) + 1):
+        coefs = profile[d::2][:R + 1 - d]  # profile[d + 2c] for c <= R - d
+        if not any(coefs):
+            continue
+        # sqrt(s_(m+d) / s_m) = q^(d/2), or sqrt(2 rank q^(d-1)) at m = 0 < d
+        root = math.exp(d * log_q / 2)
+        first = math.exp((d * log_q + log_2r_q) / 2) if d else root
+        head, total = [], 0.0  # w[m] sums the terms of every c < m, then adds that of c = m
+        for c, coef in enumerate(coefs):
+            if coef:
+                head.append(total + coef * q ** c * (first if c == 0 else root))
+                total = total + coef * ((q - 1) * q ** (c - 1) if c else 1) * root
+            else:
+                head.append(total)
+        w = np.full(R + 1 - d, total, dtype=dtype)
+        w[:len(head)] = head
+        bands.append((d, w))
+    return bands
+
+
+def _band_matrix(bands, n: int) -> np.ndarray:
+    """The leading n-row block of the symmetric matrix whose upper bands
+    ``(d, w)`` are ``bands``, as a dense array."""
+    S = np.zeros((n, n), dtype=np.result_type(float, *(w for _, w in bands)))
+    for d, w in bands:
+        if d < n:  # S[m, m + d] and S[m + d, m], m < n - d
+            S.flat[d:(n - d) * (n + 1):n + 1] = S.flat[d * n::n + 1] = w[:n - d]
+    return S
+
+
+def _radial_t(rank: int, profile, L: int) -> np.ndarray:
+    """The L-row matrix T of ``f = sum_k profile[k] chi_k`` (real) on F_rank
+    on the functions of the radius-L ball that sum to 0 over the children of a
+    vertex v at depth d < L and depend on the distance below v: every such
+    piece is held by T's leading (L - d)-row block (Figa-Talamanca and
+    Nebbia 1991).  With q = 2 rank - 1, e = |m - n| and s = min(m, n),
+    ``T[m, n] = q^(e/2) (c_e + sum_{i=1..s} (q-1) q^(i-1) c_(e+2i) - q^s c_(e+2s+2))``,
+    summed along i by ``cumsum`` one band e per row of a slice table, so the
+    bracket is exact where its terms are integers, as at c = 1."""
+    q = 2 * rank - 1
+    c = np.zeros(3 * L + 2)
+    c[:len(profile)] = profile[:3 * L + 2]
+    e, i = np.arange(L)[:, None], np.arange(L)
+    power = float(q) ** i
+    steps = np.where(i > 0, (q - 1) * power / q, 0.0) * c[e + 2 * i]
+    bracket = c[e] + np.cumsum(steps, axis=1) - power * c[e + 2 * i + 2]
+    m, n = np.indices((L, L))
+    e, s = abs(m - n), np.minimum(m, n)
+    return math.sqrt(q) ** e * bracket[e, s]
+
+
+def radial_ball_spectrum(rank: int, profile, L: int) -> list:
+    """``(eigenvalues, multiplicity)`` of the blocks of ``f = sum_k
+    profile[k] chi_k`` (real) on F_rank, compressed to the radius-L ball
+    ``M[x, y] = f(x^-1 y)``: the (L+1)-row sphere quotient S of
+    ``_radial_bands`` once, and the leading (L - d)-row block of ``_radial_t``
+    q times at d = 0 and ``2 rank q^(d-1) (q-1)`` times at depth d >= 1, none
+    on Z.  The multiplicities sum to ``ball_count(L)``.  Each block is solved
+    by ``eigvalsh``."""
+    q = 2 * rank - 1
+    T = _radial_t(rank, profile, L)
+    blocks = [(_band_matrix(_radial_bands(rank, profile, L), L + 1), 1)]
+    blocks += [(T[:L - d, :L - d], q if d == 0 else 2 * rank * q ** (d - 1) * (q - 1))
+               for d in range(L)]
+    return [(np.linalg.eigvalsh(B), mult) for B, mult in blocks if mult]
 
 
 def radial_convolve(bands, y):

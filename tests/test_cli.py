@@ -147,14 +147,48 @@ def test_gns_defaults(files, capsys):
 
 
 def test_gns_budget_bounds_the_checked_ball(files, capsys):
-    # k = 1 enumerates the 5-element ball at unit 0 and the translates of
-    # each source ball, never the radius-2 range ball (17 elements)
+    # k = 1 charges the 5-element ball at unit 0; each generator's isometry
+    # defect then charges its two 5 x 5 Grams (50 entries) and the radius-2
+    # tree its translates are walked on: 17 elements, and 18 x 4 = 72 walk
+    # table entries, the most any charge needs
     cfg = write_cfg(files, "gns_k1", {"k": 1})
     code, report = run_json(capsys, ["gns", "--model", files["f2"], "--config", cfg,
-                                     "--budget", "5"])
+                                     "--budget", "72"])
     assert code == 0 and report["results"]["max_isometry_defect"] == 0.0
-    assert main(["gns", "--model", files["f2"], "--config", cfg, "--budget", "4"]) == 2
-    assert "ball of radius 1 needs 5 elements" in capsys.readouterr().err
+    for budget, message in (("71", "walk table of radius 2 needs 72 entries"),
+                            ("49", "isometry defect of radius 1 needs 50 entries"),
+                            ("4", "ball of radius 1 needs 5 elements")):
+        assert main(["gns", "--model", files["f2"], "--config", cfg, "--budget", budget]) == 2
+        assert f"{message}, budget is {budget}" in capsys.readouterr().err
+
+
+def test_large_balls_refuse_the_dense_gram_and_run_radial_blocks(files, capsys, monkeypatch):
+    # F2's k = 8 ball has 13,121 elements, within the element budget.  With a
+    # table kernel gns and ball-mode pdcheck need its dense Gram, whose
+    # 172,160,641 entries are refused before any Gram is built; with a radial
+    # kernel pdcheck reads the spectrum off the blocks, and gns is refused
+    # at its isometry defect's two Grams
+    grams = []
+    for name in ("gram_matrix", "gram_stack"):
+        monkeypatch.setattr(etale.kernels, name, lambda *args, **kw: grams.append(args))
+    table = {"table": {"radius": 16, "entries": [{"unit": 0, "word": "", "re": 1.0}]}}
+    ball = {"ball": {"unit": 0, "k": 8}}
+    gram = "Gram matrix of radius 8 needs 172160641 entries, budget is 5000000"
+    for op, cfg, message in (
+            ("gns", {"kernel": table, "k": 8}, gram),
+            ("pdcheck", {"kernel": table, "mode": ball}, gram),
+            ("gns", {"kernel": {"haagerup": 2.0}, "k": 8},
+             "isometry defect of radius 8 needs 344321282 entries, budget is 5000000")):
+        argv = [op, "--model", files["f2"], "--config", write_cfg(files, "k8", cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    start = time.perf_counter()
+    for kernel in ({"haagerup": 2.0}, {"exp_length": 0.5}):
+        cfg = write_cfg(files, "k8", {"kernel": kernel, "mode": ball})
+        code, report = run_json(capsys, ["pdcheck", "--model", files["f2"], "--config", cfg])
+        check = report["results"]["checks"][0]
+        assert code == 0 and check["size"] == 13121 and check["passed"]
+    assert time.perf_counter() - start < 1.0 and grams == []
 
 
 def test_lanczos_overflow_is_a_usage_error(files, capsys):
@@ -589,12 +623,13 @@ def test_bad_input_exits_two(op, model, cfg, function, message, files, tmp_path,
 
 
 def test_budget_bounds_every_ball(files, capsys):
-    # the delta ball and the pdcheck random pool are charged too
+    # the delta ball and the pdcheck random pool are charged too; certify's
+    # growth table is cut to K = 3, whose 4 radii and 6 digits fit the budget
     delta_ball = "ball of radius 3 needs 53 elements, budget is 10"
     for op, cfg, message in (
             ("delta", {"radius": 3}, delta_ball),
             ("bandcheck", {}, delta_ball), ("normbound", {}, delta_ball),
-            ("certify", {"q": 2, "p": 4}, delta_ball),
+            ("certify", {"q": 2, "p": 4, "growth_K": 3}, delta_ball),
             ("pdcheck", {"mode": {"random": {"count": 1, "max_len": 4}}},
              "ball of radius 4 needs 161 elements, budget is 10")):
         argv = [op, "--model", files["f2"], "--config", write_cfg(files, "budget", cfg)]
@@ -663,18 +698,25 @@ def test_delta_on_free_models_charges_only_the_ball(files, capsys, monkeypatch):
 
 
 def test_growth_at_large_K_exits_without_traceback(files, capsys):
-    # the envelopes leave the float range at K = 550 on f2; from K = 9,012
-    # the ball count passes Python's 4,300-digit int-to-str limit, and K is
-    # refused before any count is formed
+    # the envelopes leave the float range at K = 550 on f2.  The digits of the
+    # counts, about K (K + 1) log10(3), pass the default budget from K = 3,237,
+    # and are refused before any count is formed: K = 9,011 used to write a
+    # 75 MB report in 5 s.  Under a larger budget, a ball count past Python's
+    # 4,300-digit int-to-str limit (from K = 9,012) is refused the same way
     assert main(["growth", "--model", files["f2"], "--out", str(files["root"] / "g"),
                  "--config", write_cfg(files, "growth", {"K": 550})]) == 0
-    start = time.perf_counter()
-    assert main(["growth", "--model", files["f2"],
-                 "--config", write_cfg(files, "growth", {"K": 9100})]) == 2
-    assert time.perf_counter() - start < 0.5
-    assert capsys.readouterr().err.splitlines() == [
-        "error: the ball count of radius 9100 has more than 4300 digits, "
-        "past Python's limit for printing an integer"]
+    capsys.readouterr()
+    for K, budget, message in (
+            (9011, [], "growth table of radius 9011 needs 38745649 digits, budget is 5000000"),
+            (3237, [], "growth table of radius 3237 needs 5000902 digits, budget is 5000000"),
+            (9100, ["--budget", "1000000000"], "the ball count of radius 9100 has more than "
+                                               "4300 digits, past Python's limit for printing "
+                                               "an integer")):
+        start = time.perf_counter()
+        assert main(["growth", "--model", files["f2"], *budget,
+                     "--config", write_cfg(files, "growth", {"K": K})]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_bad_operation_exits_two(files):
@@ -745,11 +787,14 @@ def test_refusals_print_no_traceback(files):
              ("haagerup", "f2", {"n_list": [1e308]},
               "every vanishing radius n log(1/eps) must be a finite float")]
     # loops refused from their length before any step, each within a second,
-    # where the f2 growth used to fail after 1.7 s and the others ran past 8 s
+    # where the f2 growths used to fail after 1.7 s (K = 9,100) or write a
+    # 75 MB report in 5 s (K = 9,011), and the others ran past 8 s
     bounded = [("growth", "z6", {"K": 1e8},
                 "growth table of radius 100000000 needs 100000001 radii, budget is 5000000"),
                ("growth", "f2", {"K": 9100},
-                "the ball count of radius 9100 has more than 4300 digits"),
+                "growth table of radius 9100 needs 39514753 digits, budget is 5000000"),
+               ("growth", "f2", {"K": 9011},
+                "growth table of radius 9011 needs 38745649 digits, budget is 5000000"),
                ("extend", "z6", {"alpha": 0.5, "p": 2, "K": 1e8},
                 "extension series of radius 100000000 needs 100000001 radii"),
                # no crossing: the witness ratios of alpha = 0.5 at q = 2 decay

@@ -13,7 +13,7 @@ from etale import (ExpLengthKernel, GroupoidElement, HaagerupKernel,
                    gns_isometry_defect, gram_matrix, haagerup_witness_check,
                    matrix_coeff_recovery, pointwise_product_check, psd_check)
 from etale.cli import _random_draws
-from etale.kernels import gram_stack, psd_results
+from etale.kernels import ball_spectrum, gram_stack, psd_results
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -275,10 +275,78 @@ def test_pair_lengths_hold_the_largest_letter(rank):
         assert np.array_equal(gram_matrix(model, kern, ball), _loop_gram(model, kern, ball))
 
 
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "f3", "s3"])
+def test_index_form_matches_the_words(name, s3):
+    # pair lengths of ball-tree rows (on a free backend their distance in the
+    # tree) against one backend product per pair at every radius <= 4, and the
+    # index form of gram_stack against its word form, bit for bit
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    rng = np.random.default_rng(43)
+    kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5), _random_table(model, rng))
+    for L in range(5):
+        tree = model.ball_tree(L)
+        ball = model.ball(0, L)
+        lengths = model.backend.row_pair_lengths(tree[0], np.arange(len(ball))[None])
+        assert np.array_equal(lengths[0], _loop_distance_matrix(model, ball))
+        draws = _random_draws(rng, model.units, 6, 5, len(ball))
+        size = len(draws[0][1])
+        picks = [(u, idx) for u, idx in draws if len(idx) == size]
+        rows = np.array([idx for _, idx in picks])
+        words = [[ball[i].word for i in idx] for _, idx in picks]
+        for kern in kernels:
+            got = gram_stack(model, kern, [u for u, _ in picks], rows, tree)
+            assert np.array_equal(got, gram_stack(model, kern, [u for u, _ in picks], words))
+
+
+def _block_spectrum(model, kern, k):
+    return ball_spectrum(model, kern, 0, k)[0]
+
+
+@pytest.mark.parametrize("rank,top", [(1, 20), (2, 5), (3, 3)])
+def test_radial_gram_spectra_from_blocks(rank, top):
+    # on a free backend the ball Gram of a radial kernel is the sphere quotient
+    # S and the root-stabilizer blocks of T, each repeated by its
+    # multiplicity: every eigenvalue of the dense Gram, within its backward
+    # error, and the same count below null_tol; the rank-one Gram of
+    # exp_length 1.0 has n - 1 null directions
+    model = etale.group_model(etale.FreeGroup(rank))
+    for kern in (ExpLengthKernel(0.2), ExpLengthKernel(0.5), ExpLengthKernel(1.0),
+                 HaagerupKernel(2.0)):
+        for k in range(top + 1):
+            got, gram = ball_spectrum(model, kern, 0, k)
+            assert gram is None
+            G = gram_matrix(model, kern, model.ball(0, k))
+            want = np.linalg.eigvalsh(G)
+            assert got.shape == want.shape == (model.ball_count(k),)
+            assert np.abs(got - want).max() <= 8 * len(G) * 2.0 ** -52 * np.abs(want).max()
+            assert np.sum(got < 1e-10) == np.sum(want < 1e-10)
+            if kern == ExpLengthKernel(1.0):
+                assert np.sum(got < 1e-10) == len(G) - 1
+    data = gns_build(model, HaagerupKernel(2.0), 0, 2)
+    assert data.dim == model.ball_count(2) and data.gram.shape == (data.dim,) * 2
+
+
+def test_dense_gram_is_charged_before_it_is_built(f2, z6, monkeypatch):
+    # a table kernel, or a finite backend, keeps the dense Gram: its n^2
+    # entries are charged first, so F2's k = 8 ball (13,121 elements, within
+    # the element budget) is refused with no Gram built
+    kern = TableKernel(f2, {f2.unit_element(0): 1.0}, radius=16)
+    monkeypatch.setattr(etale.kernels, "gram_matrix", None)
+    with pytest.raises(etale.BudgetError, match="Gram matrix of radius 8 needs 172160641 "
+                                                "entries, budget is 5000000"):
+        gns_build(f2, kern, 0, 8)
+    with pytest.raises(etale.BudgetError, match="Gram matrix of radius 1 needs 9 entries"):
+        ball_spectrum(z6, ExpLengthKernel(0.5), 0, 1, budget=8)
+    # a radial kernel on a free backend builds none at any radius
+    eigenvalues, gram = ball_spectrum(f2, HaagerupKernel(2.0), 0, 8)
+    assert gram is None and len(eigenvalues) == 13121 and eigenvalues[0] > 0
+
+
 def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
     # left translation cancels in F((x a)^-1 x b), so on a correct model the
-    # defect is exactly zero for every kernel; a compose that drops the last
-    # letter must show, with the same value as the oracle
+    # defect is exactly zero for every kernel; a translation that drops the
+    # last letter, the tree parent of each translate's row, must show, with
+    # the same value as the oracle whose compose drops it
     kernels = (ExpLengthKernel(0.5), HaagerupKernel(2.5),
                _random_table(f2, np.random.default_rng(29)))
     xs = [GroupoidElement(0, (1,)), GroupoidElement(0, (1, -2))]
@@ -288,38 +356,52 @@ def test_isometry_defect_sees_a_dropped_letter(f2, monkeypatch):
     def compose_dropping_last_letter(self, g, h):
         return GroupoidElement(g.unit, self.backend.mul(g.word, h.word)[:-1])
 
-    monkeypatch.setattr(etale.GroupoidModel, "compose", compose_dropping_last_letter)
+    translate = etale.kernels._translate
+    want = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(etale.GroupoidModel, "compose", compose_dropping_last_letter)
+        for kern in kernels:
+            for x in xs:
+                want[kern, x] = _reference_gns(f2, kern, x, 1, {})[0]
+    monkeypatch.setattr(etale.kernels, "_translate",
+                        lambda model, tree, x, n: tree[0][translate(model, tree, x, n)])
     for kern in kernels:
         for x in xs:
             defect = gns_isometry_defect(f2, kern, x, 1)
             assert defect > 0.1
-            assert defect == _reference_gns(f2, kern, x, 1, {})[0]
+            assert defect == want[kern, x]
 
 
 @pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
-def test_isometry_defect_reuses_the_gns_gram(name, s3, monkeypatch):
-    # the gns_build Gram stands in for the source ball's, bit for bit: for a
-    # radial kernel in every fiber, for a table kernel at the same unit only
+def test_isometry_defect_walks_one_tree(name, s3, monkeypatch):
+    # each defect builds one ball tree, of radius k + |x|, and its Grams from
+    # the rows walked on it: no ball is enumerated and no product formed, and
+    # the value is the oracle's, bit for bit
     model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
     kernels = (ExpLengthKernel(0.6), HaagerupKernel(2.5),
                _random_table(model, np.random.default_rng(31)))
-    builds = []
-    gram = etale.kernels.gram_matrix
-    monkeypatch.setattr(etale.kernels, "gram_matrix",
-                        lambda *args: builds.append(args[2]) or gram(*args))
-    for kern in kernels:
-        for u in (0, model.units - 1):
-            for k in (0, 1, 2):
-                data = gns_build(model, kern, u, k, psd_tol=math.inf)
-                other = gns_build(model, kern, u, k + 1, psd_tol=math.inf)
-                for x in model.sphere(u, 1):
-                    builds.clear()
-                    defect = gns_isometry_defect(model, kern, x, k, data=data)
-                    shared = (isinstance(kern, etale.kernels.RadialKernel)
-                              or model.source_unit(x) == u)
-                    assert len(builds) == (1 if shared else 2)
-                    assert defect == gns_isometry_defect(model, kern, x, k)
-                    assert defect == gns_isometry_defect(model, kern, x, k, data=other)
+    xs = model.sphere(0, 1) + model.sphere(model.units - 1, 2)[:2]
+    want = {(kern, x, k): _reference_gns(model, kern, x, k, {})[0]
+            for kern in kernels for x in xs for k in (0, 1, 2)}
+    trees = []
+    tree = etale.GroupoidModel.ball_tree
+    monkeypatch.setattr(etale.GroupoidModel, "ball_tree",
+                        lambda self, L, budget=None: trees.append(L) or tree(self, L, budget))
+    for banned in ("ball", "sphere", "compose"):
+        monkeypatch.setattr(etale.GroupoidModel, banned, None)
+    for (kern, x, k), defect in want.items():
+        trees.clear()
+        assert gns_isometry_defect(model, kern, x, k) == defect
+        assert trees == [k + model.length(x)]
+
+
+def test_isometry_defect_is_charged_before_its_tree(f2, monkeypatch):
+    # the two Grams of the k = 8 ball, 2 x 13,121^2 entries, are refused
+    # before the radius-9 tree is built
+    monkeypatch.setattr(etale.GroupoidModel, "ball_tree", None)
+    with pytest.raises(etale.BudgetError, match="isometry defect of radius 8 needs 344321282 "
+                                                "entries, budget is 5000000"):
+        gns_isometry_defect(f2, ExpLengthKernel(0.5), GroupoidElement(0, (1,)), 8)
 
 
 def test_haagerup_witness_free(f2):

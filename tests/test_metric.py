@@ -11,6 +11,7 @@ from etale import (BudgetError, GroupoidElement, NonComposableError,
                    PreconditionError, band_check, distance_matrix,
                    fiber_distance, growth_stats, hyperbolicity_delta,
                    overlap_constant, sphere_indicator)
+from etale.algebra import CcFunction, convolve
 from etale.metric import _four_point_defect
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -326,3 +327,45 @@ def test_band_check_fail_path(f2):
     assert not rep.passed
     assert any(not r[3] for r in rep.rows)
     assert rep.outside_mass == 0.0
+
+
+def _convolve_masses(f, g, k, n, u):
+    """The band masses and outside mass of ``convolve(f, g)``, read in its order."""
+    model, lo, hi = f.model, abs(k - n), k + n
+    outside, slices = [], {m: [] for m in range(lo, hi + 1)}
+    for x, v in convolve(f, g).items():
+        m = model.length(x)
+        if not lo <= m <= hi:
+            outside.append(abs(v))
+        elif x.unit == u:
+            slices[m].append(abs(v))
+    return {m: sum(vals) for m, vals in slices.items()}, sum(outside)
+
+
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "f3", "s3"])
+def test_band_check_products_on_rows_match_convolve(name, s3):
+    # f * g summed on tree rows, against convolve's sparse product: every
+    # mass bit for bit, on random complex functions of the spheres, with
+    # sampled and full supports, zeros and cancelling pairs
+    model = s3 if name == "s3" else etale.load_model(MODELS / f"{name}.json")
+    rng = np.random.default_rng(47)
+    for k, n in ((0, 0), (1, 0), (0, 2), (2, 1), (3, 1), (1, 3), (2, 2)):
+        if model.sphere_count(k) == 0 or model.sphere_count(n) == 0:
+            continue
+        f_pts = [(u, w) for u in range(model.units) for w in model.backend.ball_words(k)
+                 if model.backend.length(w) == k]
+        g_pts = [(u, w) for u in range(model.units) for w in model.backend.ball_words(n)
+                 if model.backend.length(w) == n]
+        for trial in range(3):
+            keep = [p for p in f_pts if rng.random() < 0.7] or f_pts[:1]
+            f = CcFunction(model, {p: complex(*rng.uniform(-1, 1, 2)) for p in keep})
+            vals = rng.uniform(-0.7, 0.7, len(g_pts)) + 1j * rng.uniform(-0.7, 0.7, len(g_pts))
+            if trial == 2:  # values of +-1 and +-0.5, so products cancel to 0 and tie
+                f = CcFunction(model, {p: rng.choice([-1.0, 1.0]) for p in keep})
+                vals = np.sign(vals.real) * 0.5
+            g = CcFunction(model, dict(zip(g_pts, vals)))
+            for u in {0, model.units - 1}:
+                rep = band_check(f, g, k, n, u, 2.0)
+                masses, outside = _convolve_masses(f, g, k, n, u)
+                assert [(m, mass) for m, mass, *_ in rep.rows] == list(masses.items())
+                assert rep.outside_mass == outside == 0.0

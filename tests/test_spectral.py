@@ -275,7 +275,7 @@ def operator_at(f, u, L):
     L + 2, so that the prefix and the clamp at n are in play."""
     model = f.model
     parent, gen, right = model.ball_tree(L + 2)
-    at, _ = _operator(f, right, [model.ball_count(L), model.ball_count(L + 2)])
+    at, *_ = _operator(f, right, [model.ball_count(L), model.ball_count(L + 2)])
     return at(0, model.unit_labels(u, parent, gen))
 
 
@@ -485,11 +485,42 @@ def test_apply_matches_gather_sum(f2, f2_32):
             assert np.array_equal(_apply(op, v), want)
 
 
+@pytest.mark.parametrize("name", ["f2", "z", "f2_32units", "z2_swap", "z6", "s3"])
+def test_self_adjointness_read_off_the_value_table(name, s3, monkeypatch):
+    # f^* = f is decided on _operator's words x units value table exactly as
+    # by comparing involution(f) with f, and involution is built only when
+    # it is false
+    from conftest import random_function
+    model = s3 if name == "s3" else etale.load_model(ROOT / "models" / f"{name}.json")
+    rng = np.random.default_rng(53)
+    right = model.ball_tree(3)[2]
+    cases = []
+    for complex_values in (True, False):
+        f = random_function(model, rng, 2, 9, complex_values)
+        sym = f + involution(f)
+        bumped = CcFunction(model, {**sym.data, next(iter(sym.data)): 7.0 + 1j})
+        one_sided = CcFunction(model, {g: v for g, v in sym.items() if model.length(g) != 1})
+        cases += [f, sym, bumped, one_sided, sym * 1j, sphere_indicator(model, 1)]
+    # every value 1, so only the missing inverse of x tells it from f^*
+    x = model.sphere(0, 1)[0].word
+    cases.append(CcFunction(model, {g: 1.0 for u in range(model.units)
+                                    for g in (model.unit_element(u), GroupoidElement(u, x))}))
+    for f in cases:
+        want = involution(f) == f
+        assert _operator(f, right, [model.ball_count(3)])[2] == want
+    built = []
+    monkeypatch.setattr(spectral, "involution", lambda f: built.append(f) or involution(f))
+    for f in cases:
+        built.clear()
+        spectral._Solves(f, [1, 2], 100, 1e-10, 0, None)
+        assert built == ([] if involution(f) == f else [f])
+
+
 def test_real_operator_gathered_without_complex_copy(f2, f2_32):
     # a unit-free f holds one value per word, not one per word and row
     parent, gen, right = f2.ball_tree(10)
-    at, unit_free = _operator(sphere_indicator(f2, 1), right, [f2.ball_count(10)])
-    assert unit_free
+    at, unit_free, self_adjoint = _operator(sphere_indicator(f2, 1), right, [f2.ball_count(10)])
+    assert unit_free and self_adjoint
     cols, vals = at(0, None)
     assert cols.shape == (4, f2.ball_count(10)) and vals.shape == (4,)
     # a real unit-dependent f keeps a real value table, so one gather
@@ -498,7 +529,7 @@ def test_real_operator_gathered_without_complex_copy(f2, f2_32):
     g = CcFunction(f2_32, {GroupoidElement(u, w): 1.0 + (u % 4 == 3) for u in range(32)
                            for w in ((1,), (-1,), (2,), (-2,))})
     parent, gen, right = f2_32.ball_tree(8)
-    at, unit_free = _operator(g, right, [f2_32.ball_count(8)])
+    at, unit_free, _ = _operator(g, right, [f2_32.ball_count(8)])
     assert not unit_free
     labels = f2_32.unit_labels(0, parent, gen)
     tracemalloc.start()
