@@ -123,7 +123,7 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         k = as_int(ball["k"])
         if k < 0:
             raise PreconditionError("pdcheck ball radius k must be >= 0")
-        eigenvalues, _ = ball_spectrum(model, kern, as_int(ball["unit"]), k, budget)
+        eigenvalues = ball_spectrum(model, kern, as_int(ball["unit"]), k, budget)
         min_eig = float(eigenvalues[0])
         results = [PsdResult(size=len(eigenvalues), min_eig=min_eig,
                              passed=min_eig >= -as_float(opts["tol"]))]

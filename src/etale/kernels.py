@@ -188,34 +188,31 @@ def psd_results(G: np.ndarray, tol: float = 1e-9) -> list:
 
 # -- GNS data ---------------------------------------------------------------
 
-def ball_spectrum(model: GroupoidModel, kernel, u: int, k: int, budget=None):
+def ball_spectrum(model: GroupoidModel, kernel, u: int, k: int, budget=None) -> np.ndarray:
     """The eigenvalues, ascending and with multiplicity, of the Gram matrix of
-    the radius-k ball at unit ``u``, and that Gram matrix when it is built.
-    For an ``exp_length`` or ``haagerup`` kernel on a free backend the Gram is
-    left convolution by ``sum_l F(l) chi_l``, l <= 2k, on the ball, so its
-    spectrum is that of ``spectral.radial_ball_spectrum``'s blocks: the ball is
-    charged to ``budget`` but neither enumerated nor built, and the Gram is
-    None.  Otherwise its n^2 entries are charged to ``budget`` (None: the
-    enumeration default) before the ball is enumerated and the Gram built and
-    solved by ``eigvalsh``."""
+    the radius-k ball at unit ``u``.  For an ``exp_length`` or ``haagerup``
+    kernel on a free backend the Gram is left convolution by
+    ``sum_l F(l) chi_l``, l <= 2k, on the ball, so its spectrum is that of
+    ``spectral.radial_ball_spectrum``'s blocks: the ball is charged to
+    ``budget`` but neither enumerated nor built.  Otherwise the Gram's n^2
+    entries are charged to ``budget`` (None: the enumeration default) before
+    the ball is enumerated and the Gram built and solved by ``eigvalsh``."""
     model._charge(k, budget, u)
     if isinstance(kernel, RadialKernel) and isinstance(model.backend, FreeGroup):
         profile = [kernel.at_length(l).real for l in range(2 * k + 1)]
         blocks = radial_ball_spectrum(model.backend.rank, profile, k)
-        return np.sort(np.concatenate([np.repeat(e, mult) for e, mult in blocks])), None
+        return np.sort(np.concatenate([np.repeat(e, mult) for e, mult in blocks]))
     n = model.ball_count(k)
     charge(f"Gram matrix of radius {k}", n * n, "entries",
            DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
-    gram = gram_matrix(model, kernel, model.ball(u, k))
-    return np.linalg.eigvalsh(gram), gram
+    return np.linalg.eigvalsh(gram_matrix(model, kernel, model.ball(u, k)))
 
 
 @dataclass
 class GnsData:
     """Inner-product data of a kernel on the radius-``radius`` ball of one
-    fiber: its Gram spectrum, ascending with multiplicity.  ``basis`` (the
-    ball) and ``gram`` are built on first use when ``ball_spectrum`` took the
-    spectrum from blocks."""
+    fiber: its Gram spectrum from ``ball_spectrum``, ascending with
+    multiplicity.  ``basis`` (the ball) and ``gram`` are built on first use."""
 
     model: GroupoidModel
     kernel: object
@@ -257,15 +254,12 @@ def gns_build(model: GroupoidModel, kernel, u: int, k: int,
     there."""
     if k < 0:
         raise PreconditionError("GNS radius k must be >= 0")
-    eigenvalues, gram = ball_spectrum(model, kernel, u, k, budget)
+    eigenvalues = ball_spectrum(model, kernel, u, k, budget)
     if eigenvalues[0] < -psd_tol:
         raise KernelPositivityError(
             f"kernel has Gram eigenvalue {eigenvalues[0]:.3e} on the radius-{k} ball at unit {u}")
-    data = GnsData(model=model, kernel=kernel, unit=u, radius=k,
+    return GnsData(model=model, kernel=kernel, unit=u, radius=k,
                    eigenvalues=eigenvalues, null_tol=null_tol)
-    if gram is not None:
-        data.gram = gram
-    return data
 
 
 def _translate(model: GroupoidModel, tree, x: GroupoidElement, n: int) -> np.ndarray:
