@@ -540,8 +540,8 @@ def _radial_t(rank: int, profile, L: int) -> np.ndarray:
     summed along i by ``cumsum`` one band e per row of a slice table, so the
     bracket is exact where its terms are integers, as at c = 1."""
     q = 2 * rank - 1
-    c = np.zeros(3 * L + 2)
-    c[:len(profile)] = profile[:3 * L + 2]
+    c = np.zeros(max(3 * L + 2, len(profile)))
+    c[:len(profile)] = profile
     e, i = np.arange(L)[:, None], np.arange(L)
     power = float(q) ** i
     steps = np.where(i > 0, (q - 1) * power / q, 0.0) * c[e + 2 * i]
