@@ -140,13 +140,12 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
     by_range: dict[int, list] = {}
     for b, vb in g.data.items():
         by_range.setdefault(b.unit, []).append((b, vb))
+    # each a with the b of range source(a), so composable by construction
+    pairs = [(a, va, by_range.get(model.source_unit(a), ())) for a, va in f.data.items()]
     if budget is not None:
-        charge("convolution", sum(len(by_range.get(model.source_unit(a), ())) for a in f.data),
-               "pair products", budget)
-    # composable by construction: source(a) == range(b)
+        charge("convolution", sum(len(bs) for *_, bs in pairs), "pair products", budget)
     return CcFunction(model, ((GroupoidElement(a.unit, backend.mul(a.word, b.word)), va * vb)
-                              for a, va in f.data.items()
-                              for b, vb in by_range.get(model.source_unit(a), ())))
+                              for a, va, bs in pairs for b, vb in bs))
 
 
 def involution(f: CcFunction) -> CcFunction:

@@ -200,14 +200,16 @@ def _run_bandcheck(model, mu, cfg, seed, budget):
     C = overlap_constant(model, est.delta)
 
     def random_sphere_function(kk, bound_one):
-        # only the kept elements are built: element i of the units x words
-        # grid is (i // W, words[i % W])
-        words = [g.word for g in model.sphere(0, kk, budget=budget)]
-        W = len(words)
+        # only the kept elements are built: element i of the units x sphere
+        # grid is (i // W, sphere word i % W), and the radius-kk ball is
+        # charged though neither it nor the sphere is enumerated
+        model._charge(kk, budget)
+        W = model.sphere_count(kk)
         idx = range(model.units * W)
         if len(idx) > cap:
             idx = sorted(rng.choice(len(idx), size=cap, replace=False).tolist())
-        full = [GroupoidElement(i // W, words[i % W]) for i in idx]
+        words = model.backend.sphere_words(kk, [i % W for i in idx])
+        full = [GroupoidElement(i // W, w) for i, w in zip(idx, words)]
         vals = rng.uniform(-1, 1, size=len(full)) + 1j * rng.uniform(-1, 1, size=len(full))
         if bound_one:
             peak = max(np.abs(vals)) if len(vals) else 1.0

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CcFunction
+from .algebra import CcFunction, convolve
 from .errors import GrowthHypothesisError, NonComposableError, PreconditionError, charge
 from .model import DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidElement, GroupoidModel
 
@@ -268,12 +268,9 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     Preconditions: ``supp f`` inside the length-k sphere, ``supp g``
     inside the length-n sphere, ``|g| <= 1`` pointwise, with k, n >= 0.
 
-    ``f * g`` is summed on the rows of the radius-(k+n) ball tree, which
-    ``ball_tree`` charges to ``budget``: the row of a product ``x y`` is y's
-    letters walked through ``right`` from x's row.  Products are formed and
-    summed per element by ``bincount`` in ``convolve``'s order (f's elements,
-    each with g's of range its source), and the masses are read in the order
-    of each element's first product, so they are ``convolve``'s to the bit.
+    ``f * g`` is ``convolve``'s product, whose pair products are charged to
+    ``budget`` (None: the enumeration default) before any is formed, and the
+    masses are read in its order.
     """
     model = f.model
     if k < 0 or n < 0:
@@ -288,47 +285,14 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     if g.max_abs() > 1 + 1e-12:
         raise PreconditionError("g must be bounded by 1 in absolute value")
 
-    _, _, right = model.ball_tree(k + n, budget)
-    units, spells, values = [], [], []
-    for h, steps in ((f, k), (g, n)):
-        units.append(np.array([x.unit for x in h.support()], dtype=np.int64))
-        spells.append(np.array([model.backend.spell(x.word) for x in h.support()],
-                               dtype=np.int64).reshape(len(h), steps))
-        values.append(np.array(list(h.data.values()), dtype=complex))
-    rows, sources = np.zeros(len(f), dtype=np.int64), units[0]
-    for col in spells[0].T:
-        rows, sources = right[rows, col], model.letter_perms[col, sources]
-    # the pairs (x, y), y of range source(x): x in f's order, then y in g's
-    by_range: dict = {}
-    for j, unit in enumerate(units[1].tolist()):
-        by_range.setdefault(unit, []).append(j)
-    x, y = np.array([(i, j) for i, unit in enumerate(sources.tolist())
-                     for j in by_range.get(unit, ())], dtype=np.int64).reshape(-1, 2).T
-    rows = rows[x]
-    for col in spells[1][y].T:
-        rows = right[rows, col]
-    # the products written out, as Python's complex product rounds them
-    a, b = values[0][x], values[1][y]
-    keys, first, which = np.unique(units[0][x] * len(right) + rows,
-                                   return_index=True, return_inverse=True)
-    re = np.bincount(which, a.real * b.real - a.imag * b.imag, len(keys))
-    im = np.bincount(which, a.real * b.imag + a.imag * b.real, len(keys))
-    order = np.argsort(first)
-    unit_of, row_of = np.divmod(keys[order], len(right))
-    # a free tree's outside row is past L
-    length_of = model.backend.tree_lengths(len(right))[row_of]
+    h = convolve(f, g, DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
     lo, hi = abs(k - n), k + n
-    # one pass over f * g in convolve's order, so each mass is
-    # ``h.length_slice(m).fiber_l1(u)`` of ``h = convolve(f, g)``
     outside, slices = [], {m: [] for m in range(lo, hi + 1)}
-    for *v, unit, m in zip(re[order].tolist(), im[order].tolist(), unit_of.tolist(),
-                           length_of.tolist()):
-        v = complex(*v)
-        if v == 0:  # convolve drops a sum of 0
-            continue
+    for x, v in h.items():
+        m = model.length(x)
         if not lo <= m <= hi:
             outside.append(abs(v))
-        elif unit == u:
+        elif x.unit == u:
             slices[m].append(abs(v))
     outside = sum(outside)
     bound = C * f.fiber_l1(u)

@@ -259,6 +259,18 @@ class FreeGroup:
         """Words of length <= L in tree order (length-lex, a < A < b < B)."""
         return self.tree_words(*self._trie(L)) if L >= 0 else []
 
+    def sphere_words(self, k: int, indices) -> list:
+        """Words ``ball_words(k)[ball_count(k - 1) + j]`` of the length-k sphere
+        for each index j, with no ball built: j's digits, in base 2 rank first
+        and then base 2 rank - 1, are columns, and each child skips its
+        parent's inverse column ``c ^ 1``."""
+        rest = np.array(indices, dtype=np.int64)
+        cols = np.empty((len(rest), max(k, 0)), dtype=np.int64)
+        for i in range(k):
+            d, rest = np.divmod(rest, (2 * self.rank - 1) ** (k - 1 - i))
+            cols[:, i] = d if i == 0 else d + (d >= cols[:, i - 1] ^ 1)
+        return list(map(tuple, np.array(self.letters())[cols].tolist()))
+
     def tree_words(self, parent, gen) -> list:
         """The words of a ball tree's rows, ``words[i] = words[parent[i]] +
         (letters()[gen[i]],)``."""
@@ -399,6 +411,11 @@ class FiniteGroup:
     def ball_words(self, L: int) -> list:
         """Elements of length <= L in BFS discovery order: the first tree rows."""
         return self._elements[:self.ball_count(L)]
+
+    def sphere_words(self, k: int, indices) -> list:
+        """Elements ``ball_words(k)[ball_count(k - 1) + j]`` of the length-k sphere."""
+        lo = self.ball_count(k - 1)
+        return [self._elements[lo + j] for j in indices]
 
     def tree_words(self, parent, gen) -> list:
         """The elements of the BFS tree's rows."""

@@ -660,6 +660,33 @@ def test_bandcheck_builds_only_the_sampled_elements(files, capsys, monkeypatch):
     assert len(built) == 200 + 128
 
 
+def test_bandcheck_builds_no_ball(files, capsys, monkeypatch):
+    # at k = 12 the F2 sphere has 1,062,882 words, of which 200 are drawn by
+    # index; the radius-12 ball is charged, and radius 14 is refused
+    far = write_cfg(files, "band_far", {"k": 12})
+    script = ("import json, sys, time\nfrom etale.cli import main\n"
+              "t = time.perf_counter()\n"
+              f"code = main(['bandcheck', '--model', {str(files['f2'])!r}, '--config', {far!r}])\n"
+              "print(json.dumps([code, time.perf_counter() - t]), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=30)
+    code, seconds = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0 and seconds < 1.0
+
+    def refuse(*args):
+        raise AssertionError("a ball was enumerated")
+    monkeypatch.setattr(etale.FreeGroup, "_trie", refuse)
+    monkeypatch.setattr(etale.FreeGroup, "ball_words", refuse)
+    code, report = run_json(capsys, ["bandcheck", "--model", files["f2"], "--config", far])
+    assert code == 0 and report["results"]["passed"]
+    assert json.loads(proc.stdout) == report
+    argv = ["bandcheck", "--model", files["f2"], "--config", write_cfg(files, "band", {"k": 14})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ball of radius 14 needs 9565937 elements, budget is 5000000"]
+
+
 def test_delta_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
     # Z/200 at radius 100 is 200 elements, inside the element budget; its
     # quadruple count is refused from the ball count alone

@@ -329,6 +329,17 @@ def test_band_check_fail_path(f2):
     assert rep.outside_mass == 0.0
 
 
+def test_band_check_charges_pair_products_first(f2, monkeypatch):
+    # 12 words of sphere 2 times 4 of sphere 1 on one unit: 48 products
+    f, g = sphere_indicator(f2, 2), sphere_indicator(f2, 1)
+    assert band_check(f, g, 2, 1, 0, 5.0, budget=48).passed
+    products = []
+    monkeypatch.setattr(etale.FreeGroup, "mul", lambda self, a, b: products.append((a, b)))
+    with pytest.raises(BudgetError, match=r"^convolution needs 48 pair products, budget is 47$"):
+        band_check(f, g, 2, 1, 0, 5.0, budget=47)
+    assert products == []
+
+
 def _convolve_masses(f, g, k, n, u):
     """The band masses and outside mass of ``convolve(f, g)``, read in its order."""
     model, lo, hi = f.model, abs(k - n), k + n

@@ -275,6 +275,14 @@ def oracle_finite_bfs(backend):
     return order, dist
 
 
+def assert_sphere_words(backend, k, sphere):
+    """``sphere_words`` reads the sphere by index: every index, then every
+    third in reverse, twice over."""
+    assert backend.sphere_words(k, range(len(sphere))) == sphere
+    picks = [*range(len(sphere))][::-3] * 2
+    assert backend.sphere_words(k, picks) == [sphere[j] for j in picks]
+
+
 def test_enumeration_matches_oracles(z6, z2_swap, s3):
     for rank in (1, 2, 3):
         model = etale.group_model(FreeGroup(rank))
@@ -282,13 +290,15 @@ def test_enumeration_matches_oracles(z6, z2_swap, s3):
             ball = [w for j in range(k + 1) for w in oracle_sphere_words(rank, j)]
             assert model.backend.ball_words(k) == ball
             assert model.ball(0, k) == [GroupoidElement(0, w) for w in ball]
-            assert model.sphere(0, k) == [GroupoidElement(0, w) for w in
-                                          oracle_sphere_words(rank, k)]
+            sphere = oracle_sphere_words(rank, k)
+            assert model.sphere(0, k) == [GroupoidElement(0, w) for w in sphere]
+            assert_sphere_words(model.backend, k, sphere)
     for model in (z6, z2_swap, s3):
         order, dist = oracle_finite_bfs(model.backend)
         for k in range(max(dist.values()) + 2):
             ball = [x for x in order if dist[x] <= k]
             assert model.backend.ball_words(k) == ball
+            assert_sphere_words(model.backend, k, [x for x in ball if dist[x] == k])
             for u in range(model.units):
                 assert model.ball(u, k) == [GroupoidElement(u, x) for x in ball]
                 assert model.sphere(u, k) == [GroupoidElement(u, x) for x in ball
