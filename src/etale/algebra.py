@@ -132,7 +132,7 @@ def length_weighted(model: GroupoidModel, alpha: float, k: int, budget=None) -> 
 def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
     """Convolution product, summing over composable factorizations.
 
-    ``budget`` bounds the number of pair products, which is checked
+    ``budget`` bounds the number of pair products, which is charged
     before any is made."""
     _same_model(f, g)
     model = f.model
@@ -142,8 +142,7 @@ def convolve(f: CcFunction, g: CcFunction, budget=None) -> CcFunction:
         by_range.setdefault(b.unit, []).append((b, vb))
     # each a with the b of range source(a), so composable by construction
     pairs = [(a, va, by_range.get(model.source_unit(a), ())) for a, va in f.data.items()]
-    if budget is not None:
-        charge("convolution", sum(len(bs) for *_, bs in pairs), "pair products", budget)
+    charge("convolution", sum(len(bs) for *_, bs in pairs), "pair products", budget)
     return CcFunction(model, ((GroupoidElement(a.unit, backend.mul(a.word, b.word)), va * vb)
                               for a, va, bs in pairs for b, vb in bs))
 

@@ -2,6 +2,8 @@
 refused on purpose (CLI exit 2); any other exception is a fault."""
 import math
 
+DEFAULT_ENUMERATION_BUDGET = 5_000_000
+
 
 class Refusal(ValueError):
     """An input refused on purpose: the base of every refusal type here but
@@ -32,13 +34,13 @@ def count_text(n: int) -> str:
 
 
 def charge(what: str, required: int | None, unit: str, budget, log10: float | None = None) -> None:
-    """Refuse ``required`` units of work past ``budget`` (None allows any
-    count) before any is done: the one place a BudgetError is built from a
-    work estimate, as ``{what} needs {required} {unit}, budget is {budget}``.
-    A count too large to form is passed as ``log10``, its base-10 logarithm,
-    with ``required`` None; it is printed as ``about 10^{log10}``."""
-    if budget is None or (required <= budget if log10 is None
-                          else log10 <= math.log10(max(budget, 1))):
+    """Refuse ``required`` units of work past ``budget`` (None: the default,
+    ``math.inf``: no bound) before any is done: the one place a BudgetError
+    is built from a work estimate, as ``{what} needs {required} {unit},
+    budget is {budget}``.  A count too large to form is passed as ``log10``,
+    its base-10 logarithm, with ``required`` None, and printed as ``about 10^{log10}``."""
+    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    if required <= budget if log10 is None else log10 <= math.log10(max(budget, 1)):
         return
     text = count_text(required) if log10 is None else f"about 10^{log10:.2f}"
     raise BudgetError(f"{what} needs {text} {unit}, budget is {budget}",

@@ -30,8 +30,8 @@ import numpy as np
 from .algebra import CcFunction, function_from_json, function_to_json, involution
 from .errors import (KernelDomainError, KernelPositivityError, ModelError,
                      PreconditionError, charge)
-from .model import (DEFAULT_ENUMERATION_BUDGET, REQUIRED, FreeGroup, GroupoidElement,
-                    GroupoidModel, as_float, as_int, as_list, take_keys)
+from .model import (REQUIRED, FreeGroup, GroupoidElement, GroupoidModel, as_float, as_int,
+                    as_list, take_keys)
 from .spectral import radial_ball_spectrum
 
 
@@ -138,9 +138,9 @@ def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
 def gram_stack(model: GroupoidModel, kernel, units, stack, tree=None) -> np.ndarray:
     """Gram matrices, shape (tuples, size, size), of a stack of same-size
     tuples, tuple t in the range fiber at ``units[t]``.  A tuple holds words,
-    or, in the index form, rows of ``tree``, a ball tree ``(parent, gen,
-    right)`` of ``model.ball_tree``: ``stack`` is then an integer array of
-    shape (tuples, size).  A radial kernel is evaluated once per word length
+    or, in the index form, rows of ``tree``, a ball tree whose ``parent``
+    and ``gen`` (of ``model.ball_tree``, or the free backend's trie) are
+    read: ``stack`` is then an integer array of shape (tuples, size).  A radial kernel is evaluated once per word length
     up to the largest ``length(x_i^-1 x_j)`` and gathered through one
     pair-length table of the whole stack: the backend's ``pair_lengths`` of
     the words, or its ``row_pair_lengths`` of the rows, which on a free
@@ -195,17 +195,18 @@ def ball_spectrum(model: GroupoidModel, kernel, u: int, k: int, budget=None) -> 
     ``sum_l F(l) chi_l``, l <= 2k, on the ball, so its spectrum is that of
     ``spectral.radial_ball_spectrum``'s blocks: the ball is charged to
     ``budget`` but neither enumerated nor built.  Otherwise the Gram's n^2
-    entries are charged to ``budget`` (None: the enumeration default) before
-    the ball is enumerated and the Gram built and solved by ``eigvalsh``."""
+    entries are charged to ``budget`` before ``gram_stack`` builds it on the
+    first n rows of the backend's tree, with no walk table, for ``eigvalsh``."""
     model._charge(k, budget, u)
-    if isinstance(kernel, RadialKernel) and isinstance(model.backend, FreeGroup):
+    free = isinstance(model.backend, FreeGroup)
+    if isinstance(kernel, RadialKernel) and free:
         profile = [kernel.at_length(l).real for l in range(2 * k + 1)]
         blocks = radial_ball_spectrum(model.backend.rank, profile, k)
         return np.sort(np.concatenate([np.repeat(e, mult) for e, mult in blocks]))
     n = model.ball_count(k)
-    charge(f"Gram matrix of radius {k}", n * n, "entries",
-           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
-    return np.linalg.eigvalsh(gram_matrix(model, kernel, model.ball(u, k)))
+    charge(f"Gram matrix of radius {k}", n * n, "entries", budget)
+    tree = model.backend._trie(k) if free else model.backend.ball_tree(k)
+    return np.linalg.eigvalsh(gram_stack(model, kernel, [u], np.arange(n)[None], tree)[0])
 
 
 @dataclass
@@ -281,28 +282,20 @@ def gns_isometry_defect(model: GroupoidModel, kernel, x: GroupoidElement,
     exact isometry for the kernel's inner product on the truncation.  Both
     are read on one ball tree of radius k + |x|, whose rows of the
     translates ``_translate`` walks: no ball is enumerated and no product
-    formed.  A radial kernel compares F at the two pair-length tables, as
-    their Grams would; a table kernel builds both Grams by one
-    ``gram_stack`` in the index form.  The ball, then the 2 n^2 table
-    entries (None: the enumeration default), then the tree are charged to
-    ``budget`` before any is built."""
+    formed, and both Grams are built by one ``gram_stack`` in the index
+    form.  The ball, then the 2 n^2 Gram entries, then the tree are charged
+    to ``budget`` before any is built."""
     source = model.source_unit(x)
     model._charge(k, budget, source)
     n = model.ball_count(k)
     if not n:
         return 0.0
-    charge(f"isometry defect of radius {k}", 2 * n * n, "entries",
-           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    charge(f"isometry defect of radius {k}", 2 * n * n, "entries", budget)
     tree = model.ball_tree(k + model.length(x), budget)
     rows = np.stack([np.arange(n), _translate(model, tree, x, n)])
-    if isinstance(kernel, RadialKernel):  # both Grams gather F at their pair lengths
-        lengths = model.backend.row_pair_lengths(tree[0], rows).astype(np.intp)
-        values = np.array([kernel.at_length(l) for l in range(int(lengths.max()) + 1)],
-                          dtype=complex)
-        gap = np.abs(values[:, None] - values)  # |F(l) - F(l')| for every pair of lengths
-        return float(gap.ravel()[lengths[0] * len(values) + lengths[1]].max())
     G = gram_stack(model, kernel, [source, x.unit], rows, tree)
-    return float(np.max(np.abs(G[1] - G[0])))
+    G[1] -= G[0]  # in place: the Grams are the largest arrays held
+    return float(np.abs(G[1]).max())
 
 
 def matrix_coeff_recovery(model: GroupoidModel, kernel, x: GroupoidElement,
@@ -367,8 +360,7 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
     # with k before it is rounded
     reads = sum(1 + (k if k <= EXP_UNDERFLOW * n else math.ceil(EXP_UNDERFLOW * n))
                 for n in n_list for k in k_effs)
-    charge("Haagerup sup scan", reads, "lengths",
-           DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    charge("Haagerup sup scan", reads, "lengths", budget)
     unit_rows, deviation_rows, vanishing_rows = [], [], []
     sups: dict[tuple, float] = {}
     for n in n_list:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import CcFunction, convolve
 from .errors import GrowthHypothesisError, NonComposableError, PreconditionError, charge
-from .model import DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidElement, GroupoidModel
+from .model import FreeGroup, GroupoidElement, GroupoidModel
 
 DEFAULT_QUADRUPLE_BUDGET = 100_000_000
 
@@ -102,7 +102,6 @@ def charge_radii(model: GroupoidModel, what: str, K: int, budget=None,
     for no limit).  That count is formed only where ``K log10(q)`` is within
     the limit, and it is compared with ``10 ** limit`` only past
     ``2 ** (3.32 limit)``, just below that."""
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     charge(f"{what} of radius {K}", K + 1, "radii", budget)
     q = 2 * model.backend.rank - 1 if isinstance(model.backend, FreeGroup) else 1
     if printed:
@@ -285,7 +284,7 @@ def band_check(f: CcFunction, g: CcFunction, k: int, n: int, u: int,
     if g.max_abs() > 1 + 1e-12:
         raise PreconditionError("g must be bounded by 1 in absolute value")
 
-    h = convolve(f, g, DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    h = convolve(f, g, budget)
     lo, hi = abs(k - n), k + n
     outside, slices = [], {m: [] for m in range(lo, hi + 1)}
     for x, v in h.items():

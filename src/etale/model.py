@@ -36,8 +36,6 @@ from .errors import ModelError, NonComposableError, charge
 
 Word = Union[tuple, int]
 
-DEFAULT_ENUMERATION_BUDGET = 5_000_000
-
 MAX_FINITE_ORDER = 256
 
 
@@ -117,21 +115,25 @@ def parse_letter(token: str, rank: int) -> int:
     return letter
 
 
-def tree_pair_lengths(parent, depth, rows) -> np.ndarray:
+def tree_pair_lengths(parent, rows) -> np.ndarray:
     """``depth_i + depth_j - 2 depth(lca(i, j))``, the distance of rows i and j
     of a tree rooted at row 0, for all pairs of each tuple of ``rows``, shape
     (tuples, size) -> (tuples, size, size), in the narrowest unsigned type
-    that holds twice the deepest row.  ``depth(lca)`` counts the levels at
-    which the two rows' ancestors agree, read off the ancestor table one level
-    at a time from the deepest; a row above the level stands for its position
-    in the tuple, which no other position matches.  Ids are compared in the
-    narrowest signed type that holds them, where numpy's compare is fastest."""
-    depth = np.asarray(depth)[rows]
-    top = int(depth.max(initial=0))
-    depth = depth.astype(np.min_scalar_type(2 * top))
+    that holds twice the deepest row.  A depth counts the steps up ``parent``
+    to the root, and ``depth(lca)`` the levels at which the two rows' ancestors
+    agree, read off the ancestor table one level at a time from the deepest; a
+    row above the level stands for its position in the tuple, which no other
+    position matches.  Ids are compared in the narrowest signed type that holds
+    them, where numpy's compare is fastest."""
     size = rows.shape[-1]
     ids = np.min_scalar_type(-max(len(parent), size) - 1)
     parent, rows = np.asarray(parent).astype(ids), rows.astype(ids)
+    depth, up = np.zeros(rows.shape, dtype=np.int64), rows
+    while (moving := up > 0).any():
+        depth += moving
+        up = parent[up]
+    top = int(depth.max(initial=0))
+    depth = depth.astype(np.min_scalar_type(2 * top))
     alone = -1 - np.arange(size, dtype=ids)
     lca = np.zeros((*rows.shape, size), dtype=depth.dtype)
     same = np.empty(lca.shape, dtype=bool)
@@ -192,7 +194,7 @@ class FreeGroup:
         in a stack of same-size tuples, shape (tuples, size, size): the tree
         distance of their rows in the trie of the stack's words
         (``tree_pair_lengths``)."""
-        parent, depth, child, rows = [0], [0], {}, []
+        parent, child, rows = [0], {}, []
         for t in stack:
             for w in t:
                 i = 0
@@ -201,16 +203,15 @@ class FreeGroup:
                     if j is None:
                         j = child[i, x] = len(parent)
                         parent.append(i)
-                        depth.append(depth[i] + 1)
                     i = j
                 rows.append(i)
         rows = np.array(rows, dtype=np.int64).reshape(len(stack), -1 if stack else 0)
-        return tree_pair_lengths(np.array(parent), np.array(depth), rows)
+        return tree_pair_lengths(np.array(parent), rows)
 
     def row_pair_lengths(self, parent, rows) -> np.ndarray:
         """``pair_lengths`` of rows of a ball tree of ``parent``, an integer
         array of shape (tuples, size): their tree distance."""
-        return tree_pair_lengths(parent, self.tree_lengths(len(parent)), rows)
+        return tree_pair_lengths(parent, rows)
 
     def sphere_count(self, k: int) -> int:
         if k < 0:
@@ -279,13 +280,6 @@ class FreeGroup:
         for p, c in zip(parent[1:].tolist(), gen[1:].tolist()):
             words.append(words[p] + (letters[c],))
         return words
-
-    def tree_lengths(self, n: int) -> np.ndarray:
-        """Word lengths of the first n rows of a ball tree: its depths, sphere by sphere."""
-        counts = [1]
-        while sum(counts) < n:
-            counts.append(min(self.sphere_count(len(counts)), n - sum(counts)))
-        return np.repeat(np.arange(len(counts)), counts)[:n]
 
     def spell(self, w: tuple) -> list[int]:
         """Columns of ``letters()`` whose product is ``w``."""
@@ -421,10 +415,6 @@ class FiniteGroup:
         """The elements of the BFS tree's rows."""
         return self._elements[:len(parent)]
 
-    def tree_lengths(self, n: int) -> np.ndarray:
-        """Word lengths of the first n rows of the BFS tree."""
-        return self.dist[self._element_array[:n]]
-
     def spell(self, w: int) -> list[int]:
         """Columns of ``letters()`` along the tree path to ``w``."""
         return self._spelling[w]
@@ -526,12 +516,12 @@ class GroupoidModel:
     def _charge(self, k: int, budget, u: int = 0) -> None:
         """Refuse the radius-k ball past ``budget`` elements (None: the
         default).  On a free backend with q = 2 rank - 1 >= 3 its count
-        passes q^(k-1), so a k with q^(k-1) past the budget and 10^30 is
-        refused from its logarithm, before a count of k log10(q) digits is formed."""
+        passes q^(k-1), so a k with q^(k-1) past 10^30 is first charged by
+        its logarithm, which refuses it past the budget before a count of
+        k log10(q) digits is formed."""
         self.unit_element(u)
-        budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
         q = 2 * self.backend.rank - 1 if isinstance(self.backend, FreeGroup) else 1
-        if q >= 3 and k - 1 > math.log(max(budget, 10 ** 30)) / math.log(q):
+        if q >= 3 and k - 1 > math.log(10 ** 30) / math.log(q):
             # log10 of 1 + (q+1)(q^k - 1)/(q-1); past the float range from k = 2^1000
             log10 = k * math.log10(q) + math.log10((q + 1) / (q - 1)) if k < 2 ** 1000 else math.inf
             charge(f"ball of radius {k}", None, "elements", budget, log10=log10)
@@ -558,7 +548,7 @@ class GroupoidModel:
         ``(ball_count(L) + 1) * len(letters())`` entries are charged too."""
         self._charge(L, budget)
         charge(f"walk table of radius {L}", (self.ball_count(L) + 1) * len(self.backend.letters()),
-               "entries", DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+               "entries", budget)
         return self.backend.ball_tree(L)
 
     def descend(self, first, parent, gen, table, n=None) -> np.ndarray:

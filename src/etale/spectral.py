@@ -19,7 +19,7 @@ two methods:
   at most ``DENSE_ROWS`` rows, Lanczos from a random start drawn from
   ``seed`` past it, its tridiagonal T_k solved by ``_tridiagonal_top``.
 
-``converged`` means the eigen-residual is at most ``tol * max(1, |theta|)``;
+``converged`` means the eigen-residual is at most ``tol * |theta|``;
 ``iterations`` counts Lanczos steps, 0 on the quotient and on dense rungs.
 
 ``power_sequence_norm`` reports ``|h_n|_2 ^ (1/(2*2^n))`` for
@@ -41,8 +41,7 @@ import numpy as np
 
 from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
 from .errors import BudgetError, PreconditionError, charge
-from .model import (DEFAULT_ENUMERATION_BUDGET, FreeGroup, GroupoidModel, MeasureContext,
-                    as_int, as_list)
+from .model import FreeGroup, GroupoidModel, MeasureContext, as_int, as_list
 
 DEFAULT_POWER_BUDGET = 10_000_000
 DEFAULT_LADDER = (4, 6, 8, 10, 12)
@@ -165,7 +164,7 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
                         low, high = np.linalg.eigvalsh(
                             np.diag(alphas) + np.diag(betas[:-1], -1))[[0, -1]].tolist()
                         sign, top = (1.0, high) if high >= -low else (-1.0, -low)
-                        stalled = last is not None and abs(top - last) <= tol * max(1.0, top)
+                        stalled = last is not None and abs(top - last) <= tol * top
                         last = top
                     if stalled or k == max_iter or beta == 0.0:
                         a = [sign * v for v in alphas]
@@ -176,7 +175,7 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
                             if theta > top:
                                 sign, top, y = -sign, theta, z
                         residual = beta * abs(y[-1])
-                        if residual <= tol * max(1.0, top):
+                        if residual <= tol * top:
                             return top, k, residual, True
                 w /= beta
                 v_prev, v = v, w
@@ -217,7 +216,7 @@ def _dense(A, tol: float, index=None):
         residual = float(np.linalg.norm(A @ y - theta * y))
     if not math.isfinite(theta + residual):
         raise PreconditionError(DENSE_OVERFLOW)
-    return abs(theta), 0, residual, residual <= tol * max(1.0, abs(theta))
+    return abs(theta), 0, residual, residual <= tol * abs(theta)
 
 
 @dataclass
@@ -379,8 +378,7 @@ class _Quotient:
     def __init__(self, rank: int, profile, ladder: list, tol: float, budget):
         L, self.banded = ladder[-1], len(profile) > 2
         row = L + 1 if self.banded else TRIDIAGONAL_ROW
-        charge(f"sphere quotient of radius {L}", row * (L + 1), "entries",
-               DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+        charge(f"sphere quotient of radius {L}", row * (L + 1), "entries", budget)
         q, limit = 2 * rank - 1, 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for k, c in enumerate(profile):
@@ -407,7 +405,7 @@ class _Quotient:
                                     diagonals.get(1, np.zeros(n - 1)).tolist(), self.limit)
         y = np.array(y)
         residual = math.hypot(*(radial_convolve(bands, y) - theta * y))  # hypot does not overflow
-        return theta, 0, residual, residual <= self.tol * max(1.0, theta)
+        return theta, 0, residual, residual <= self.tol * abs(theta)
 
     def estimate(self, **fields):
         return QuotientEstimate(limit=self.limit, **fields)
@@ -605,9 +603,9 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     radius R = 2^(n_max+1) K (K = ``len(profile) - 1``) no power passes: j
     renormalized banded products, whose (R+1)(2K+1) multiply-adds each are
     charged to ``budget`` before any band is built.  Any other f squares h
-    by sparse convolution, each square charged on its own.  PreconditionError
-    for an n_max past 1022, as 2^(n_max+1) then leaves the float range, and
-    for a norm of h_n that is not a finite float."""
+    by sparse convolution, each square charged on its own, as ``2^E h`` scaled
+    by ``_rescaled``.  PreconditionError for an n_max past 1022, as 2^(n_max+1)
+    then leaves the float range, and for a radial norm that is not a finite float."""
     if not 1 <= n_max <= 1022:
         raise PreconditionError("n_max must lie in 1..1022")
     profile = radial_profile_of(f)
@@ -632,21 +630,31 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                     entries.append((j.bit_length() - 2, math.exp(math.fsum(logs) / j)))
         return PowerSeq(entries=entries, n_max=n_max, method="radial")
 
-    h = convolve(involution(f), f, budget=budget)
+    f, s = _rescaled(f)
+    h, E = _rescaled(convolve(involution(f), f, budget=budget))
+    E += 2 * s  # the true h is 2^E h
     for n in range(1, n_max + 1):
         try:
             h = convolve(h, h, budget=budget)
         except BudgetError as exc:
             raise BudgetError(f"power sequence exceeded budget at n={n}: {exc}",
                               required=exc.required, budget=exc.budget) from exc
-        try:
-            norm = lp_norm(h, 2, mu)
-        except OverflowError:  # a |v| ** 2 past the float range
-            norm = math.inf
-        if not math.isfinite(norm):
-            raise PreconditionError(POWER_OVERFLOW)
-        entries.append((n, norm ** (1.0 / (2 * 2 ** n))))
+        h, e = _rescaled(h)
+        E = 2 * E + e
+        # |2^E h|^(1/d) = |h|^(1/d) 2^(r/d) 2^k for E = k d + r; |h|^(1/d) at E = 0
+        k, r = divmod(E, d := 2 * 2 ** n)
+        entries.append((n, math.ldexp(lp_norm(h, 2, mu) ** (1.0 / d) * 2.0 ** (r / d), k)))
     return PowerSeq(entries=entries, n_max=n_max, method="sparse")
+
+
+def _rescaled(h: CcFunction):
+    """``(2^-e h, e)``, whose largest real or imaginary part lies in [1/2, 1), when
+    h's leaves [2^-400, 2^400], else ``(h, 0)``: a square and norm of it are finite."""
+    top = max((max(abs(v.real), abs(v.imag)) for v in h.data.values()), default=0.0)
+    if not top or 2.0 ** -400 <= top <= 2.0 ** 400:
+        return h, 0
+    e = max(math.frexp(top)[1], -1000)  # 2^1000 is a float, 2^1074 is not
+    return h * 2.0 ** -e, e
 
 
 # -- norm bound -------------------------------------------------------------
@@ -673,7 +681,7 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
                       budget=None, seed: int = 0) -> NormBoundReport:
     """Check the representation-norm bound on ``f = alpha^k * (k-sphere
     indicator)``: any truncated lower estimate must stay below
-    ``2 C (k+1) |f|_q``."""
+    ``2 C (k+1) |f|_q``, and ``passed`` is ``lhs <= rhs`` on the two floats."""
     if p < 2:
         raise PreconditionError("p must be >= 2")
     if k < 0:
@@ -682,6 +690,6 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
     f = length_weighted(model, alpha, k, budget=budget)
     est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget, seed=seed)
     rhs = 2.0 * C * (k + 1) * lp_norm(f, q, mu)
-    passed = est.value <= rhs * (1 + 1e-9)
+    passed = est.value <= rhs
     return NormBoundReport(alpha=alpha, k=k, p=p, q=q, overlap=C, L=L,
                            lhs=est.value, rhs=rhs, passed=passed)

@@ -371,7 +371,6 @@ def test_certify_cli(files, tmp_path, capsys):
 
 
 BETA_RANGE = "every beta must lie in (0, 1]"
-POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
 N_MAX_RANGE = "n_max must lie in 1..1022"
 
 
@@ -787,10 +786,7 @@ def test_refusals_print_no_traceback(files):
     # input runs in a child process
     nested = files["root"] / "nested.json"
     nested.write_text("[" * 100_000)
-    cases = [("powerseq", "f2", {"function": [{"unit": 0, "word": "a", "re": 1e100}],
-                                 "n_max": 1}, POWER_OVERFLOW),
-             ("powerseq", "z6", {"n_max": 9}, POWER_OVERFLOW),
-             ("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
+    cases = [("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
               N_MAX_RANGE),
              # 2^(n_max + 1) would hang the radial charge
              ("powerseq", "f2", {"n_max": 1e300}, N_MAX_RANGE),

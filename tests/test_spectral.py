@@ -238,15 +238,24 @@ def test_power_sequence_budget_refuses_before_squaring(f2, mu_f2):
     assert time.perf_counter() - start < 1.0
 
 
-def test_power_sequence_past_the_float_range_refused(f2, mu_f2, z6):
-    # the sparse path refuses as the radial one does: a convolution that
-    # reaches inf, and an lp_norm whose |v| ** 2 raises OverflowError
+def test_sparse_power_sequence_stays_in_the_float_range(f2, mu_f2, z6):
+    # h is carried as 2^E h: a tiny or huge f, and a z6 chi_1 whose h_n
+    # passes the float range from n = 9, read their true values
     a = GroupoidElement(0, (1,))
-    mu6 = MeasureContext.uniform(z6)
-    for f, mu, n_max in ((1e100 * delta(f2, a), mu_f2, 1), (sphere_indicator(z6, 1), mu6, 9)):
-        with pytest.raises(ValueError, match="overflow float64 in the power sequence"):
-            power_sequence_norm(f, n_max, mu)
-    assert all(map(math.isfinite, power_sequence_norm(sphere_indicator(z6, 1), 8, mu6).values()))
+    for c in (1e-100, 1e100):
+        ps = power_sequence_norm(c * delta(f2, a), 2, mu_f2)
+        assert ps.method == "sparse" and ps.values() == pytest.approx([c, c], rel=1e-15)
+    # |h_n|^2 = (2 16^m + 4) / 6 with m = 2^n, from chi_1's eigenvalues
+    # 2 cos(2 pi j / 6) on Z/6
+    values = power_sequence_norm(sphere_indicator(z6, 1), 12, MeasureContext.uniform(z6)).values()
+    for n, value in enumerate(values, start=1):
+        m = 2 ** n
+        log_norm2 = math.log(2) + m * math.log(16) + math.log1p(2 / 16 ** m) - math.log(6)
+        assert value == pytest.approx(math.exp(log_norm2 / (4 * m)), rel=1e-15)
+
+
+def test_power_sequence_past_the_float_range_refused(f2, mu_f2):
+    a = GroupoidElement(0, (1,))
     # 2^(n_max + 1) leaves the float range past 1022: refused on both paths
     # before any charged work, which a budget of 0 would refuse (a huge n_max,
     # whose 2^(n_max + 1) would hang, runs in test_cli's child processes)
@@ -255,6 +264,16 @@ def test_power_sequence_past_the_float_range_refused(f2, mu_f2, z6):
             with pytest.raises(ValueError, match=r"n_max must lie in 1\.\.1022"):
                 power_sequence_norm(f, n_max, mu_f2, budget=0)
     assert power_sequence_norm(delta(f2, a), 1022, mu_f2).values() == [1.0] * 1022
+
+
+def test_norm_bound_is_decided_on_the_printed_floats(f2, mu_f2):
+    # a C that puts rhs below lhs by less than 1e-9 relative fails the bound
+    rep = verify_norm_bound(f2, mu_f2, 0.5, 2, 2.0, 1.0, L=4)
+    for slack, passed in ((-5e-10, False), (5e-10, True)):
+        C = rep.lhs / rep.rhs * (1 + slack)
+        tight = verify_norm_bound(f2, mu_f2, 0.5, 2, 2.0, C, L=4)
+        assert tight.lhs == rep.lhs and (tight.rhs < tight.lhs) is not passed
+        assert abs(tight.rhs / tight.lhs - 1) < 1e-9 and tight.passed is passed
 
 
 def test_verify_norm_bound(f2, mu_f2):
@@ -561,6 +580,21 @@ def test_converged_means_residual_within_tol(z):
     assert not est.converged and est.iterations == 3
 
 
+def test_convergence_is_relative_to_the_value(f2):
+    # the stall and residual tests scale with |theta|: c f stops after the
+    # steps f takes, with c times its value, however small c is
+    a = GroupoidElement(0, (1,))
+    cases = ((delta(f2, a) + 0.5 * delta(f2, GroupoidElement(0, (2,))), 4),  # 161 rows
+             (sphere_indicator(f2, 1) + delta(f2, a), 8))
+    for f, L in cases:
+        ref = reduced_norm(f, L, ladder=[L])
+        assert ref.iterations > 2
+        for c in (1.0, 1e-3, 1e-6):
+            est = reduced_norm(c * f, L, ladder=[L])
+            assert est.converged and est.iterations == ref.iterations
+            assert est.value / c == pytest.approx(ref.value, rel=1e-12)
+
+
 def test_lanczos_step_count_on_tree(f2):
     # F2 chi_1 at L=10 (118,097 rows) converges in ~60 Lanczos steps; power
     # iteration needed 222.  -chi_1 has the same norm and stays on Lanczos
@@ -838,7 +872,7 @@ def test_over_budget_quotient_refused_before_any_work(f2, monkeypatch):
         with pytest.raises(BudgetError) as err:
             reduced_norm_at_unit(chi2, 0, L, budget=budget)
         assert err.value.required == (L + 1) ** 2
-    row, default = spectral.TRIDIAGONAL_ROW, spectral.DEFAULT_ENUMERATION_BUDGET
+    row, default = spectral.TRIDIAGONAL_ROW, etale.errors.DEFAULT_ENUMERATION_BUDGET
     for budget, L in ((11 * row - 1, 10), (None, default // row)):
         with pytest.raises(BudgetError) as err:
             reduced_norm_at_unit(chi1, 0, L, budget=budget)
