@@ -140,8 +140,7 @@ def _run_pdcheck(model, mu, cfg, seed, budget):
         tol = as_float(opts["tol"])
         # tuples drawn in batches whose Gram and pair-length arrays, about
         # size * (size + longest word) entries a tuple, stay near STACK_ENTRIES
-        radius = model.backend.max_radius
-        size, longest = min(max_size, pool), max_len if radius is None else min(max_len, radius)
+        size, longest = min(max_size, pool), model.reach(max_len)
         batch = max(1, STACK_ENTRIES // (size * (size + longest)))
         results = []
         for start in range(0, count, batch):

@@ -138,9 +138,9 @@ def gram_matrix(model: GroupoidModel, kernel, elements) -> np.ndarray:
 def gram_stack(model: GroupoidModel, kernel, units, stack, tree=None) -> np.ndarray:
     """Gram matrices, shape (tuples, size, size), of a stack of same-size
     tuples, tuple t in the range fiber at ``units[t]``.  A tuple holds words,
-    or, in the index form, rows of ``tree``, a ball tree whose ``parent``
-    and ``gen`` (of ``model.ball_tree``, or the free backend's trie) are
-    read: ``stack`` is then an integer array of shape (tuples, size).  A radial kernel is evaluated once per word length
+    or, in the index form, rows of ``tree``, a ball tree ``(parent, gen,
+    right)`` of ``model.ball_tree``: ``stack`` is then an integer array of
+    shape (tuples, size).  A radial kernel is evaluated once per word length
     up to the largest ``length(x_i^-1 x_j)`` and gathered through one
     pair-length table of the whole stack: the backend's ``pair_lengths`` of
     the words, or its ``row_pair_lengths`` of the rows, which on a free
@@ -196,17 +196,15 @@ def ball_spectrum(model: GroupoidModel, kernel, u: int, k: int, budget=None) -> 
     ``spectral.radial_ball_spectrum``'s blocks: the ball is charged to
     ``budget`` but neither enumerated nor built.  Otherwise the Gram's n^2
     entries are charged to ``budget`` before ``gram_stack`` builds it on the
-    first n rows of the backend's tree, with no walk table, for ``eigvalsh``."""
+    backend's ``ball_words(k)``, with no walk table, for ``eigvalsh``."""
     model._charge(k, budget, u)
-    free = isinstance(model.backend, FreeGroup)
-    if isinstance(kernel, RadialKernel) and free:
+    if isinstance(kernel, RadialKernel) and isinstance(model.backend, FreeGroup):
         profile = [kernel.at_length(l).real for l in range(2 * k + 1)]
         blocks = radial_ball_spectrum(model.backend.rank, profile, k)
         return np.sort(np.concatenate([np.repeat(e, mult) for e, mult in blocks]))
     n = model.ball_count(k)
     charge(f"Gram matrix of radius {k}", n * n, "entries", budget)
-    tree = model.backend._trie(k) if free else model.backend.ball_tree(k)
-    return np.linalg.eigvalsh(gram_stack(model, kernel, [u], np.arange(n)[None], tree)[0])
+    return np.linalg.eigvalsh(gram_stack(model, kernel, [u], [model.backend.ball_words(k)])[0])
 
 
 @dataclass
@@ -354,8 +352,7 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
         raise PreconditionError("every k must be >= 0")
     if not all(math.isfinite(n * math.log(1.0 / eps)) for n in n_list for eps in eps_list):
         raise PreconditionError("every vanishing radius n log(1/eps) must be a finite float")
-    max_radius = model.backend.max_radius
-    k_effs = [k if max_radius is None else min(k, max_radius) for k in k_list]
+    k_effs = [model.reach(k) for k in k_list]
     # a scan stops near EXP_UNDERFLOW * n, which may be inf: it is compared
     # with k before it is rounded
     reads = sum(1 + (k if k <= EXP_UNDERFLOW * n else math.ceil(EXP_UNDERFLOW * n))
@@ -380,7 +377,7 @@ def haagerup_witness_check(model: GroupoidModel, n_list, k_list, eps_list,
             radius = math.ceil(n * math.log(1.0 / eps))
             tail = math.exp(-(radius + 1) / n)
             row = {"n": n, "eps": eps, "radius": radius, "tail_bound": tail}
-            if max_radius is not None and radius >= max_radius:
+            if model.reach(radius + 1) <= radius:
                 # nothing outside the stated radius in a bounded model
                 row |= {"spot_checked": False, "vacuous": True, "ok": True}
             else:

@@ -588,6 +588,11 @@ class GroupoidModel:
     def ball_count(self, k: int) -> int:
         return self.backend.ball_count(k)
 
+    def reach(self, k: int) -> int:
+        """The longest word length in a radius-k ball: k, capped at the fibers' last radius."""
+        radius = self.backend.max_radius
+        return k if radius is None else min(k, radius)
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -605,7 +605,8 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     charged to ``budget`` before any band is built.  Any other f squares h
     by sparse convolution, each square charged on its own, as ``2^E h`` scaled
     by ``_rescaled``.  PreconditionError for an n_max past 1022, as 2^(n_max+1)
-    then leaves the float range, and for a radial norm that is not a finite float."""
+    then leaves the float range, and for a norm, a value or a part of f that
+    is not a finite float."""
     if not 1 <= n_max <= 1022:
         raise PreconditionError("n_max must lie in 1..1022")
     profile = radial_profile_of(f)
@@ -643,15 +644,20 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
         E = 2 * E + e
         # |2^E h|^(1/d) = |h|^(1/d) 2^(r/d) 2^k for E = k d + r; |h|^(1/d) at E = 0
         k, r = divmod(E, d := 2 * 2 ** n)
-        entries.append((n, math.ldexp(lp_norm(h, 2, mu) ** (1.0 / d) * 2.0 ** (r / d), k)))
+        try:
+            entries.append((n, math.ldexp(lp_norm(h, 2, mu) ** (1.0 / d) * 2.0 ** (r / d), k)))
+        except OverflowError:  # the value itself passes the largest float
+            raise PreconditionError(POWER_OVERFLOW) from None
     return PowerSeq(entries=entries, n_max=n_max, method="sparse")
 
 
 def _rescaled(h: CcFunction):
     """``(2^-e h, e)``, whose largest real or imaginary part lies in [1/2, 1), when
     h's leaves [2^-400, 2^400], else ``(h, 0)``: a square and norm of it are finite."""
-    top = max((max(abs(v.real), abs(v.imag)) for v in h.data.values()), default=0.0)
-    if not top or 2.0 ** -400 <= top <= 2.0 ** 400:
+    parts = [abs(x) for v in h.data.values() for x in (v.real, v.imag)]
+    if not all(map(math.isfinite, parts)):  # as a sum of f's entries can be
+        raise PreconditionError(POWER_OVERFLOW)
+    if not (top := max(parts, default=0.0)) or 2.0 ** -400 <= top <= 2.0 ** 400:
         return h, 0
     e = max(math.frexp(top)[1], -1000)  # 2^1000 is a float, 2^1074 is not
     return h * 2.0 ** -e, e

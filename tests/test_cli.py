@@ -371,6 +371,7 @@ def test_certify_cli(files, tmp_path, capsys):
 
 
 BETA_RANGE = "every beta must lie in (0, 1]"
+POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
 N_MAX_RANGE = "n_max must lie in 1..1022"
 
 
@@ -786,7 +787,13 @@ def test_refusals_print_no_traceback(files):
     # input runs in a child process
     nested = files["root"] / "nested.json"
     nested.write_text("[" * 100_000)
-    cases = [("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
+    cases = [# the sparse value (1.70...) 1.5e308 passes the largest float, and
+             # two entries of 1.7e308 for one word add to inf
+             ("powerseq", "f2", {"function": [{"unit": 0, "word": w, "re": 1.5e308}
+                                              for w in ("a", "b")], "n_max": 1}, POWER_OVERFLOW),
+             ("powerseq", "f2", {"function": [{"unit": 0, "word": "a", "re": 1.7e308}] * 2,
+                                 "n_max": 1}, POWER_OVERFLOW),
+             ("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
               N_MAX_RANGE),
              # 2^(n_max + 1) would hang the radial charge
              ("powerseq", "f2", {"n_max": 1e300}, N_MAX_RANGE),

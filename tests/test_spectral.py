@@ -264,6 +264,13 @@ def test_power_sequence_past_the_float_range_refused(f2, mu_f2):
             with pytest.raises(ValueError, match=r"n_max must lie in 1\.\.1022"):
                 power_sequence_norm(f, n_max, mu_f2, budget=0)
     assert power_sequence_norm(delta(f2, a), 1022, mu_f2).values() == [1.0] * 1022
+    # the sparse path refuses a value past the largest float, and an f whose
+    # entries for one element add to inf
+    b = GroupoidElement(0, (2,))
+    huge, inf = 1.5e308 * (delta(f2, a) + delta(f2, b)), 1.7e308 * delta(f2, a)
+    for f in (huge, inf + inf):
+        with pytest.raises(ValueError, match="overflow float64 in the power sequence"):
+            power_sequence_norm(f, 1, mu_f2)
 
 
 def test_norm_bound_is_decided_on_the_printed_floats(f2, mu_f2):
