@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 
 from .errors import ModelError, PreconditionError, charge
 from .model import (GroupoidElement, GroupoidModel, MeasureContext, as_float, as_int, as_list,
@@ -165,14 +166,45 @@ def i_norm(f: CcFunction) -> float:
     return max(max(by_range.values(), default=0.0), max(by_source.values(), default=0.0))
 
 
+# Norms are homogeneous and 2^j f is exact in floats, so a solver runs on 2^-e f
+# and multiplies its answer by 2^e.  f is scaled only when its largest part leaves
+# [2^-SCALE_WINDOW, 2^SCALE_WINDOW], inside which every solver commutes exactly with
+# 2^j.  Lanczos on M^H M sets the window: |w|^2 ~ |f|^4 keeps clear of 2^+-1022, and
+# |f|^2 above 2^-406, where LAPACK's tridiagonal QL rescales by a non-power of two.
+SCALE_WINDOW = 200
+NOT_FINITE = "f has a part, or gives a value, that is not a finite float"
+
+
+def exact_scale(f: CcFunction, window: float = SCALE_WINDOW) -> tuple[CcFunction, int]:
+    """``(2^-e f, e)``, its largest real or imaginary part in [1/2, 1) (a subnormal
+    one in the window), when f's leaves [2^-window, 2^window], else ``(f, 0)``."""
+    parts = [abs(x) for v in f.data.values() for x in (v.real, v.imag)]
+    if not all(map(math.isfinite, parts)):
+        raise PreconditionError(NOT_FINITE)
+    if not (top := max(parts, default=0.0)) or 2.0 ** -window <= top <= 2.0 ** window:
+        return f, 0
+    e = max(math.frexp(top)[1], -1023)  # 2.0 ** 1023 is the largest power of two
+    return f * 2.0 ** -e, e
+
+
+def scale_back(value: float, e: int, refuse: bool = True) -> float:
+    """``value * 2^e``; past the largest float, PreconditionError, or inf unless ``refuse``."""
+    if math.isfinite(value) and not (value and math.frexp(value)[1] + e > 1024):
+        return math.ldexp(value, e)
+    if refuse:
+        raise PreconditionError(NOT_FINITE)
+    return math.inf
+
+
 def lp_norm(f: CcFunction, p: float, mu: MeasureContext) -> float:
     """Fiberwise l^p norm integrated against the unit-space weights."""
     if p < 1:
         raise PreconditionError("p must be >= 1")
+    f, e = exact_scale(f, 2 * SCALE_WINDOW / p)  # each |v|^p within [2^-400, 2^400]
     total = 0.0
     for g, v in f.data.items():
         total += mu.weight(g.unit) * abs(v) ** p
-    return total ** (1.0 / p)
+    return scale_back(total ** (1.0 / p), e)
 
 
 def omega_pairing(f: CcFunction, phi, mu: MeasureContext) -> complex:

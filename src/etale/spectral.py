@@ -21,6 +21,9 @@ two methods:
 
 ``converged`` means the eigen-residual is at most ``tol * |theta|``;
 ``iterations`` counts Lanczos steps, 0 on the quotient and on dense rungs.
+Every solver runs on ``algebra.exact_scale(f)``, 2^-e f, and multiplies its
+answer by 2^e (``scale_back``).  The one refusal, ``algebra.NOT_FINITE``, is of
+a part of f, value, ``limit`` or ``rhs`` that is not a finite float.
 
 ``power_sequence_norm`` reports ``|h_n|_2 ^ (1/(2*2^n))`` for
 ``h_n = (f^* * f)^(2^n)``, which climbs to the same norm from the algebra
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CcFunction, convolve, involution, length_weighted, lp_norm
+from .algebra import (CcFunction, convolve, exact_scale, involution, length_weighted, lp_norm,
+                      scale_back)
 from .errors import BudgetError, PreconditionError, charge
 from .model import FreeGroup, GroupoidModel, MeasureContext, as_int, as_list
 
@@ -51,8 +55,7 @@ UNIT_SAMPLE = 64  # reduced_norm solves a seeded sample of this many units beyon
 # time), and an operator that Lanczos settles in a few steps is cheaper there
 DENSE_ROWS = 63
 TRIDIAGONAL_ROW = 33  # float64-sized entries a tridiagonal sphere quotient holds a row
-DENSE_OVERFLOW = "the coefficients of f overflow float64 in the dense eigensolve"
-POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
+TRACE_COLUMNS = ("L", "value", "iterations", "residual", "converged")
 
 
 # -- Lanczos ----------------------------------------------------------------
@@ -141,81 +144,66 @@ def _lanczos(apply, n: int, max_iter: int, tol: float, seed: int):
     Every ``max(1, k // 10)`` steps ``eigvalsh`` of the tridiagonal T_k gives
     its ends until the larger in modulus stalls; then ``_tridiagonal_top``
     solves that end, of T_k or -T_k, and one more ``_sturm`` pass shows that
-    the other end does not pass it, or that end is solved.  Overflow in the
-    recurrence raises PreconditionError."""
+    the other end does not pass it, or that end is solved."""
     v = np.random.default_rng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
     alphas, betas, beta, last, stalled, next_check = [], [], 0.0, None, False, 1
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for k in range(1, max_iter + 1):
-                w = apply(v)
-                alpha = float(np.vdot(v, w).real)
-                w -= alpha * v
-                v_prev *= beta
-                w -= v_prev
-                beta = float(np.linalg.norm(w))
-                alphas.append(alpha)
-                betas.append(beta)
-                if k >= next_check or k == max_iter or beta == 0.0:
-                    next_check = k + max(1, k // 10)
-                    if not stalled:
-                        low, high = np.linalg.eigvalsh(
-                            np.diag(alphas) + np.diag(betas[:-1], -1))[[0, -1]].tolist()
-                        sign, top = (1.0, high) if high >= -low else (-1.0, -low)
-                        stalled = last is not None and abs(top - last) <= tol * top
-                        last = top
-                    if stalled or k == max_iter or beta == 0.0:
-                        a = [sign * v for v in alphas]
-                        top, y = _tridiagonal_top(a, betas[:-1], top * (1 + 4 * tol))
-                        other = [-v for v in a]
-                        if _sturm(other, [0.0] + [v * v for v in betas[:-1]], top) is None:
-                            theta, z = _tridiagonal_top(other, betas[:-1], top)
-                            if theta > top:
-                                sign, top, y = -sign, theta, z
-                        residual = beta * abs(y[-1])
-                        if residual <= tol * top:
-                            return top, k, residual, True
-                w /= beta
-                v_prev, v = v, w
-    except FloatingPointError as exc:
-        raise PreconditionError("the coefficients of f overflow float64 in the Lanczos "
-                         f"recurrence ({exc})") from None
+    for k in range(1, max_iter + 1):
+        w = apply(v)
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v
+        v_prev *= beta
+        w -= v_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if k >= next_check or k == max_iter or beta == 0.0:
+            next_check = k + max(1, k // 10)
+            if not stalled:
+                low, high = np.linalg.eigvalsh(
+                    np.diag(alphas) + np.diag(betas[:-1], -1))[[0, -1]].tolist()
+                sign, top = (1.0, high) if high >= -low else (-1.0, -low)
+                stalled = last is not None and abs(top - last) <= tol * top
+                last = top
+            if stalled or k == max_iter or beta == 0.0:
+                a = [sign * v for v in alphas]
+                top, y = _tridiagonal_top(a, betas[:-1], top * (1 + 4 * tol))
+                other = [-v for v in a]
+                if _sturm(other, [0.0] + [v * v for v in betas[:-1]], top) is None:
+                    theta, z = _tridiagonal_top(other, betas[:-1], top)
+                    if theta > top:
+                        sign, top, y = -sign, theta, z
+                residual = beta * abs(y[-1])
+                if residual <= tol * top:
+                    return top, k, residual, True
+        w /= beta
+        v_prev, v = v, w
     return top, max_iter, residual, False
 
 
 def _dense_matrix(op, hermitian: bool):
     """A = M (``hermitian``) or ``M^H M`` for the dense M of the operator
     ``op``, one per unit for a stack of labels: one fancy-index add per word
-    of f into an (n, n + 1) array, whose pad column n is then dropped.  An A
-    that overflows float64 raises PreconditionError."""
+    of f into an (n, n + 1) array, whose pad column n is then dropped."""
     cols, vals = op
     n = cols.shape[1]
     M = np.zeros((*vals.shape[1:-1], n, n + 1), dtype=np.result_type(vals, float))
     rows = np.arange(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, a in zip(cols, vals):
-            M[..., rows, c] += a
-        M = M[..., :n]
-        A = M if hermitian else M.conj().swapaxes(-1, -2) @ M
-    if not np.isfinite(A).all():
-        raise PreconditionError(DENSE_OVERFLOW)
-    return A
+    for c, a in zip(cols, vals):
+        M[..., rows, c] += a
+    M = M[..., :n]
+    return M if hermitian else M.conj().swapaxes(-1, -2) @ M
 
 
 def _dense(A, tol: float, index=None):
     """The ``_lanczos`` tuple with 0 steps for one eigenpair of the dense
     Hermitian A from ``eigh``: the one at ``index`` in ascending order, or
-    the one of largest modulus.  A finite A near the float64 limit can still
-    overflow the eigenvalue or residual, which raises PreconditionError."""
+    the one of largest modulus."""
     thetas, ys = np.linalg.eigh(A)
     i = int(np.argmax(np.abs(thetas))) if index is None else index
     theta, y = float(thetas[i]), ys[:, i]
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(A @ y - theta * y))
-    if not math.isfinite(theta + residual):
-        raise PreconditionError(DENSE_OVERFLOW)
+    residual = float(np.linalg.norm(A @ y - theta * y))
     return abs(theta), 0, residual, residual <= tol * abs(theta)
 
 
@@ -230,12 +218,12 @@ class NormEstimate:
     residual: float
     converged: bool
     trace: list = field(default_factory=list)  # rows: (L, value, iterations, residual, converged)
-    monotone: bool = True
+    monotone: bool = True  # no rung 1e-8 relative below the one before
     units_checked: list = field(default_factory=list)
     method = "lanczos"  # not a field, so Lanczos reports keep their keys
 
     def csv_rows(self):
-        return [("L", "value", "iterations", "residual", "converged"), *self.trace]
+        return [TRACE_COLUMNS, *self.trace]
 
 
 @dataclass
@@ -311,18 +299,19 @@ def _operator(f: CcFunction, right, ns):
 class _Solves:
     """The ladder, ball tree and operators of one ``f``, shared between units,
     for a dense or Lanczos solve at every rung; the tree is built and charged
-    at the top rung."""
+    at the top rung.  f is 2^-scale times the f asked about."""
 
     estimate = NormEstimate
 
-    def __init__(self, f: CcFunction, ladder: list, max_iter: int, tol: float,
-                 seed: int, budget):
-        self.ladder = ladder
+    def __init__(self, f: CcFunction, ladder: list, max_iter: int, tol: float, seed: int,
+                 budget, scale: int):
+        self.ladder, self.scale = ladder, scale
         self.parent, self.gen, right = f.model.ball_tree(ladder[-1], budget)
         ns = [f.model.ball_count(Lk) for Lk in ladder]
         self.rows = ns[-1]
         self.op, self.unit_free, self_adjoint = _operator(f, right, ns)
         self.op_h = self.op if self_adjoint else _operator(involution(f), right, ns)[0]
+        self.degree = 1 if self_adjoint else 2
         self.args = (max_iter, tol, seed)
 
     def rung(self, r: int, units):
@@ -336,7 +325,7 @@ class _Solves:
         if n <= DENSE_ROWS:
             theta, *rest = _dense(_dense_matrix(op, hermitian), self.args[1])
         elif hermitian:
-            return _lanczos(lambda v: _apply(op, v), n, *self.args)
+            theta, *rest = _lanczos(lambda v: _apply(op, v), n, *self.args)
         else:
             # M^H is the operator of f^* on the same ball: f^*(u.w_j, w_j^-1 w_i)
             # is the conjugate of f(u.w_i, w_i^-1 w_j)
@@ -346,7 +335,7 @@ class _Solves:
 
     def contenders(self, model: GroupoidModel, units: list) -> list:
         """The units, in order, whose top-rung value can be the largest: at a
-        dense top rung, those within ``1e-9 * max(1, best)`` of the best by one
+        dense top rung, those within ``1e-9 * best`` of the best by one
         ``eigvalsh`` of the stacked A = M or ``M^H M`` of every unit, which
         agrees with each unit's ``eigh`` within about n eps |A| (at most
         1.3e-15 relative measured at 53 rows).  Every unit at a Lanczos top
@@ -358,10 +347,8 @@ class _Solves:
         A = _dense_matrix(self.op(len(self.ladder) - 1, labels), hermitian)
         theta = np.abs(np.linalg.eigvalsh(A)).max(axis=1)
         value = theta if hermitian else np.sqrt(theta)
-        if not np.isfinite(value).all():  # a finite A whose top eigenvalue overflows
-            raise PreconditionError(DENSE_OVERFLOW)
         best = float(value.max())
-        return [u for u, v in zip(units, value.tolist()) if v >= best - 1e-9 * max(1.0, best)]
+        return [u for u, v in zip(units, value.tolist()) if v >= best * (1 - 1e-9)]
 
 
 class _Quotient:
@@ -373,24 +360,18 @@ class _Quotient:
     built: (L+1)^2 entries for dense rungs, else ``TRIDIAGONAL_ROW`` a row,
     which at L = 10^6 covered 203 B a row traced at peak and 257 B of RSS."""
 
-    unit_free = True
+    unit_free, degree = True, 1
 
-    def __init__(self, rank: int, profile, ladder: list, tol: float, budget):
+    def __init__(self, rank: int, profile, ladder: list, tol: float, budget, scale: int):
         L, self.banded = ladder[-1], len(profile) > 2
         row = L + 1 if self.banded else TRIDIAGONAL_ROW
         charge(f"sphere quotient of radius {L}", row * (L + 1), "entries", budget)
         q, limit = 2 * rank - 1, 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, c in enumerate(profile):
-                limit += c * (1 + k * (q - 1) / (q + 1)) * (
-                    2 * rank * math.exp((k / 2 - 1) * math.log(q)) if k else 1.0)
-            bands = _radial_bands(rank, profile, L)
-            # S >= 0: S y is finite for every unit y when the row sums are
-            if not (np.isfinite(radial_convolve(bands, np.ones(L + 1))).all()
-                    and math.isfinite(limit)):
-                raise PreconditionError(
-                    "the coefficients of f overflow float64 in the sphere quotient")
-        self.bands, self.limit, self.ladder, self.tol = bands, limit, ladder, tol
+        for k, c in enumerate(profile):
+            limit += c * (1 + k * (q - 1) / (q + 1)) * (
+                2 * rank * math.exp((k / 2 - 1) * math.log(q)) if k else 1.0)
+        self.bands = _radial_bands(rank, profile, L)
+        self.limit, self.scale, self.ladder, self.tol = limit, scale, ladder, tol
 
     def rung(self, r: int, units):
         """The Perron root of S's rung-r block, its last eigenpair (on a
@@ -408,19 +389,20 @@ class _Quotient:
         return theta, 0, residual, residual <= self.tol * abs(theta)
 
     def estimate(self, **fields):
-        return QuotientEstimate(limit=self.limit, **fields)
+        return QuotientEstimate(limit=scale_back(self.limit, self.scale), **fields)
 
 
 def _solver(f: CcFunction, L: int, ladder, max_iter: int, tol: float, seed: int, budget):
-    """The shared solves of ``f``: the sphere quotient when f is radial with
-    real coefficients >= 0 on a free backend, dense or Lanczos otherwise."""
+    """The shared solves of ``exact_scale(f)``: the sphere quotient for a radial
+    f with real coefficients >= 0 on a free backend, else dense or Lanczos."""
     if not (tol >= 0 and max_iter >= 1):
         raise PreconditionError(f"tol must be >= 0 and max_iter >= 1, got {tol} and {max_iter}")
     ladder = _truncation_ladder(L, ladder)
+    f, scale = exact_scale(f)
     profile = radial_profile_of(f)
     if profile and all(not isinstance(c, complex) and c >= 0 for c in profile):
-        return _Quotient(f.model.backend.rank, profile, ladder, tol, budget)
-    return _Solves(f, ladder, max_iter, tol, seed, budget)
+        return _Quotient(f.model.backend.rank, profile, ladder, tol, budget, scale)
+    return _Solves(f, ladder, max_iter, tol, seed, budget, scale)
 
 
 def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
@@ -435,11 +417,12 @@ def reduced_norm_at_unit(f: CcFunction, u: int, L: int, max_iter: int = 2000,
     f.model.unit_element(u)
     solves = _solver(f, L, ladder, max_iter, tol, seed, budget) if _solves is None else _solves
     units = None if solves.unit_free else f.model.unit_labels(u, solves.parent, solves.gen)
-    trace = [(Lk, *solves.rung(r, units)) for r, Lk in enumerate(solves.ladder)]
-    monotone = all(b[1] >= a[1] - 1e-8 for a, b in zip(trace, trace[1:]))
-    last = trace[-1]
-    return solves.estimate(value=last[1], L=last[0], unit=u, iterations=last[2],
-                           residual=last[3], converged=last[4], trace=trace,
+    rungs = [solves.rung(r, units) for r in range(len(solves.ladder))]
+    monotone = all(b[0] >= a[0] * (1 - 1e-8) for a, b in zip(rungs, rungs[1:]))
+    e = solves.scale  # a residual scales as its operator, M or M^H M; inf past the range
+    trace = [(Lk, scale_back(v, e), steps, scale_back(r, solves.degree * e, refuse=False), ok)
+             for Lk, (v, steps, r, ok) in zip(solves.ladder, rungs)]
+    return solves.estimate(**dict(zip(TRACE_COLUMNS, trace[-1])), unit=u, trace=trace,
                            monotone=monotone, units_checked=[u])
 
 
@@ -603,12 +586,12 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
     radius R = 2^(n_max+1) K (K = ``len(profile) - 1``) no power passes: j
     renormalized banded products, whose (R+1)(2K+1) multiply-adds each are
     charged to ``budget`` before any band is built.  Any other f squares h
-    by sparse convolution, each square charged on its own, as ``2^E h`` scaled
-    by ``_rescaled``.  PreconditionError for an n_max past 1022, as 2^(n_max+1)
-    then leaves the float range, and for a norm, a value or a part of f that
-    is not a finite float."""
+    by sparse convolution, each square charged on its own.  Both run on
+    ``exact_scale(f)``, and carry h as ``2^E h`` by it.  An n_max past 1022,
+    where 2^(n_max+1) leaves the float range, raises PreconditionError."""
     if not 1 <= n_max <= 1022:
         raise PreconditionError("n_max must lie in 1..1022")
+    f, s = exact_scale(f)
     profile = radial_profile_of(f)
     entries = []
     if profile is not None:
@@ -618,21 +601,17 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
                "multiply-adds", budget)
         bands = _radial_bands(f.model.backend.rank, profile, R)
         y, logs = np.eye(1, R + 1)[0], []  # e_0, and log |S^j e_0| = fsum(logs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, 2 ** (n_max + 1) + 1):
-                y = radial_convolve(bands, y)
-                norm = float(np.linalg.norm(y))
-                if not math.isfinite(norm):
-                    raise PreconditionError(POWER_OVERFLOW)
-                logs.append(math.log(norm) if norm else -math.inf)  # norm 0 only when f = 0
-                y /= norm or 1.0
-                y[abs(y) < np.finfo(float).tiny] = 0  # subnormal tails: no digit, much time
-                if j > 2 and j & (j - 1) == 0:  # j = 2^(n+1)
-                    entries.append((j.bit_length() - 2, math.exp(math.fsum(logs) / j)))
+        for j in range(1, 2 ** (n_max + 1) + 1):
+            y = radial_convolve(bands, y)
+            norm = float(np.linalg.norm(y))
+            logs.append(math.log(norm) if norm else -math.inf)  # norm 0 only when f = 0
+            y /= norm or 1.0
+            y[abs(y) < np.finfo(float).tiny] = 0  # subnormal tails: no digit, much time
+            if j > 2 and j & (j - 1) == 0:  # j = 2^(n+1)
+                entries.append((j.bit_length() - 2, scale_back(math.exp(math.fsum(logs) / j), s)))
         return PowerSeq(entries=entries, n_max=n_max, method="radial")
 
-    f, s = _rescaled(f)
-    h, E = _rescaled(convolve(involution(f), f, budget=budget))
+    h, E = exact_scale(convolve(involution(f), f, budget=budget))
     E += 2 * s  # the true h is 2^E h
     for n in range(1, n_max + 1):
         try:
@@ -640,27 +619,15 @@ def power_sequence_norm(f: CcFunction, n_max: int, mu: MeasureContext,
         except BudgetError as exc:
             raise BudgetError(f"power sequence exceeded budget at n={n}: {exc}",
                               required=exc.required, budget=exc.budget) from exc
-        h, e = _rescaled(h)
+        h, e = exact_scale(h)
         E = 2 * E + e
-        # |2^E h|^(1/d) = |h|^(1/d) 2^(r/d) 2^k for E = k d + r; |h|^(1/d) at E = 0
+        # |2^E h|^(1/d) = (|h| 2^r)^(1/d) 2^k for E = k d + r.  While r < 512 that is
+        # one root of the float |h| 2^r (|h| < 2^300), so 2^j f reads 2^j times f
         k, r = divmod(E, d := 2 * 2 ** n)
-        try:
-            entries.append((n, math.ldexp(lp_norm(h, 2, mu) ** (1.0 / d) * 2.0 ** (r / d), k)))
-        except OverflowError:  # the value itself passes the largest float
-            raise PreconditionError(POWER_OVERFLOW) from None
+        norm = lp_norm(h, 2, mu)
+        root = (norm * 2.0 ** r) ** (1.0 / d) if r < 512 else norm ** (1.0 / d) * 2.0 ** (r / d)
+        entries.append((n, scale_back(root, k)))
     return PowerSeq(entries=entries, n_max=n_max, method="sparse")
-
-
-def _rescaled(h: CcFunction):
-    """``(2^-e h, e)``, whose largest real or imaginary part lies in [1/2, 1), when
-    h's leaves [2^-400, 2^400], else ``(h, 0)``: a square and norm of it are finite."""
-    parts = [abs(x) for v in h.data.values() for x in (v.real, v.imag)]
-    if not all(map(math.isfinite, parts)):  # as a sum of f's entries can be
-        raise PreconditionError(POWER_OVERFLOW)
-    if not (top := max(parts, default=0.0)) or 2.0 ** -400 <= top <= 2.0 ** 400:
-        return h, 0
-    e = max(math.frexp(top)[1], -1000)  # 2^1000 is a float, 2^1074 is not
-    return h * 2.0 ** -e, e
 
 
 # -- norm bound -------------------------------------------------------------
@@ -687,15 +654,15 @@ def verify_norm_bound(model: GroupoidModel, mu: MeasureContext, alpha: float,
                       budget=None, seed: int = 0) -> NormBoundReport:
     """Check the representation-norm bound on ``f = alpha^k * (k-sphere
     indicator)``: any truncated lower estimate must stay below
-    ``2 C (k+1) |f|_q``, and ``passed`` is ``lhs <= rhs`` on the two floats."""
+    ``2 C (k+1) |f|_q`` (both found on ``exact_scale(f)``), and ``passed``
+    is ``lhs <= rhs`` on the two floats."""
     if p < 2:
         raise PreconditionError("p must be >= 2")
     if k < 0:
         raise PreconditionError("k must be >= 0")
     q = p / (p - 1.0)
-    f = length_weighted(model, alpha, k, budget=budget)
+    f, e = exact_scale(length_weighted(model, alpha, k, budget=budget))
     est = reduced_norm(f, L, max_iter=max_iter, tol=tol, budget=budget, seed=seed)
-    rhs = 2.0 * C * (k + 1) * lp_norm(f, q, mu)
-    passed = est.value <= rhs
+    lhs, rhs = (scale_back(v, e) for v in (est.value, 2.0 * C * (k + 1) * lp_norm(f, q, mu)))
     return NormBoundReport(alpha=alpha, k=k, p=p, q=q, overlap=C, L=L,
-                           lhs=est.value, rhs=rhs, passed=passed)
+                           lhs=lhs, rhs=rhs, passed=lhs <= rhs)

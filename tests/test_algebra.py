@@ -1,5 +1,6 @@
 """Convolution *-algebra: products, involution, norms, state pairing."""
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,21 @@ def test_lp_norm_values(f2, mu_f2, f2_32, mu_f2_32):
         assert lp_norm(d, p, mu_f2_32) == pytest.approx((1 / 32) ** (1 / p))
     with pytest.raises(ValueError):
         lp_norm(d, 0.5, mu_f2_32)
+
+
+def test_lp_norm_factors_out_a_power_of_two(f2, mu_f2):
+    # |v|^p of most of these would leave the float range; the norm is summed
+    # on f scaled by 2^-e and multiplied back, so with 1/p exact it is 2^j
+    # times f's, bit for bit
+    f = delta(f2, GroupoidElement(0, (1,))) + 0.5j * delta(f2, GroupoidElement(0, (2,)))
+    for p in (1, 2, 4):
+        ref = lp_norm(f, p, mu_f2)
+        for j in (-1000, -500, -150, 150, 500, 1000):
+            assert lp_norm(2.0 ** j * f, p, mu_f2) == math.ldexp(ref, j)
+    huge = 1.2e308 * (delta(f2, GroupoidElement(0, (1,))) + delta(f2, GroupoidElement(0, (2,))))
+    assert lp_norm(huge, 2, mu_f2) == pytest.approx(1.2e308 * math.sqrt(2), rel=1e-15)
+    with pytest.raises(ValueError, match=etale.algebra.NOT_FINITE):
+        lp_norm(huge, 1, mu_f2)  # 2.4e308
 
 
 def test_lp_monotone_in_p_for_indicators(f2, mu_f2):

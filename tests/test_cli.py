@@ -10,10 +10,11 @@ import shutil
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etale
 from etale.cli import main
@@ -191,74 +192,182 @@ def test_large_balls_refuse_the_dense_gram_and_run_radial_blocks(files, capsys, 
     assert time.perf_counter() - start < 1.0 and grams == []
 
 
-def test_lanczos_overflow_is_a_usage_error(files, capsys):
-    # coefficients -1e300 are finite, but the dense solve's matrix entries
-    # (L = 3, 53 rows) and the Lanczos recurrence's dot products (L = 4, 161
-    # rows) are not; negative, so the solve is not the sphere quotient.  At
-    # 1e308 on a and A the dense A = M is finite, but its eigen-residual is not
-    huge = {"sphere_weighted": {"alpha": -1e100, "k": 3}}
-    edge = [{"unit": 0, "word": w, "re": 1e308} for w in ("a", "A")]
-    for f, L, solver in ((huge, 3, "dense eigensolve"), (huge, 4, "Lanczos"),
-                         (edge, 2, "dense eigensolve")):
-        cfg = write_cfg(files, "huge", {"function": f, "L": L})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["norm", "--model", files["f2"], "--config", cfg]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
-        assert solver in err[0]
+def norm_results(files, capsys, model, function, L):
+    cfg = write_cfg(files, "scaled", {"function": function, "L": L})
+    code, report = run_json(capsys, ["norm", "--model", files[model], "--config", cfg])
+    assert code == 0
+    return report["results"]
+
+
+def test_huge_coefficients_read_their_scaled_values(files, capsys):
+    # -2^996 chi_3 (about -6.7e299; negative, so not the sphere quotient) at
+    # L = 3 (53 rows, dense) and L = 4 (161 rows, Lanczos), and 2^1023 on a
+    # and A (dense A = M) are solved on f scaled by a power of two: each reads
+    # 2^j times the value at scale 1, bit for bit, in the same steps
+    chi3 = {"sphere_weighted": {"alpha": -(2.0 ** 332), "k": 3}}
+    edge = [{"unit": 0, "word": w, "re": 2.0 ** 1023} for w in ("a", "A")]
+    for f, one, L, j in ((chi3, {"sphere_weighted": {"alpha": -1.0, "k": 3}}, 3, 996),
+                         (chi3, {"sphere_weighted": {"alpha": -1.0, "k": 3}}, 4, 996),
+                         (edge, [{**e, "re": 1.0} for e in edge], 2, 1023)):
+        res, ref = (norm_results(files, capsys, "f2", g, L) for g in (f, one))
+        assert res["value"] == math.ldexp(ref["value"], j) < 1.8e308
+        assert res["residual"] == math.ldexp(ref["residual"], j)  # f is self-adjoint
+        assert (res["iterations"], res["converged"]) == (ref["iterations"], ref["converged"])
+        assert res["iterations"] == 0 if L < 4 else res["iterations"] > 0
+
+
+def times_two_to(x, e):
+    """x 2^e as IEEE rounds it, inf past the largest float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def cli_results(files, op, model, cfg):
+    out = files["root"] / "scaled_out"
+    argv = [op, "--model", files[model], "--config", write_cfg(files, "scaled", cfg),
+            "--out", str(out)]
+    assert main(argv) == 0
+    return json.loads((out / "report.json").read_text())["results"]
+
+
+def spec(words, scale=1.0):
+    return [{"unit": u, "word": w, "re": (c * scale).real, "im": (c * scale).imag}
+            for u, w, c in words]
+
+
+AB = [(0, "a", 1.0), (0, "b", 0.5j)]
+INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+CHI_1_2 = [(0, x, 1.0) for x in INVERSE] + [(0, f"{x} {y}", 0.5) for x in INVERSE
+                                             for y in INVERSE if y != INVERSE[x]]
+# name: (model, f's (unit, word, value) at scale 1, L, degree in f of the solved
+# operator); the first three are not self-adjoint, so solved on M^H M
+SCALED_NORMS = {"dense": ("f2", [(0, "a", 1.0), (0, "b", 0.5)], 2, 2),  # 17 rows
+                "lanczos": ("f2", [(0, "a", 1.0), (0, "b", 0.5)], 4, 2),  # 161 rows
+                "ranked": ("f2_32", [(u, w, 1.0 + u / 32) for u in range(32) for w in "ab"],
+                           2, 2),
+                "tridiagonal": ("f2", [(0, w, 1.0) for w in INVERSE], 8, 1),
+                "banded": ("f2", CHI_1_2, 6, 1)}
+
+
+@pytest.fixture(scope="module")
+def scale_one(files):
+    norms = {name: cli_results(files, "norm", model, {"function": spec(f), "L": L})
+             for name, (model, f, L, _) in SCALED_NORMS.items()}
+    return norms, {
+        "normbound": cli_results(files, "normbound", "f2", {"alpha": 0.5, "k": 1, "L": 4}),
+        "sparse": cli_results(files, "powerseq", "f2", {"function": spec(AB), "n_max": 3}),
+        "radial": cli_results(files, "powerseq", "f2",
+                              {"function": spec(CHI_1_2), "n_max": 3})}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(j=st.integers(-900, 900))
+def test_power_of_two_scaling_is_exact(files, scale_one, j):
+    # 2^j f prints 2^j times f's value, bit for bit, on the dense, Lanczos,
+    # unit-ranking and both sphere-quotient paths, with the same steps and
+    # flags; a residual scales as its operator does, inf past the largest
+    # float.  On the Lanczos case an unscaled solve fails from j = -260 down
+    # (|w|^2 underflows) and from j = 260 up (it overflows)
+    norms, ref = scale_one
+    for name, (model, f, L, degree) in SCALED_NORMS.items():
+        one = norms[name]
+        res = cli_results(files, "norm", model, {"function": spec(f, 2.0 ** j), "L": L})
+        for key in ("value", "limit"):
+            assert res.get(key) == (math.ldexp(one[key], j) if key in one else None)
+        assert res["trace"] == [[Lk, math.ldexp(v, j), steps, times_two_to(r, degree * j), ok]
+                                for Lk, v, steps, r, ok in one["trace"]]
+        for key in ("iterations", "converged", "monotone", "unit", "method"):
+            assert res.get(key) == one.get(key)
+    res = cli_results(files, "normbound", "f2", {"alpha": 0.5 * 2.0 ** j, "k": 1, "L": 4})
+    assert (res["lhs"], res["rhs"]) == tuple(math.ldexp(ref["normbound"][k], j)
+                                             for k in ("lhs", "rhs"))
+    assert res["passed"] is ref["normbound"]["passed"]
+    res = cli_results(files, "powerseq", "f2", {"function": spec(AB, 2.0 ** j), "n_max": 3})
+    assert res["method"] == "sparse"
+    assert res["entries"] == [[n, math.ldexp(v, j)] for n, v in ref["sparse"]["entries"]]
+    # the radial path sums the logs of j-scaled norms below 2^8 in modulus,
+    # each within half an ulp, so their mean moves by at most 2^-45 and the
+    # value by 2^8 ulps, and by one more for the two roundings of exp
+    f = spec(CHI_1_2, 2.0 ** j)
+    res = cli_results(files, "powerseq", "f2", {"function": f, "n_max": 3})
+    assert res["method"] == "radial"
+    for (n, v), (m, w) in zip(res["entries"], ref["radial"]["entries"]):
+        assert n == m and abs(v - math.ldexp(w, j)) <= 257 * math.ulp(math.ldexp(w, j))
+
+
+def test_normbound_of_a_huge_alpha_reads_its_values(files, capsys):
+    # |v|^2 of 1e160 is past the largest float, so lp_norm sums on f scaled
+    # by a power of two, as the norm solves; 1e180 chi_2 is past the window
+    for alpha, k in ((1e160, 1), (1e90, 2)):
+        reports = [run_json(capsys, ["normbound", "--model", files["f2"], "--config",
+                                     write_cfg(files, "huge_bound", {"alpha": a, "k": k})])
+                   for a in (alpha, 1.0)]
+        (code, rep), (_, one) = reports
+        assert code == 0 and rep["results"]["passed"]
+        for key in ("lhs", "rhs"):
+            assert rep["results"][key] == pytest.approx(alpha ** k * one["results"][key],
+                                                        rel=1e-14)
 
 
 def test_unit_ranking_non_finite_value_is_a_usage_error(files, capsys):
-    # two units, F_2 acting trivially: the stacked A is finite, but the
-    # ranking's eigvalsh reads an infinite top eigenvalue at unit 0
+    # two units, F_2 acting trivially: unit 0's value, about 2.9e308, is not a
+    # finite float
     path = str(files["root"] / "f2_two_units.json")
     etale.save_model(etale.build_model(etale.FreeGroup(2), 2, [[0, 1], [0, 1]]), path)
     f = [{"unit": u, "word": w, "re": 1e308 if u == 0 else 1.0} for u in (0, 1) for w in "aAbB"]
     cfg = write_cfg(files, "huge_ranked", {"function": f, "L": 2})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["norm", "--model", path, "--config", cfg]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {etale.spectral.DENSE_OVERFLOW}"]
+    assert main(["norm", "--model", path, "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {etale.algebra.NOT_FINITE}"]
 
 
-def test_unit_ranking_overflow_is_a_usage_error(files, capsys, f2_32, monkeypatch):
+@pytest.fixture(scope="module")
+def oracles():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import oracles
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return oracles
+
+
+def test_unit_ranking_of_a_huge_entry_matches_dense_svd(files, capsys, oracles):
     # not self-adjoint and unit-dependent, at L = 3 (53 rows): the units are
-    # ranked on a stack of M^H M, whose entries at unit 5's 1e200 are not
-    # finite, so the ranking exits before any unit is solved
-    calls = []
-    for name in ("_dense", "_lanczos"):
-        monkeypatch.setattr(etale.spectral, name, lambda *a, name=name: calls.append(name))
+    # ranked on a stack of M^H M of the scaled f, whose 1e200 at unit 5 would
+    # square past the float range unscaled; the value and unit agree with the
+    # bench's dense SVD of every unit
     entries = [{"unit": u, "word": w, "re": 1e200 if (u, w) == (5, "a") else 1.0 + u / 32}
                for u in range(32) for w in ("a", "b")]
-    cfg = write_cfg(files, "huge_unit", {"function": entries, "L": 3})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["norm", "--model", files["f2_32"], "--config", cfg]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: the coefficients of f overflow float64 in the dense eigensolve"]
-    assert calls == []
+    res = norm_results(files, capsys, "f2_32", entries, 3)
+    m = oracles.RefModel(files["f2_32"])
+    f = oracles.function_from_spec(m, entries)
+    svd = [oracles.svd_norm(m, f, u, 3) for u in range(32)]
+    assert res["converged"] and res["value"] == pytest.approx(max(svd), rel=1e-14)
+    assert svd[res["unit"]] == pytest.approx(max(svd), rel=1e-9)
 
 
 def test_quotient_overflow_is_a_usage_error(files, capsys):
-    # the coefficient 1e308 is finite and a whole number, but its sphere
-    # quotient entries, and the power sequence's products, are not finite
+    # 1e154^2 chi_2 is finite, but its norm and power sequence values are not
     huge = {"sphere_weighted": {"alpha": 1e154, "k": 2}}
     for op, cfg in (("norm", {"function": huge, "L": 3}),
                     ("powerseq", {"function": huge, "n_max": 2})):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([op, "--model", files["f2"], "--config",
-                         write_cfg(files, "huge_quotient", cfg)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "overflow float64" in err[0]
-    # 5e307 chi_1: S is tridiagonal with finite entries, but its row sums,
-    # and so S y, overflow
-    cfg = {"function": {"sphere_weighted": {"alpha": 5e307, "k": 1}}, "L": 8}
-    assert main(["norm", "--model", files["f2"], "--config",
-                 write_cfg(files, "huge_quotient", cfg)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: the coefficients of f overflow float64 in the sphere quotient"]
+        assert main([op, "--model", files["f2"], "--config",
+                     write_cfg(files, "huge_quotient", cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {etale.algebra.NOT_FINITE}"]
+
+
+def test_quotient_reads_a_value_near_the_largest_float(files, capsys):
+    # 5e307 chi_1 at L = 8: S's row sums pass the largest float, but the
+    # value, 3.32 * 5e307 = 1.66e308, does not; it and limit are 2^1023 times
+    # those of its mantissa, bit for bit
+    mantissa, j = math.frexp(5e307)
+    res, ref = (norm_results(files, capsys, "f2", {"sphere_weighted": {"alpha": a, "k": 1}}, 8)
+                for a in (5e307, mantissa))
+    assert res["method"] == "sphere_quotient" and res["trace"] == [
+        [Lk, math.ldexp(v, j), steps, math.ldexp(r, j), ok] for Lk, v, steps, r, ok in ref["trace"]]
+    assert res["limit"] == math.ldexp(ref["limit"], j) < 1.8e308
+    assert res["value"] == pytest.approx(1.66e308, rel=1e-3)
 
 
 def test_haagerup_cli(files, capsys):
@@ -371,7 +480,7 @@ def test_certify_cli(files, tmp_path, capsys):
 
 
 BETA_RANGE = "every beta must lie in (0, 1]"
-POWER_OVERFLOW = "the coefficients of f overflow float64 in the power sequence"
+NOT_A_FLOAT = etale.algebra.NOT_FINITE
 N_MAX_RANGE = "n_max must lie in 1..1022"
 
 
@@ -790,9 +899,9 @@ def test_refusals_print_no_traceback(files):
     cases = [# the sparse value (1.70...) 1.5e308 passes the largest float, and
              # two entries of 1.7e308 for one word add to inf
              ("powerseq", "f2", {"function": [{"unit": 0, "word": w, "re": 1.5e308}
-                                              for w in ("a", "b")], "n_max": 1}, POWER_OVERFLOW),
+                                              for w in ("a", "b")], "n_max": 1}, NOT_A_FLOAT),
              ("powerseq", "f2", {"function": [{"unit": 0, "word": "a", "re": 1.7e308}] * 2,
-                                 "n_max": 1}, POWER_OVERFLOW),
+                                 "n_max": 1}, NOT_A_FLOAT),
              ("powerseq", "f2", {"function": {"delta": {"word": "a"}}, "n_max": 1030},
               N_MAX_RANGE),
              # 2^(n_max + 1) would hang the radial charge
